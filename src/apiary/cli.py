@@ -16,12 +16,9 @@ import os
 import shlex
 import sys
 
-import numpy as np
-
 from . import math3d as m3
-from .actuation import Wrench
 from .config import load_config, mission_config, set_value, write_snapshot
-from .dynamics import RigidState, SimulationDivergedError
+from .dynamics import SimulationDivergedError
 from .learn.checkpoint import env_config_hash, load_policy
 from .learn.ppo import UpdateDivergedError
 from .learn.train import evaluate_policy, train
@@ -156,22 +153,6 @@ def _write_eval_outputs(out_dir, result) -> None:
             )
 
 
-def _eval_rows_to_log(rows: np.ndarray, episode: int) -> TrajectoryLog:
-    log = TrajectoryLog()
-    for r in rows:
-        log.append(
-            r[0],
-            RigidState(r[1:4], r[4:8], r[8:11], r[11:14]),
-            Wrench(r[14:17], r[17:20]),
-            Wrench(r[20:23], r[23:26]),
-            r[26:29],
-            r[29:32],
-            ControlMode.RL_POLICY,
-            episode,
-        )
-    return log
-
-
 def cmd_eval(args, argv: list[str]) -> int:
     cfg = load_config(args.config)
     cfg = set_value(cfg, "env", "scenario", args.scenario)
@@ -197,7 +178,7 @@ def cmd_eval(args, argv: list[str]) -> int:
     if collect:
         os.makedirs(args.logs, exist_ok=True)
         for i, rows in enumerate(result.logs):
-            _eval_rows_to_log(rows, i).write_csv(
+            TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, i).write_csv(
                 os.path.join(args.logs, f"episode_{i:04d}.csv")
             )
     return 0

@@ -113,9 +113,19 @@ class _Reader:
 
 
 def load_policy(path) -> tuple[PolicyNet, dict]:
-    """Read a checkpoint; returns (net, meta) with version/sizes/env_hash in meta."""
+    """Read a checkpoint; returns (net, meta) with version/sizes/env_hash in meta.
+
+    A malformed file raises CheckpointError with the path in its message.
+    """
     with open(path, "rb") as f:
         data = f.read()
+    try:
+        return _decode_policy(data)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+
+
+def _decode_policy(data: bytes) -> tuple[PolicyNet, dict]:
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise CheckpointError("bad magic: not a policy checkpoint")

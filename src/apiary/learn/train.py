@@ -82,7 +82,9 @@ def _eval_chunk(
     n = len(seeds)
     benv = BatchEnv(n, config, weights, auto_reset=False, episode_seeds=seeds)
     records: list[dict | None] = [None] * n
-    rows: list[list[np.ndarray]] = [[] for _ in range(n)] if collect_logs else []
+    # without auto-reset a live env's row index is the tick; rows of
+    # frozen envs past their episode end are never read
+    buf = np.empty((n, config.episode_len, 32)) if collect_logs else None
     scale = np.concatenate(
         [np.full(3, config.limits.f_max), np.full(3, config.limits.tau_max)]
     )
@@ -92,26 +94,13 @@ def _eval_chunk(
         obs = benv.obs.copy()
         actions = nets.policy_mean(net, obs)
         if collect_logs:
-            pre = actions * scale
-            post = np.clip(actions, -1.0, 1.0) * scale
-            live = ~benv.frozen
-            for i in np.flatnonzero(live):
-                i = int(i)
-                rows[i].append(
-                    np.concatenate(
-                        [
-                            [t * config.dt],
-                            benv.pos[i],
-                            benv.att[i],
-                            benv.linvel[i],
-                            benv.angvel[i],
-                            pre[i],
-                            post[i],
-                            obs[i, POS_ERR],
-                            obs[i, ORI_ERR],
-                        ]
-                    )
-                )
+            np.concatenate(
+                [np.full((n, 1), t * config.dt), benv.pos, benv.att, benv.linvel, benv.angvel,
+                 actions * scale, np.clip(actions, -1.0, 1.0) * scale,
+                 obs[:, POS_ERR], obs[:, ORI_ERR]],
+                axis=1,
+                out=buf[:, t],
+            )
         _, _, _, finished = benv.step(actions)
         for rec in finished:
             i = rec["env"]
@@ -131,7 +120,9 @@ def _eval_chunk(
                 "final_ang_vel": float(m3.vec_norm(final[ANG_VEL])),
                 "settle_time": settle,
             }
-    logs = [np.array(r) for r in rows] if collect_logs else None
+    logs = None
+    if collect_logs:
+        logs = [buf[i, : r["steps"]].copy() for i, r in enumerate(records) if r is not None]
     return [r for r in records if r is not None], logs
 
 

@@ -151,16 +151,19 @@ class MissionConfig:
 
 
 class TrajectoryLog:
-    """Fixed-schema control-tick log; one row per tick, strictly increasing t."""
+    """Fixed-schema control-tick log; one row per tick, strictly increasing t.
+
+    The numeric columns live in one float64 array grown by doubling."""
 
     def __init__(self, meta: dict | None = None):
-        self._rows: list[list[float]] = []
+        self._num = np.empty((0, 32))
+        self._n = 0
         self._modes: list[str] = []
         self._maneuvers: list[int] = []
         self.meta = dict(meta) if meta else {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._n
 
     def append(
         self,
@@ -173,65 +176,79 @@ class TrajectoryLog:
         mode: ControlMode,
         maneuver: int,
     ) -> None:
-        if self._rows and t <= self._rows[-1][0]:
-            raise ValueError(f"log time must strictly increase: {t} after {self._rows[-1][0]}")
-        row = [float(t)]
-        row.extend(float(v) for v in state.position)
-        row.extend(float(v) for v in state.attitude)
-        row.extend(float(v) for v in state.lin_vel)
-        row.extend(float(v) for v in state.ang_vel)
-        row.extend(float(v) for v in commanded.force)
-        row.extend(float(v) for v in commanded.torque)
-        row.extend(float(v) for v in applied.force)
-        row.extend(float(v) for v in applied.torque)
-        row.extend(float(v) for v in pos_err)
-        row.extend(float(v) for v in ori_err)
-        self._rows.append(row)
+        n = self._n
+        if n and not t > self._num[n - 1, 0]:
+            raise ValueError(f"log time must strictly increase: {t} after {self._num[n - 1, 0]}")
+        if n == len(self._num):
+            self._num = np.concatenate([self._num, np.empty((max(64, n), 32))])
+        np.concatenate(
+            ([t], state.position, state.attitude, state.lin_vel, state.ang_vel, commanded.force,
+             commanded.torque, applied.force, applied.torque, pos_err, ori_err),
+            out=self._num[n],
+        )
+        self._n = n + 1
         self._modes.append(mode.value)
         self._maneuvers.append(int(maneuver))
 
+    @classmethod
+    def from_array(cls, numeric: np.ndarray, mode: ControlMode, maneuver: int) -> "TrajectoryLog":
+        """Log over (n_rows, 32) numeric rows in schema order, all in one mode
+        and maneuver. A float64 array is taken without copying."""
+        n = len(numeric)
+        return cls._from_columns(numeric, [mode.value] * n, [int(maneuver)] * n)
+
+    @classmethod
+    def _from_columns(cls, numeric, modes: list[str], maneuvers: list[int]) -> "TrajectoryLog":
+        log = cls()
+        log._num = np.asarray(numeric, dtype=np.float64)
+        log._n, log._modes, log._maneuvers = len(modes), modes, maneuvers
+        if log._num.shape != (log._n, 32):
+            raise ValueError(f"log rows must have shape (n, 32), got {log._num.shape}")
+        t = log._num[:, 0]
+        k = np.flatnonzero(~(np.diff(t) > 0))
+        if k.size:
+            raise ValueError(f"log time must strictly increase: {t[k[0] + 1]} after {t[k[0]]}")
+        return log
+
     def numeric(self) -> np.ndarray:
-        """(n_rows, 32) array of the numeric columns in schema order."""
-        if not self._rows:
-            return np.zeros((0, 32))
-        return np.array(self._rows, dtype=np.float64)
+        """Read-only (n_rows, 32) view of the numeric columns in schema order."""
+        view = self._num[: self._n]
+        view.flags.writeable = False
+        return view
 
     def column(self, name: str) -> np.ndarray:
         if name == "mode":
             return np.array(self._modes)
         if name == "maneuver":
             return np.array(self._maneuvers, dtype=np.int64)
-        idx = LOG_COLUMNS.index(name)
-        return self.numeric()[:, idx]
+        return self.numeric()[:, LOG_COLUMNS.index(name)]
 
     def columns(self, names: list[str]) -> np.ndarray:
-        num = self.numeric()
-        return num[:, [LOG_COLUMNS.index(n) for n in names]]
-
-    def rows_for_maneuver(self, index: int) -> np.ndarray:
-        sel = np.array(self._maneuvers, dtype=np.int64) == index
-        return self.numeric()[sel]
+        return self.numeric()[:, [LOG_COLUMNS.index(n) for n in names]]
 
     def write_csv(self, path) -> None:
+        """Same bytes as csv.writer: CRLF, no quoting (no field holds a comma,
+        quote or newline), floats as repr; rows are converted one at a time."""
         with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(LOG_COLUMNS)
-            for row, mode, man in zip(self._rows, self._modes, self._maneuvers):
-                w.writerow([repr(v) for v in row] + [mode, man])
+            f.write(",".join(LOG_COLUMNS) + "\r\n")
+            f.writelines(
+                ",".join(map(repr, row.tolist())) + f",{mode},{man}\r\n"
+                for row, mode, man in zip(self.numeric(), self._modes, self._maneuvers)
+            )
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryLog":
-        log = cls()
         with open(path, newline="") as f:
             r = csv.reader(f)
             header = next(r)
             if header != LOG_COLUMNS:
                 raise ValueError("unexpected trajectory log header")
-            for line in r:
-                log._rows.append([float(v) for v in line[:32]])
-                log._modes.append(line[32])
-                log._maneuvers.append(int(line[33]))
-        return log
+            lines = list(r)
+        return cls._from_columns(
+            np.array([[float(v) for v in line[:32]] for line in lines]).reshape(-1, 32),
+            [ControlMode(line[32]).value for line in lines],
+            [int(line[33]) for line in lines],
+        )
 
 
 @dataclass
@@ -334,6 +351,11 @@ def _rl_command(net: PolicyNet, measured: RigidState, goal: EpisodeGoal, limits:
     return Wrench(action[:3] * limits.f_max, action[3:] * limits.tau_max)
 
 
+def _maneuver_ticks(maneuver: Maneuver, dt: float) -> int:
+    """Control ticks a maneuver runs for: its whole timeout at rate 1/dt."""
+    return int(round(maneuver.timeout / dt))
+
+
 def run_maneuver(
     state: RigidState,
     maneuver: Maneuver,
@@ -374,7 +396,7 @@ def run_maneuver(
     else:
         pos_tol, ori_tol = mc.pos_tol, mc.ori_tol
 
-    n_ticks = int(round(maneuver.timeout / mc.dt))
+    n_ticks = _maneuver_ticks(maneuver, mc.dt)
     cur_mode = mode
     trip_count = 0
     armed = False
@@ -452,6 +474,32 @@ def run_maneuver(
     return state, out
 
 
+def _faults_by_maneuver(
+    sequence: list[Maneuver], faults: list[FaultSpec], dt: float
+) -> dict[int, FaultSpec]:
+    """Index faults by maneuver, rejecting any that could never fire."""
+    by_index: dict[int, FaultSpec] = {}
+    for f in faults:
+        where = f"fault at maneuver index {f.maneuver_index}, tick {f.start_tick}"
+        if f.maneuver_index >= len(sequence):
+            raise ValueError(
+                f"{where}: the sequence has only {len(sequence)} maneuvers "
+                f"(indices 0..{len(sequence) - 1})"
+            )
+        n_ticks = _maneuver_ticks(sequence[f.maneuver_index], dt)
+        if f.start_tick >= n_ticks:
+            raise ValueError(
+                f"{where}: that maneuver runs ticks 0..{n_ticks - 1}, so the fault never fires"
+            )
+        if f.maneuver_index in by_index:
+            raise ValueError(
+                f"{where}: maneuver index {f.maneuver_index} already has a fault "
+                f"at tick {by_index[f.maneuver_index].start_tick}; one fault per maneuver"
+            )
+        by_index[f.maneuver_index] = f
+    return by_index
+
+
 def run_sequence(
     sequence: list[Maneuver],
     mode: ControlMode,
@@ -465,13 +513,16 @@ def run_sequence(
     The dock pose is the sequence entry pose. After a fallback_triggered
     outcome the sequence runs the next entry only if it carries the resume
     flag; otherwise that entry and everything after it is skipped.
+    Raises ValueError, before anything runs, for a fault past the end of
+    the sequence, a second fault for one maneuver, or a start tick at or
+    past the maneuver's tick count.
     """
     if not sequence:
         raise ValueError("sequence must not be empty")
     state = start_state.copy() if start_state is not None else RigidState()
     dock_pose = EpisodeGoal(state.position.copy(), state.attitude.copy())
     log = TrajectoryLog()
-    fault_by_index = {f.maneuver_index: f for f in (faults or [])}
+    fault_by_index = _faults_by_maneuver(sequence, faults or [], mc.dt)
     outcomes: list[ManeuverOutcome] = []
     tick = 0
     paused = False

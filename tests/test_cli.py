@@ -1,11 +1,22 @@
 """End-to-end command-line tests, including exit-code contracts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from apiary.actuation import Wrench
 from apiary.cli import main
+from apiary.config import load_config, set_value
+from apiary.dynamics import RigidState
+from apiary.env import ORI_ERR, POS_ERR, BatchEnv
 from apiary.learn.checkpoint import load_policy
-from apiary.mission import TrajectoryLog
+from apiary.learn.nets import policy_mean
+from apiary.mission import ControlMode, TrajectoryLog
+
+ASSETS = Path(__file__).resolve().parents[1] / "assets"
+REFERENCE_CKPT = ASSETS / "reference_policy.ckpt"
+RECIPE = ASSETS / "reference_training_config.ini"
 
 TINY_CONFIG = """\
 [env]
@@ -128,6 +139,69 @@ def test_eval_worker_count_equivalence(workspace):
     assert (out1 / "episodes.csv").read_bytes() == (out8 / "episodes.csv").read_bytes()
 
 
+def test_eval_logs_independent_of_workers(workspace):
+    args = ["eval", "--config", str(workspace["config"]), "--ckpt", str(workspace["ckpt"]),
+            "--scenario", "iss6dof", "--episodes", "40", "--seed", "3"]
+    dirs = [workspace["root"] / f"logs_w{w}" for w in (1, 2)]
+    for d, w in zip(dirs, ("1", "2")):
+        assert main(args + ["--logs", str(d), "--workers", w]) == 0
+    names = sorted(p.name for p in dirs[0].iterdir())
+    assert names == [f"episode_{i:04d}.csv" for i in range(40)]
+    assert sorted(p.name for p in dirs[1].iterdir()) == names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def _row_by_row_eval_logs(episodes: int, seed: int) -> list[TrajectoryLog]:
+    """Eval trajectories of the reference policy, stepped like the eval loop
+    and logged one TrajectoryLog.append per live env per tick."""
+    cfg = set_value(load_config(RECIPE), "env", "scenario", "iss6dof")
+    env = cfg.env
+    net, _ = load_policy(REFERENCE_CKPT)
+    benv = BatchEnv(
+        episodes, env, cfg.reward, auto_reset=False,
+        episode_seeds=[[seed, k] for k in range(episodes)],
+    )
+    logs = [TrajectoryLog() for _ in range(episodes)]
+    f_max, tau_max = env.limits.f_max, env.limits.tau_max
+    for t in range(env.episode_len):
+        if benv.all_frozen():
+            break
+        obs = benv.obs.copy()
+        a = policy_mean(net, obs)
+        c = np.clip(a, -1.0, 1.0)
+        for i in np.flatnonzero(~benv.frozen):
+            logs[i].append(
+                t * env.dt,
+                RigidState(benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i]),
+                Wrench(a[i, :3] * f_max, a[i, 3:] * tau_max),
+                Wrench(c[i, :3] * f_max, c[i, 3:] * tau_max),
+                obs[i, POS_ERR],
+                obs[i, ORI_ERR],
+                ControlMode.RL_POLICY,
+                int(i),
+            )
+        benv.step(a)
+    return logs
+
+
+def test_eval_logs_match_row_by_row_oracle(tmp_path):
+    logs = tmp_path / "logs"
+    rc = main(
+        ["eval", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT),
+         "--scenario", "iss6dof", "--episodes", "3", "--seed", "2", "--logs", str(logs)]
+    )
+    assert rc == 0
+    oracle = _row_by_row_eval_logs(3, 2)
+    # episodes of different lengths, so rows past an episode's end are exercised
+    assert len({len(log) for log in oracle}) > 1
+    assert sorted(p.name for p in logs.iterdir()) == [f"episode_{i:04d}.csv" for i in range(3)]
+    for i, log in enumerate(oracle):
+        want = tmp_path / f"oracle_{i}.csv"
+        log.write_csv(want)
+        assert (logs / f"episode_{i:04d}.csv").read_bytes() == want.read_bytes(), i
+
+
 def test_eval_env_mismatch_warns(workspace, capsys):
     # default config describes a different task than the tiny checkpoint
     rc = main(
@@ -178,6 +252,15 @@ def test_eval_corrupt_checkpoint_exits_1(workspace, capsys):
     rc = main(["eval", "--ckpt", str(bad), "--scenario", "iss6dof", "--episodes", "1"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_truncated_checkpoint_names_path(tmp_path, capsys):
+    bad = tmp_path / "truncated.ckpt"
+    bad.write_bytes(REFERENCE_CKPT.read_bytes()[:100])
+    rc = main(["eval", "--ckpt", str(bad), "--scenario", "iss6dof", "--episodes", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: truncated checkpoint: needed 96 bytes at offset 52, file has 100" in err
 
 
 def test_compare_writes_metrics(workspace, capsys):
@@ -241,6 +324,30 @@ def test_replay_with_faults(workspace, capsys, tmp_path):
     stdout = capsys.readouterr().out
     assert "fallback_triggered" in stdout
     assert "skipped" in stdout
+
+
+@pytest.mark.parametrize(
+    "after_stock_fault, extra, message",
+    [
+        (False, "pos_offset 99 500 0.5 0 0\n", "maneuver index 99, tick 500"),
+        (True, "pos_offset 5 500 0 0 0\n", "maneuver index 5, tick 500"),
+    ],
+    ids=["past-sequence-end", "second-fault-for-one-maneuver"],
+)
+def test_replay_rejects_fault_that_never_fires(tmp_path, capsys, after_stock_fault, extra, message):
+    faults = tmp_path / "faults.txt"
+    stock = (ASSETS / "dock_fault.txt").read_text() if after_stock_fault else ""
+    faults.write_text(stock + extra)
+    out = tmp_path / "replay"
+    rc = main(
+        ["replay", "--sequence", str(ASSETS / "stock_sequence.txt"), "--ckpt",
+         str(REFERENCE_CKPT), "--faults", str(faults), "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_replay_missing_sequence_exits_1(workspace, capsys):

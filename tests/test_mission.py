@@ -1,5 +1,7 @@
 """Sequencer, safety monitor, trajectory log, metrics and parser tests."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,81 @@ def test_log_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.column("maneuver"), log.column("maneuver"))
 
 
+def _csv_module_bytes(log, path):
+    """The trajectory CSV as the csv module writes it, repr for every float."""
+    num = log.numeric().tolist()
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(LOG_COLUMNS)
+        for row, mode, man in zip(num, log.column("mode"), log.column("maneuver")):
+            w.writerow([repr(v) for v in row] + [str(mode), int(man)])
+    return path.read_bytes()
+
+
+def test_log_csv_bytes_survive_round_trip(tmp_path):
+    rows = np.arange(4 * 32, dtype=np.float64).reshape(4, 32) / 7.0
+    rows[:, 0] = [0.0, DT, 2 * DT, 3 * DT]
+    rows[0, 1], rows[1, 2], rows[2, 3], rows[3, 4] = np.nan, np.inf, -np.inf, -0.0
+    rows[1, 31] = 1e-300
+    log = TrajectoryLog.from_array(rows[:2], ControlMode.RL_POLICY, 3)
+    for k, mode in ((2, ControlMode.HOLD_FALLBACK), (3, ControlMode.BASELINE)):
+        r = rows[k]
+        log.append(
+            r[0], RigidState(r[1:4], r[4:8], r[8:11], r[11:14]),
+            Wrench(r[14:17], r[17:20]), Wrench(r[20:23], r[23:26]),
+            r[26:29], r[29:32], mode, k + 4,
+        )
+    first = tmp_path / "a.csv"
+    log.write_csv(first)
+    data = first.read_bytes()
+    assert data == _csv_module_bytes(log, tmp_path / "oracle.csv")
+    assert b"\r\n" in data and b'"' not in data
+    assert b",nan," in data and b",inf," in data and b",-inf," in data and b",-0.0," in data
+    back = TrajectoryLog.read_csv(first)
+    np.testing.assert_array_equal(back.column("mode"), ["rl_policy"] * 2 + ["hold_fallback", "baseline"])
+    np.testing.assert_array_equal(back.column("maneuver"), [3, 3, 6, 7])
+    second = tmp_path / "b.csv"
+    back.write_csv(second)
+    assert second.read_bytes() == data
+
+
+def test_log_from_array_rejects_non_increasing_time():
+    rows = np.zeros((3, 32))
+    rows[:, 0] = [0.0, DT, DT]
+    with pytest.raises(ValueError, match="strictly increase"):
+        TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, 0)
+    rows[:, 0] = [0.0, 2 * DT, DT]
+    with pytest.raises(ValueError, match="strictly increase"):
+        TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, 0)
+    rows[:, 0] = [0.0, np.nan, 2 * DT]
+    with pytest.raises(ValueError, match="strictly increase"):
+        TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, 0)
+    with pytest.raises(ValueError, match="shape"):
+        TrajectoryLog.from_array(np.zeros((3, 31)), ControlMode.RL_POLICY, 0)
+
+
+def test_log_from_array_reads_and_grows():
+    rows = np.zeros((2, 32))
+    rows[:, 0] = [0.0, DT]
+    rows[:, 1] = [0.5, 0.6]
+    log = TrajectoryLog.from_array(rows, ControlMode.BASELINE, 2)
+    assert len(log) == 2
+    np.testing.assert_array_equal(log.column("px"), [0.5, 0.6])
+    with pytest.raises(ValueError):
+        log.numeric()[0, 0] = 1.0  # views are read-only
+    with pytest.raises(ValueError, match="strictly increase"):
+        make_log_rows(log, 1)  # t = 0.0 after DT
+    for k in range(2, 200):
+        log.append(
+            k * DT, RigidState(), Wrench(np.zeros(3), np.zeros(3)),
+            Wrench(np.zeros(3), np.zeros(3)), np.zeros(3), np.zeros(3),
+            ControlMode.BASELINE, 2,
+        )
+    assert log.numeric().shape == (200, 32)
+    np.testing.assert_array_equal(log.column("t")[:3], [0.0, DT, 2 * DT])
+    np.testing.assert_array_equal(rows[:, 1], [0.5, 0.6])
+
+
 def test_log_csv_rejects_other_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -337,6 +414,32 @@ def test_run_sequence_resume_flag_continues():
     # log tick counter keeps increasing across maneuvers
     t = res.log.column("t")
     assert np.all(np.diff(t) > 0)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ([FaultSpec(3, 5, m3.vec3(0.5, 0, 0))], r"maneuver index 3, tick 5: the sequence has only 2"),
+        (
+            [FaultSpec(1, 5, m3.vec3(0.5, 0, 0)), FaultSpec(1, 7, np.zeros(3))],
+            r"maneuver index 1, tick 7: maneuver index 1 already has a fault at tick 5",
+        ),
+        ([FaultSpec(0, 125, m3.vec3(0.5, 0, 0))], r"maneuver index 0, tick 125: .*ticks 0\.\.124"),
+    ],
+)
+def test_run_sequence_rejects_faults_that_never_fire(faults, message):
+    mc = MissionConfig()
+    seq = [Maneuver("translate", 0, 0.0, timeout=2.0)] * 2  # 125 ticks each
+    with pytest.raises(ValueError, match=message):
+        run_sequence(seq, ControlMode.RL_POLICY, mc, net=tiny_net(), faults=faults)
+
+
+def test_run_sequence_fault_on_last_tick_fires():
+    mc = MissionConfig()
+    seq = [Maneuver("translate", 0, 0.0, timeout=2.0)]
+    fault = FaultSpec(0, 124, m3.vec3(0.5, 0, 0))
+    res = run_sequence(seq, ControlMode.RL_POLICY, mc, net=tiny_net(), faults=[fault])
+    np.testing.assert_allclose(res.log.column("epx")[-2:], [0.0, -0.5], atol=1e-3)
 
 
 def test_run_sequence_dock_targets_entry_pose():
