@@ -1,9 +1,9 @@
 """Wrench limiting between controller output and the simulated body.
 
-The controller/policy boundary is a body-frame wrench. This module maps a
-normalized action vector to physical units and enforces per-axis magnitude
-limits (plus an optional slew-rate limit, disabled by default). Fidelity
-below the wrench level, like fan or nozzle allocation, is out of scope.
+The controller/policy boundary is a body-frame wrench. This module enforces
+per-axis magnitude limits (plus an optional slew-rate limit, disabled by
+default). Fidelity below the wrench level, like fan or nozzle allocation,
+is out of scope.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ class ActuationLimits:
             raise ValueError("actuation limits must be positive")
         if self.force_rate < 0.0 or self.torque_rate < 0.0:
             raise ValueError("rate limits must be >= 0")
-
-
-def denormalize_action(action: np.ndarray, limits: ActuationLimits) -> Wrench:
-    """Scale a 6-vector in [-1, 1] to a wrench; out-of-range values clamp."""
-    a = np.asarray(action, dtype=np.float64)
-    if a.shape != (6,):
-        raise ValueError(f"action must be a 6-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("action must be finite")
-    a = np.clip(a, -1.0, 1.0)
-    return Wrench(a[:3] * limits.f_max, a[3:] * limits.tau_max)
 
 
 def apply_limits(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import math3d as m3
-from .actuation import ActuationLimits, Wrench, apply_limits
+from .actuation import Wrench
 from .dynamics import RigidState
 from .env import EpisodeGoal
 
@@ -36,14 +36,8 @@ class PdGains:
             raise ValueError("proportional action needs a damping term")
 
 
-def pd_wrench(
-    state: RigidState,
-    goal: EpisodeGoal,
-    gains: PdGains | None = None,
-    limits: ActuationLimits | None = None,
-    dt: float = 0.016,
-) -> Wrench:
-    """PD pose-regulation wrench in the body frame, optionally clamped."""
+def pd_wrench(state: RigidState, goal: EpisodeGoal, gains: PdGains | None = None) -> Wrench:
+    """PD pose-regulation wrench in the body frame, before actuator limits."""
     g = gains if gains is not None else PdGains()
     pos_err = goal.position - state.position
     f_world = g.kp_pos * pos_err - g.kd_pos * state.lin_vel
@@ -51,18 +45,10 @@ def pd_wrench(
     ori_err_world = m3.quat_error(goal.attitude, state.attitude)
     ori_err_body = m3.quat_rotate_inv(state.attitude, ori_err_world)
     tau = g.kp_att * ori_err_body - g.kd_att * state.ang_vel
-    cmd = Wrench(f_body, tau)
-    if limits is not None:
-        cmd = apply_limits(None, cmd, limits, dt)
-    return cmd
+    return Wrench(f_body, tau)
 
 
-def hold_pose_controller(
-    captured_state: RigidState,
-    gains: PdGains | None = None,
-    limits: ActuationLimits | None = None,
-    dt: float = 0.016,
-):
+def hold_pose_controller(captured_state: RigidState, gains: PdGains | None = None):
     """Controller closure that regulates to the pose captured at call time.
 
     The returned callable maps a current RigidState to a Wrench; velocity
@@ -75,6 +61,6 @@ def hold_pose_controller(
     )
 
     def controller(state: RigidState) -> Wrench:
-        return pd_wrench(state, hold_goal, gains, limits, dt)
+        return pd_wrench(state, hold_goal, gains)
 
     return controller

@@ -304,7 +304,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="run one maneuver under policy and PD baseline")
     p.add_argument("--config", default=None)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--maneuver", required=True, help="e.g. translate:x:0.5 or rotate:z:-20")
+    p.add_argument(
+        "--maneuver",
+        required=True,
+        help="kind:args[:timeout], e.g. translate:x:0.5 or rotate:z:-20:20 (timeout 30 s if left out)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -279,12 +279,6 @@ def step(
     return RigidState(np.array(pos), np.array(att), np.array(v), np.array(w))
 
 
-def kinetic_energy(state: RigidState, params: BodyParams) -> float:
-    v2 = float(np.dot(state.lin_vel, state.lin_vel))
-    rot = float(np.dot(state.ang_vel, params.inertia_diag * state.ang_vel))
-    return 0.5 * params.mass * v2 + 0.5 * rot
-
-
 def momentum(state: RigidState, params: BodyParams) -> tuple[np.ndarray, np.ndarray]:
     """(linear momentum, world-frame angular momentum about the COM)."""
     p = params.mass * state.lin_vel

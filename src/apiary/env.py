@@ -20,10 +20,11 @@ Both bracket terms coincide with episode termination, so each pays at
 most once. Termination: the success condition held for hold_steps
 consecutive steps, out-of-bounds, or episode_len reached.
 
-`env_step` is the scalar reference surface; `BatchEnv` advances many
-independent environments with the same broadcastable math, so a batched
-rollout is bit-identical to stepping each environment alone. Each
-environment owns an RNG stream derived from (master seed, env index).
+`BatchEnv` advances n independent environments with broadcastable array
+math, so row i of a batch is bit-identical to a batch of one stepped alone
+with row i's RNG stream, which is derived from (master seed, env index).
+The flight loop in `mission` computes its errors with the same `observe`
+and `obs_norms`.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import math3d as m3
-from .actuation import ActuationLimits, Wrench, apply_limits, denormalize_action
+from .actuation import ActuationLimits
 from .dynamics import (
     FULL_6DOF,
     BodyParams,
     DofMask,
     RigidState,
     SimulationDivergedError,
-    step,
     step_arrays,
 )
 
@@ -176,13 +176,23 @@ def observe(state: RigidState, goal: EpisodeGoal, body_frame: bool = False) -> n
     )
 
 
-def success_flags(obs: np.ndarray, config: EnvConfig) -> np.ndarray:
-    """Instantaneous success condition (pose and twist inside tolerances)."""
+def obs_norms(obs: np.ndarray) -> np.ndarray:
+    """Channel norms (|e_p|, |e_o|, |v|, |w|) of observations: (..., 12) -> (..., 4).
+
+    Bit-identical to `m3.vec_norm` of each 3-slice on its own.
+    """
+    obs = np.asarray(obs, dtype=np.float64)
+    return m3.vec_norm(obs.reshape(obs.shape[:-1] + (4, 3)))
+
+
+def success_flags(norms: np.ndarray, config: EnvConfig) -> np.ndarray:
+    """Instantaneous success condition (pose and twist inside tolerances)
+    from `obs_norms` output."""
     return (
-        (m3.vec_norm(obs[..., POS_ERR]) <= config.success_pos_tol)
-        & (m3.vec_norm(obs[..., ORI_ERR]) <= config.success_ori_tol)
-        & (m3.vec_norm(obs[..., LIN_VEL]) <= config.success_vel_tol)
-        & (m3.vec_norm(obs[..., ANG_VEL]) <= config.success_angvel_tol)
+        (norms[..., 0] <= config.success_pos_tol)
+        & (norms[..., 1] <= config.success_ori_tol)
+        & (norms[..., 2] <= config.success_vel_tol)
+        & (norms[..., 3] <= config.success_angvel_tol)
     )
 
 
@@ -199,137 +209,18 @@ def reward_arrays(
     which is episode bookkeeping the caller owns. Out-of-bounds is a
     single-tick event because it terminates the episode.
     """
-    pe_prev = m3.vec_norm(prev_obs[..., POS_ERR])
-    pe = m3.vec_norm(obs[..., POS_ERR])
-    oe_prev = m3.vec_norm(prev_obs[..., ORI_ERR])
-    oe = m3.vec_norm(obs[..., ORI_ERR])
-    lv = m3.vec_norm(obs[..., LIN_VEL])
-    av = m3.vec_norm(obs[..., ANG_VEL])
-    succ = success_flags(obs, config)
+    prev = obs_norms(prev_obs)
+    norms = obs_norms(obs)
+    pe = norms[..., 0]
     oob = pe > config.oob_radius
     r = (
-        weights.w_pos * (pe_prev - pe)
-        + weights.w_ori * (oe_prev - oe)
-        - weights.w_linvel * lv
-        - weights.w_angvel * av
+        weights.w_pos * (prev[..., 0] - pe)
+        + weights.w_ori * (prev[..., 1] - norms[..., 1])
+        - weights.w_linvel * norms[..., 2]
+        - weights.w_angvel * norms[..., 3]
         - weights.penalty_oob * oob
     )
-    return r, succ, oob
-
-
-def reward(
-    prev_obs: np.ndarray,
-    obs: np.ndarray,
-    weights: RewardWeights,
-    config: EnvConfig,
-    success_latched: bool = False,
-) -> float:
-    """Scalar reward for one transition.
-
-    Pass success_latched=True on the tick the success condition completes
-    its hold (the episode's terminal success tick); that is when
-    bonus_success applies. Ticks merely inside tolerance earn no bonus.
-    """
-    r, _, _ = reward_arrays(
-        np.asarray(prev_obs, dtype=np.float64),
-        np.asarray(obs, dtype=np.float64),
-        weights,
-        config,
-    )
-    if success_latched:
-        r = r + weights.bonus_success
-    return float(r)
-
-
-def env_step(
-    state: RigidState,
-    goal: EpisodeGoal,
-    params: BodyParams,
-    action: np.ndarray,
-    config: EnvConfig,
-    weights: RewardWeights,
-    prev_obs: np.ndarray | None = None,
-    hold_count: int = 0,
-    step_count: int = 0,
-) -> tuple[RigidState, np.ndarray, float, bool, dict]:
-    """One control tick: denormalize -> clamp -> propagate -> observe -> reward.
-
-    hold_count/step_count carry the episode's termination bookkeeping; the
-    returned info dict holds their updated values plus which termination
-    fired.
-    """
-    if prev_obs is None:
-        prev_obs = observe(state, goal, config.body_frame_obs)
-    cmd = denormalize_action(action, config.limits)
-    applied = apply_limits(None, cmd, config.limits, config.dt)
-    new_state = step(state, applied, params, config.mask, config.dt)
-    obs = observe(new_state, goal, config.body_frame_obs)
-    r, succ, oob = reward_arrays(prev_obs, obs, weights, config)
-    hold = hold_count + 1 if bool(succ) else 0
-    steps = step_count + 1
-    done_success = hold >= config.hold_steps
-    if done_success:
-        r = r + weights.bonus_success
-    done_oob = bool(oob)
-    done_timeout = steps >= config.episode_len
-    done = done_success or done_oob or done_timeout
-    if done_success:
-        reason = "success"
-    elif done_oob:
-        reason = "oob"
-    elif done_timeout:
-        reason = "timeout"
-    else:
-        reason = ""
-    info = {
-        "hold_count": hold,
-        "step_count": steps,
-        "success": done_success,
-        "oob": done_oob,
-        "timeout": done_timeout and not done_success and not done_oob,
-        "done_reason": reason,
-        "wrench": applied,
-    }
-    return new_state, obs, float(r), done, info
-
-
-class Env:
-    """Single-environment convenience wrapper over the pure functions."""
-
-    def __init__(self, config: EnvConfig, weights: RewardWeights, seed=0):
-        self.config = config
-        self.weights = weights
-        self.rng = _as_rng(seed)
-        self.state: RigidState | None = None
-        self.goal: EpisodeGoal | None = None
-        self.params: BodyParams | None = None
-        self.obs: np.ndarray | None = None
-        self.hold_count = 0
-        self.step_count = 0
-
-    def reset(self) -> np.ndarray:
-        self.state, self.goal, self.params = reset(self.config, self.rng)
-        self.obs = observe(self.state, self.goal, self.config.body_frame_obs)
-        self.hold_count = 0
-        self.step_count = 0
-        return self.obs
-
-    def step(self, action: np.ndarray) -> tuple[np.ndarray, float, bool, dict]:
-        self.state, obs, r, done, info = env_step(
-            self.state,
-            self.goal,
-            self.params,
-            action,
-            self.config,
-            self.weights,
-            prev_obs=self.obs,
-            hold_count=self.hold_count,
-            step_count=self.step_count,
-        )
-        self.obs = obs
-        self.hold_count = info["hold_count"]
-        self.step_count = info["step_count"]
-        return obs, r, done, info
+    return r, success_flags(norms, config), oob
 
 
 class BatchEnv:

@@ -1,90 +1,4 @@
 """Policy learning: networks, clipped-surrogate updates, training, checkpoints."""
 
-from ..env import RolloutBuffer
-from .checkpoint import CheckpointError, env_config_hash, load_policy, save_policy
-from .nets import (
-    DEFAULT_OBS_SCALES,
-    LOG_STD_MAX,
-    LOG_STD_MIN,
-    AdamState,
-    MlpParams,
-    PolicyNet,
-    RolloutPolicy,
-    adam_init,
-    adam_step,
-    clip_grads,
-    gaussian_entropy,
-    gaussian_log_prob,
-    global_grad_norm,
-    mlp_backward,
-    mlp_forward,
-    mlp_init,
-    normalize_obs,
-    param_list,
-    policy_init,
-    policy_mean,
-    policy_sample,
-    set_params,
-    value,
-)
-from .ppo import (
-    PpoConfig,
-    UpdateDivergedError,
-    gae,
-    minibatch_loss,
-    normalize_advantages,
-    ppo_update,
-)
-from .train import (
-    EVAL_CHUNK,
-    CURVE_FIELDS,
-    EvalResult,
-    TrainResult,
-    evaluate_policy,
-    train,
-    write_curve_csv,
-)
-
-__all__ = [
-    "RolloutBuffer",
-    "CheckpointError",
-    "env_config_hash",
-    "load_policy",
-    "save_policy",
-    "DEFAULT_OBS_SCALES",
-    "LOG_STD_MAX",
-    "LOG_STD_MIN",
-    "AdamState",
-    "MlpParams",
-    "PolicyNet",
-    "RolloutPolicy",
-    "adam_init",
-    "adam_step",
-    "clip_grads",
-    "gaussian_entropy",
-    "gaussian_log_prob",
-    "global_grad_norm",
-    "mlp_backward",
-    "mlp_forward",
-    "mlp_init",
-    "normalize_obs",
-    "param_list",
-    "policy_init",
-    "policy_mean",
-    "policy_sample",
-    "set_params",
-    "value",
-    "PpoConfig",
-    "UpdateDivergedError",
-    "gae",
-    "minibatch_loss",
-    "normalize_advantages",
-    "ppo_update",
-    "EVAL_CHUNK",
-    "CURVE_FIELDS",
-    "EvalResult",
-    "TrainResult",
-    "evaluate_policy",
-    "train",
-    "write_curve_csv",
-]
+from .ppo import PpoConfig
+from .train import evaluate_policy, train

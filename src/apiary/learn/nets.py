@@ -150,17 +150,6 @@ def gaussian_entropy(log_std: np.ndarray) -> float:
     return float(np.sum(log_std) + 0.5 * log_std.shape[0] * (1.0 + np.log(2.0 * np.pi)))
 
 
-def policy_sample(
-    net: PolicyNet, obs: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Sample one stochastic action for a single observation."""
-    mean = policy_mean(net, obs)
-    log_std = clamped_log_std(net)
-    noise = rng.standard_normal(mean.shape[-1])
-    action = mean + np.exp(log_std) * noise
-    return action, float(gaussian_log_prob(mean, log_std, action))
-
-
 class RolloutPolicy:
     """Adapter giving BatchEnv rollouts per-env exploration noise.
 

@@ -24,16 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import math3d as m3
 from ..env import (
-    ANG_VEL,
-    LIN_VEL,
     ORI_ERR,
     POS_ERR,
     BatchEnv,
     EnvConfig,
     RewardWeights,
     batch_rollout,
+    obs_norms,
 )
 from . import nets
 from .checkpoint import save_policy
@@ -104,7 +102,7 @@ def _eval_chunk(
         _, _, _, finished = benv.step(actions)
         for rec in finished:
             i = rec["env"]
-            final = rec["final_obs"]
+            pe, oe, lv, av = obs_norms(rec["final_obs"]).tolist()
             success = rec["success"]
             settle = (
                 (rec["steps"] - config.hold_steps + 1) * config.dt if success else float("nan")
@@ -114,10 +112,10 @@ def _eval_chunk(
                 "reason": rec["reason"],
                 "steps": rec["steps"],
                 "episode_return": rec["episode_return"],
-                "final_pos_err": float(m3.vec_norm(final[POS_ERR])),
-                "final_ori_err": float(m3.vec_norm(final[ORI_ERR])),
-                "final_lin_vel": float(m3.vec_norm(final[LIN_VEL])),
-                "final_ang_vel": float(m3.vec_norm(final[ANG_VEL])),
+                "final_pos_err": pe,
+                "final_ori_err": oe,
+                "final_lin_vel": lv,
+                "final_ang_vel": av,
                 "settle_time": settle,
             }
     logs = None

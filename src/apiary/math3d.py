@@ -223,23 +223,3 @@ def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[..., 1] = oy
     out[..., 2] = oz
     return out
-
-
-def quat_integrate(q: np.ndarray, omega: np.ndarray, dt: float) -> np.ndarray:
-    """Advance q by the exponential map of body rate omega over dt."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    omega = np.asarray(omega, dtype=np.float64)
-    dq = quat_from_rotvec(omega * dt)
-    # Body-frame rate composes on the right: q' = q ⊗ exp(omega*dt).
-    return quat_mul(q, dq)
-
-
-def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    """3x3 rotation matrix (body->world) for a unit quaternion."""
-    q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    row0 = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)

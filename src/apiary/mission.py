@@ -4,10 +4,14 @@ A maneuver is a goal pose derived from the pose at maneuver entry
 (translate/rotate), an absolute pose (goto_pose), or the dock pose
 captured at sequence start (dock, dock_approach = dock plus a standoff
 along the dock frame's +X). Each maneuver runs a fixed-rate closed loop
-for its full timeout: measure -> safety monitor -> controller -> clamp ->
-log -> propagate. Running to timeout (instead of stopping at first
-tolerance entry) lets controllers settle fully, so final errors reflect
-steady state.
+for its full timeout: measure -> observe -> safety monitor -> controller
+-> clamp -> log -> propagate. The observation (`env.observe`, the vector
+the policy was trained on) is computed once per tick from the measured
+state; the policy reads it, the logged errors are its slices, and the
+monitor's arming test, its trip test and the success streak all read
+its four channel norms. Running to timeout (instead of stopping at
+first tolerance entry) lets controllers settle fully, so final errors
+reflect steady state.
 
 Safety supervision guards the RL policy only. The monitor arms once the
 vehicle first enters the safety envelope around the goal (large commanded
@@ -39,7 +43,7 @@ from . import math3d as m3
 from .actuation import ActuationLimits, Wrench, apply_limits
 from .baseline import PdGains, hold_pose_controller, pd_wrench
 from .dynamics import FULL_6DOF, BodyParams, DofMask, RigidState, step
-from .env import EpisodeGoal, observe
+from .env import ORI_ERR, POS_ERR, EpisodeGoal, obs_norms, observe
 from .learn.nets import PolicyNet, policy_mean
 
 LOG_COLUMNS = [
@@ -272,22 +276,18 @@ class MissionResult:
 
 
 def safety_check(
-    state: RigidState,
-    goal: EpisodeGoal,
-    thresholds: SafetyThresholds,
-    trip_counter: int,
+    norms, thresholds: SafetyThresholds, trip_counter: int
 ) -> tuple[ControlMode | None, int]:
     """Threshold monitor step: (decision, updated counter).
 
-    The counter rises by one on a tick where any of position error,
-    orientation error, speed or angular speed exceeds its limit, and
-    resets to zero on a clean tick. Decision is HOLD_FALLBACK once the
-    counter reaches trip_consecutive, else None (keep the current mode).
+    `norms` holds the measured channel norms (|e_p|, |e_o|, |v|, |w|), as
+    `env.obs_norms` gives them. The counter rises by one on a tick where
+    any of position error, orientation error, speed or angular speed
+    exceeds its limit, and resets to zero on a clean tick. Decision is
+    HOLD_FALLBACK once the counter reaches trip_consecutive, else None
+    (keep the current mode).
     """
-    pos_err = float(m3.vec_norm(goal.position - state.position))
-    ori_err = float(m3.vec_norm(m3.quat_error(goal.attitude, state.attitude)))
-    speed = float(m3.vec_norm(state.lin_vel))
-    rate = float(m3.vec_norm(state.ang_vel))
+    pos_err, ori_err, speed, rate = norms
     violated = (
         pos_err > thresholds.max_pos_err
         or ori_err > thresholds.max_ori_err
@@ -297,13 +297,6 @@ def safety_check(
     counter = trip_counter + 1 if violated else 0
     decision = ControlMode.HOLD_FALLBACK if counter >= thresholds.trip_consecutive else None
     return decision, counter
-
-
-def _inside_envelope(
-    state: RigidState, goal: EpisodeGoal, thresholds: SafetyThresholds
-) -> bool:
-    _, counter = safety_check(state, goal, thresholds, 0)
-    return counter == 0
 
 
 def goal_for_maneuver(
@@ -343,12 +336,6 @@ def _measured(state: RigidState, offset: np.ndarray | None) -> RigidState:
         state.lin_vel.copy(),
         state.ang_vel.copy(),
     )
-
-
-def _rl_command(net: PolicyNet, measured: RigidState, goal: EpisodeGoal, limits: ActuationLimits) -> Wrench:
-    """Pre-clamp wrench the policy asks for (mean action scaled to limits)."""
-    action = policy_mean(net, observe(measured, goal))
-    return Wrench(action[:3] * limits.f_max, action[3:] * limits.tau_max)
 
 
 def _maneuver_ticks(maneuver: Maneuver, dt: float) -> int:
@@ -410,39 +397,42 @@ def run_maneuver(
             fault.pos_offset if fault is not None and k >= fault.start_tick else None
         )
         meas = _measured(state, offset)
-        pos_err = goal.position - meas.position
-        ori_err = m3.quat_error(goal.attitude, meas.attitude)
+        obs = observe(meas, goal)
+        norms = obs_norms(obs).tolist()
 
         if cur_mode is ControlMode.RL_POLICY:
-            if not armed and _inside_envelope(meas, goal, mc.safety):
-                armed = True
+            # the monitor arms on the first tick inside the envelope; until
+            # then a violating tick neither counts nor trips
+            decision, counter = safety_check(norms, mc.safety, trip_count)
+            armed = armed or counter == 0
             if armed:
-                decision, trip_count = safety_check(meas, goal, mc.safety, trip_count)
+                trip_count = counter
                 if decision is ControlMode.HOLD_FALLBACK:
                     cur_mode = ControlMode.HOLD_FALLBACK
-                    hold_ctrl = hold_pose_controller(meas, mc.gains, None, mc.dt)
+                    hold_ctrl = hold_pose_controller(meas, mc.gains)
 
         if cur_mode is ControlMode.HOLD_FALLBACK:
             commanded = hold_ctrl(meas)
         elif cur_mode is ControlMode.RL_POLICY:
-            commanded = _rl_command(net, meas, goal, mc.limits)
+            action = policy_mean(net, obs)
+            commanded = Wrench(action[:3] * mc.limits.f_max, action[3:] * mc.limits.tau_max)
         else:
-            commanded = pd_wrench(meas, goal, mc.gains, None, mc.dt)
+            commanded = pd_wrench(meas, goal, mc.gains)
         applied = apply_limits(prev_applied, commanded, mc.limits, mc.dt)
 
         log.append(
-            (t0_tick + k) * mc.dt, meas, commanded, applied, pos_err, ori_err,
+            (t0_tick + k) * mc.dt, meas, commanded, applied, obs[POS_ERR], obs[ORI_ERR],
             cur_mode, maneuver_index,
         )
 
-        ok = (
+        pe, oe, speed, rate = norms
+        if (
             cur_mode is not ControlMode.HOLD_FALLBACK
-            and float(m3.vec_norm(pos_err)) <= pos_tol
-            and float(m3.vec_norm(ori_err)) <= ori_tol
-            and float(m3.vec_norm(meas.lin_vel)) <= mc.vel_tol
-            and float(m3.vec_norm(meas.ang_vel)) <= mc.angvel_tol
-        )
-        if ok:
+            and pe <= pos_tol
+            and oe <= ori_tol
+            and speed <= mc.vel_tol
+            and rate <= mc.angvel_tol
+        ):
             if streak == 0:
                 streak_start = k
             streak += 1
@@ -459,15 +449,17 @@ def run_maneuver(
     else:
         outcome = "timeout"
     final_offset = fault.pos_offset if fault is not None and n_ticks > fault.start_tick else None
-    final_meas = _measured(state, final_offset)
+    final_pos_err, final_ori_err, _, _ = obs_norms(
+        observe(_measured(state, final_offset), goal)
+    ).tolist()
     out = ManeuverOutcome(
         index=maneuver_index,
         kind=maneuver.kind,
         outcome=outcome,
         ticks=n_ticks,
         settle_time=streak_start * mc.dt if outcome == "success" else float("nan"),
-        final_pos_err=float(m3.vec_norm(goal.position - final_meas.position)),
-        final_ori_err=float(m3.vec_norm(m3.quat_error(goal.attitude, final_meas.attitude))),
+        final_pos_err=final_pos_err,
+        final_ori_err=final_ori_err,
         end_mode=cur_mode.value,
         note=maneuver.note,
     )
@@ -702,12 +694,19 @@ def _parse_error(path, line_no: int, msg: str) -> ValueError:
     return ValueError(f"{path}:{line_no}: {msg}")
 
 
+_MANEUVER_ARGS = {
+    "translate": ("axis", "magnitude"),
+    "rotate": ("axis", "magnitude"),
+    "goto_pose": ("px", "py", "pz", "qw", "qx", "qy", "qz"),
+}
+
+
 def parse_maneuver_tokens(tokens: list[str], path="<spec>", line_no: int = 0) -> Maneuver:
-    """Parse one maneuver from tokens: kind [args] timeout [resume] [los].
+    """Parse one maneuver from tokens: kind [args] [timeout] [resume] [los].
 
     translate/rotate take an axis letter and a magnitude (meters, or
     degrees for rotate); goto_pose takes px py pz qw qx qy qz; dock kinds
-    take no arguments before the timeout.
+    take no arguments. A missing timeout means Maneuver's default, 30 s.
     """
     if not tokens:
         raise _parse_error(path, line_no, "empty maneuver")
@@ -720,25 +719,23 @@ def parse_maneuver_tokens(tokens: list[str], path="<spec>", line_no: int = 0) ->
         flags.append(rest.pop())
     resume = "resume" in flags
     note = "loss_of_signal" if "los" in flags else ""
+    names = _MANEUVER_ARGS.get(kind, ())
+    if len(rest) not in (len(names), len(names) + 1):
+        raise _parse_error(path, line_no, f"{kind} needs: {' '.join(names + ('[timeout]',))}")
+    args, timeout = rest[: len(names)], rest[len(names):]
     try:
+        fields = {}
         if kind in ("translate", "rotate"):
-            if len(rest) != 3:
-                raise _parse_error(path, line_no, f"{kind} needs: axis magnitude timeout")
-            axis = _AXIS_NAMES.get(rest[0].lower())
-            if axis is None:
-                raise _parse_error(path, line_no, f"axis must be x, y or z, got {rest[0]!r}")
-            mag = float(rest[1])
-            if kind == "rotate":
-                mag = float(np.deg2rad(mag))
-            return Maneuver(kind, axis, mag, float(rest[2]), resume=resume, note=note)
-        if kind == "goto_pose":
-            if len(rest) != 8:
-                raise _parse_error(path, line_no, "goto_pose needs: px py pz qw qx qy qz timeout")
-            pose = tuple(float(v) for v in rest[:7])
-            return Maneuver(kind, pose=pose, timeout=float(rest[7]), resume=resume, note=note)
-        if len(rest) != 1:
-            raise _parse_error(path, line_no, f"{kind} needs: timeout")
-        return Maneuver(kind, timeout=float(rest[0]), resume=resume, note=note)
+            fields["axis"] = _AXIS_NAMES.get(args[0].lower())
+            if fields["axis"] is None:
+                raise _parse_error(path, line_no, f"axis must be x, y or z, got {args[0]!r}")
+            mag = float(args[1])
+            fields["magnitude"] = float(np.deg2rad(mag)) if kind == "rotate" else mag
+        elif kind == "goto_pose":
+            fields["pose"] = tuple(float(v) for v in args)
+        if timeout:
+            fields["timeout"] = float(timeout[0])
+        return Maneuver(kind, resume=resume, note=note, **fields)
     except ValueError as e:
         if str(e).startswith(str(path)):
             raise
@@ -760,7 +757,8 @@ def parse_sequence_file(path) -> list[Maneuver]:
 
 
 def parse_maneuver_spec(spec: str) -> Maneuver:
-    """Parse a colon-separated maneuver, e.g. translate:x:0.5 or rotate:z:-20:30."""
+    """Parse a colon-separated maneuver, e.g. translate:x:0.5 or rotate:z:-20:30
+    (the optional last number is the timeout in seconds)."""
     return parse_maneuver_tokens(spec.split(":"), "<maneuver spec>", 0)
 
 

@@ -1,29 +1,7 @@
 import numpy as np
 import pytest
 
-from apiary.actuation import ActuationLimits, Wrench, apply_limits, denormalize_action
-
-
-def test_denormalize_scales_to_limits():
-    lim = ActuationLimits(f_max=0.4, tau_max=0.1)
-    w = denormalize_action(np.array([1.0, -0.5, 0.0, 1.0, -1.0, 0.25]), lim)
-    np.testing.assert_allclose(w.force, [0.4, -0.2, 0.0])
-    np.testing.assert_allclose(w.torque, [0.1, -0.1, 0.025])
-
-
-def test_denormalize_clamps_out_of_range():
-    lim = ActuationLimits()
-    w = denormalize_action(np.array([5.0, -5.0, 0.0, 2.0, -2.0, 0.0]), lim)
-    np.testing.assert_allclose(w.force, [0.4, -0.4, 0.0])
-    np.testing.assert_allclose(w.torque, [0.1, -0.1, 0.0])
-
-
-def test_denormalize_validation():
-    lim = ActuationLimits()
-    with pytest.raises(ValueError):
-        denormalize_action(np.zeros(5), lim)
-    with pytest.raises(ValueError):
-        denormalize_action(np.array([np.nan, 0, 0, 0, 0, 0]), lim)
+from apiary.actuation import ActuationLimits, Wrench, apply_limits
 
 
 def test_apply_limits_magnitude_clamp():

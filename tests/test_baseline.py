@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apiary import math3d as m3
-from apiary.actuation import ActuationLimits, Wrench
+from apiary.actuation import ActuationLimits, Wrench, apply_limits
 from apiary.baseline import PdGains, hold_pose_controller, pd_wrench
 from apiary.dynamics import BodyParams, RigidState, step
 from apiary.env import EpisodeGoal
@@ -72,7 +72,7 @@ def test_limits_clamp_magnitude():
     goal = EpisodeGoal(m3.vec3(5.0, 0.0, 0.0), m3.quat_from_rotvec(m3.vec3(0, 0, 3.0)))
     state = RigidState()
     lim = ActuationLimits()
-    cmd = pd_wrench(state, goal, limits=lim)
+    cmd = apply_limits(None, pd_wrench(state, goal), lim)
     assert m3.vec_norm(cmd.force) == pytest.approx(lim.f_max)
     assert m3.vec_norm(cmd.torque) == pytest.approx(lim.tau_max)
     unclamped = pd_wrench(state, goal)
@@ -82,6 +82,8 @@ def test_limits_clamp_magnitude():
 def run_closed_loop(controller, state, body, steps, limits=None):
     for _ in range(steps):
         cmd = controller(state)
+        if limits is not None:
+            cmd = apply_limits(None, cmd, limits, DT)
         state = step(state, cmd, body, dt=DT)
     return state
 
@@ -93,7 +95,7 @@ def test_translation_settles_without_overshoot():
     state = RigidState()
     max_x = 0.0
     for _ in range(int(30.0 / DT)):
-        cmd = pd_wrench(state, goal, limits=lim)
+        cmd = apply_limits(None, pd_wrench(state, goal), lim, DT)
         state = step(state, cmd, body, dt=DT)
         max_x = max(max_x, state.position[0])
     assert abs(state.position[0] - 0.5) < 0.01
@@ -106,8 +108,8 @@ def test_hold_pose_captures_drift():
     # 5 cm/s drift must be brought under 5 mm/s in 10 s
     body = BodyParams()
     start = RigidState(lin_vel=m3.vec3(0.05, 0.0, 0.0))
-    ctl = hold_pose_controller(start, limits=ActuationLimits())
-    state = run_closed_loop(ctl, start, body, int(10.0 / DT))
+    ctl = hold_pose_controller(start)
+    state = run_closed_loop(ctl, start, body, int(10.0 / DT), ActuationLimits())
     assert m3.vec_norm(state.lin_vel) < 0.005
     assert m3.vec_norm(state.position) < 0.1  # stays near the captured pose
 
@@ -123,8 +125,8 @@ def test_hold_pose_goal_is_a_snapshot():
 def test_hold_pose_arrests_rotation():
     body = BodyParams()
     start = RigidState(ang_vel=m3.vec3(0.0, 0.0, 0.2))
-    ctl = hold_pose_controller(start, limits=ActuationLimits())
-    state = run_closed_loop(ctl, start, body, int(15.0 / DT))
+    ctl = hold_pose_controller(start)
+    state = run_closed_loop(ctl, start, body, int(15.0 / DT), ActuationLimits())
     assert m3.vec_norm(state.ang_vel) < 0.01
     err = m3.quat_error(start.attitude, state.attitude)
     assert m3.vec_norm(err) < 0.05

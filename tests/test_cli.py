@@ -292,6 +292,31 @@ def test_compare_bad_maneuver_exits_1(workspace, capsys):
     assert "axis" in capsys.readouterr().err
 
 
+def test_compare_readme_quick_start_default_timeout(tmp_path, capsys):
+    # the README's command leaves out the timeout; it means the default 30 s
+    outs = {}
+    for spec in ("translate:x:0.5", "translate:x:0.5:30"):
+        outs[spec] = tmp_path / spec.replace(":", "_")
+        rc = main(
+            ["compare", "--ckpt", str(REFERENCE_CKPT), "--maneuver", spec,
+             "--out", str(outs[spec])]
+        )
+        assert rc == 0, capsys.readouterr().err
+    for name in ("rl_trajectory.csv", "baseline_trajectory.csv", "metrics.csv",
+                 "error_vs_time.csv"):
+        a = (outs["translate:x:0.5"] / name).read_bytes()
+        assert a == (outs["translate:x:0.5:30"] / name).read_bytes(), name
+    capsys.readouterr()
+    rc = main(
+        ["compare", "--ckpt", str(REFERENCE_CKPT), "--maneuver", "translate:x:0.5:30:40",
+         "--out", str(tmp_path / "too_many")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "<maneuver spec>:0: translate needs: axis magnitude [timeout]" in err
+    assert "Traceback" not in err and not (tmp_path / "too_many").exists()
+
+
 def test_replay_sequence(workspace, capsys, tmp_path):
     seq = tmp_path / "seq.txt"
     seq.write_text("translate x 0.0 2\ndock 2\n")

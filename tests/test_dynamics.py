@@ -16,11 +16,17 @@ from apiary.dynamics import (
     BodyParams,
     RigidState,
     SimulationDivergedError,
-    kinetic_energy,
     momentum,
     step,
     step_arrays,
 )
+
+
+def kinetic_energy(state, params):
+    """Probe: translational plus rotational kinetic energy."""
+    v2 = float(np.dot(state.lin_vel, state.lin_vel))
+    rot = float(np.dot(state.ang_vel, params.inertia_diag * state.ang_vel))
+    return 0.5 * params.mass * v2 + 0.5 * rot
 
 
 def test_constant_body_force_matches_newton():

@@ -1,5 +1,5 @@
 """Episode environment: observation/reward contracts, termination
-bookkeeping, batched-vs-scalar equivalence and reset randomization.
+bookkeeping, batch-row-vs-single-env equivalence and reset randomization.
 """
 
 import numpy as np
@@ -13,15 +13,13 @@ from apiary.env import (
     ORI_ERR,
     POS_ERR,
     BatchEnv,
-    Env,
     EnvConfig,
     EpisodeGoal,
     RewardWeights,
     batch_rollout,
-    env_step,
+    obs_norms,
     observe,
     reset,
-    reward,
     reward_arrays,
     success_flags,
 )
@@ -37,6 +35,24 @@ def quick_config(**kw):
     )
     defaults.update(kw)
     return EnvConfig(**defaults)
+
+
+def reward(prev_obs, obs, weights, config):
+    """Base reward of one transition (no success bonus) as a float."""
+    r, _, _ = reward_arrays(np.asarray(prev_obs), np.asarray(obs), weights, config)
+    return float(r)
+
+
+def run_single_env(benv, action):
+    """Step a BatchEnv(1) with one action until an episode ends.
+
+    Returns the per-tick rewards and the finished-episode record."""
+    rewards = []
+    while True:
+        _, r, _, finished = benv.step(np.asarray(action, dtype=np.float64)[None, :])
+        rewards.append(float(r[0]))
+        if finished:
+            return rewards, finished[0]
 
 
 def test_observation_zero_at_goal():
@@ -111,9 +127,11 @@ def test_reward_bonus_only_when_latched():
     cfg = EnvConfig()
     w = RewardWeights()
     at_goal = np.zeros(12)
-    # merely being inside tolerance pays nothing extra
-    assert reward(at_goal, at_goal.copy(), w, cfg) == 0.0
-    assert reward(at_goal, at_goal.copy(), w, cfg, success_latched=True) == w.bonus_success
+    # merely being inside tolerance pays nothing extra: the bonus is the
+    # episode bookkeeping's, paid on the latch tick (see the BatchEnv test)
+    r, succ, oob = reward_arrays(at_goal, at_goal.copy(), w, cfg)
+    assert bool(succ) and not bool(oob)
+    assert float(r) == 0.0
 
 
 def test_reward_oob_penalty():
@@ -128,57 +146,59 @@ def test_reward_oob_penalty():
     assert float(r) == pytest.approx(-w.w_pos * 0.2 - w.penalty_oob, rel=1e-12)
 
 
+def test_obs_norms_match_per_channel_vec_norm():
+    obs = np.random.default_rng(5).uniform(-2.0, 2.0, (7, 12))
+    norms = obs_norms(obs)
+    assert norms.shape == (7, 4)
+    for k, sl in enumerate((POS_ERR, ORI_ERR, LIN_VEL, ANG_VEL)):
+        np.testing.assert_array_equal(norms[:, k], m3.vec_norm(obs[:, sl]))
+    # a single observation goes through the same arithmetic
+    np.testing.assert_array_equal(obs_norms(obs[3]), norms[3])
+
+
 def test_success_flags_require_all_four_conditions():
     cfg = EnvConfig()
     obs = np.zeros(12)
-    assert bool(success_flags(obs, cfg))
+    assert bool(success_flags(obs_norms(obs), cfg))
     for sl, bad in ((POS_ERR, 0.06), (ORI_ERR, 0.1), (LIN_VEL, 0.06), (ANG_VEL, 0.06)):
         o = np.zeros(12)
         o[sl] = [bad, 0.0, 0.0]
-        assert not bool(success_flags(o, cfg))
+        assert not bool(success_flags(obs_norms(o), cfg))
     # boundary is inclusive
     o = np.zeros(12)
     o[POS_ERR] = [cfg.success_pos_tol, 0.0, 0.0]
-    assert bool(success_flags(o, cfg))
+    assert bool(success_flags(obs_norms(o), cfg))
 
 
 def test_env_step_success_pays_bonus_on_latch_tick_only():
-    cfg = quick_config()
+    # zero goal ranges put the goal at the start pose, so the hold counter
+    # just has to fill
+    cfg = quick_config(goal_pos_range=np.zeros(3), goal_ang_range=np.zeros(3))
     w = RewardWeights()
-    rng = np.random.default_rng(0)
-    state, goal, params = reset(cfg, rng)
-    # start at the goal so the hold counter just has to fill
-    state = RigidState(position=goal.position.copy(), attitude=goal.attitude.copy())
-    obs = observe(state, goal)
-    hold, steps = 0, 0
-    rewards = []
-    for k in range(cfg.hold_steps + 2):
-        state, obs, r, done, info = env_step(
-            state, goal, params, np.zeros(6), cfg, w,
-            prev_obs=obs, hold_count=hold, step_count=steps,
-        )
-        rewards.append(r)
-        hold, steps = info["hold_count"], info["step_count"]
-        if done:
-            break
-    assert info["success"] and info["done_reason"] == "success"
-    assert steps == cfg.hold_steps
+    benv = BatchEnv(1, cfg, w, seed=0)
+    np.testing.assert_array_equal(benv.obs[0], np.zeros(12))
+    rewards, rec = run_single_env(benv, np.zeros(6))
+    assert rec["success"] and rec["reason"] == "success"
+    assert rec["steps"] == len(rewards) == cfg.hold_steps
     # zero action at the goal: nothing but the final latch bonus
     assert rewards[:-1] == [0.0] * (cfg.hold_steps - 1)
     assert rewards[-1] == w.bonus_success
+    assert rec["episode_return"] == w.bonus_success
 
 
 def test_env_step_timeout_and_counters():
     cfg = quick_config(goal_pos_range=m3.vec3(0.4, 0.4, 0.4), episode_len=10)
     w = RewardWeights()
-    env = Env(cfg, w, seed=5)
-    env.reset()
-    done = False
-    n = 0
-    while not done:
-        _, _, done, info = env.step(np.zeros(6))
-        n += 1
-    assert n == 10 and info["timeout"] and info["done_reason"] == "timeout"
+    benv = BatchEnv(1, cfg, w, seed=5, auto_reset=False)
+    for k in range(9):
+        _, _, done, finished = benv.step(np.zeros((1, 6)))
+        assert not done[0] and not finished
+        assert benv.steps[0] == k + 1 and benv.hold[0] == 0
+    _, _, done, finished = benv.step(np.zeros((1, 6)))
+    assert done[0] and len(finished) == 1
+    rec = finished[0]
+    assert rec["steps"] == 10 and rec["reason"] == "timeout" and not rec["success"]
+    assert benv.all_frozen()
 
 
 def test_env_step_oob_terminates():
@@ -190,14 +210,12 @@ def test_env_step_oob_terminates():
         hold_steps=300,
     )
     w = RewardWeights()
-    env = Env(cfg, w, seed=3)
-    env.reset()
+    benv = BatchEnv(1, cfg, w, seed=3)
     # full +x thrust runs away from any nearby goal
-    action = np.array([1.0, 0, 0, 0, 0, 0])
-    done = False
-    while not done:
-        _, r, done, info = env.step(action)
-    assert info["done_reason"] == "oob"
+    rewards, rec = run_single_env(benv, [1.0, 0, 0, 0, 0, 0])
+    assert rec["reason"] == "oob" and not rec["success"]
+    assert rec["steps"] == len(rewards) < cfg.episode_len
+    assert rewards[-1] < -w.penalty_oob + 1.0
 
 
 def test_reset_respects_ranges_and_mask():
@@ -230,28 +248,29 @@ def test_reset_deterministic_per_seed():
 
 
 def test_batch_env_matches_scalar_env_bitwise():
+    # row i of a batch equals a batch of one on row i's RNG stream, bit for
+    # bit, across auto-resets
     cfg = quick_config(episode_len=40)
     w = RewardWeights()
     n = 6
     seed = 9
     benv = BatchEnv(n, cfg, w, seed=seed)
-    envs = [Env(cfg, w, seed=np.random.default_rng([seed, i])) for i in range(n)]
-    for e in envs:
-        e.reset()
+    singles = [BatchEnv(1, cfg, w, episode_seeds=[[seed, i]]) for i in range(n)]
     for i in range(n):
-        np.testing.assert_array_equal(benv.obs[i], envs[i].obs)
+        np.testing.assert_array_equal(benv.obs[i], singles[i].obs[0])
 
     rng = np.random.default_rng(77)
+    resets = 0
     for _ in range(90):
         actions = rng.uniform(-0.3, 0.3, (n, 6))
         obs_b, r_b, done_b, _ = benv.step(actions)
+        resets += int(np.sum(done_b))
         for i in range(n):
-            obs_s, r_s, done_s, _ = envs[i].step(actions[i])
-            if done_s:
-                obs_s = envs[i].reset()
-            np.testing.assert_array_equal(obs_b[i], obs_s)
-            assert r_b[i] == r_s
-            assert bool(done_b[i]) == done_s
+            obs_s, r_s, done_s, _ = singles[i].step(actions[i : i + 1])
+            np.testing.assert_array_equal(obs_b[i], obs_s[0])
+            assert r_b[i] == r_s[0]
+            assert done_b[i] == done_s[0]
+    assert resets >= n  # episode_len 40 over 90 ticks: every row reset
 
 
 def test_batch_env_freezes_without_auto_reset():

@@ -36,7 +36,6 @@ from apiary.learn.nets import (
     param_list,
     policy_init,
     policy_mean,
-    policy_sample,
     set_params,
     value,
 )
@@ -185,13 +184,14 @@ def test_clip_grads():
 
 def test_policy_sample_deterministic_per_seed():
     net = policy_init(np.random.default_rng(8))
-    obs = np.random.default_rng(9).standard_normal(12)
-    a1, lp1 = policy_sample(net, obs, np.random.default_rng(42))
-    a2, lp2 = policy_sample(net, obs, np.random.default_rng(42))
+    obs = np.random.default_rng(9).standard_normal((1, 12))
+    pol = RolloutPolicy(net)
+    a1, lp1 = pol.sample(obs, [np.random.default_rng(42)])
+    a2, lp2 = pol.sample(obs, [np.random.default_rng(42)])
     np.testing.assert_array_equal(a1, a2)
-    assert lp1 == lp2
-    assert lp1 == pytest.approx(
-        float(gaussian_log_prob(policy_mean(net, obs), clamped_log_std(net), a1))
+    np.testing.assert_array_equal(lp1, lp2)
+    assert lp1[0] == pytest.approx(
+        float(gaussian_log_prob(policy_mean(net, obs[0]), clamped_log_std(net), a1[0]))
     )
 
 

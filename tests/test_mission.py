@@ -1,6 +1,7 @@
 """Sequencer, safety monitor, trajectory log, metrics and parser tests."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from apiary import math3d as m3
 from apiary.actuation import Wrench
 from apiary.dynamics import RigidState
-from apiary.env import EpisodeGoal
+from apiary.env import EpisodeGoal, obs_norms, observe
+from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init
 from apiary.mission import (
     LOG_COLUMNS,
@@ -33,6 +35,7 @@ from apiary.mission import (
 )
 
 DT = 0.016
+REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "assets" / "reference_policy.ckpt"
 
 
 def tiny_net():
@@ -47,41 +50,52 @@ def origin_goal():
 # ------------------------------------------------------------- safety
 
 
+def monitor_norms(state, goal=None):
+    """The four channel norms the flight loop hands the monitor."""
+    return obs_norms(observe(state, goal or origin_goal())).tolist()
+
+
 def test_safety_check_counts_and_trips():
     th = SafetyThresholds()
-    goal = origin_goal()
-    bad = RigidState(position=m3.vec3(0.3, 0.0, 0.0))  # 0.3 > 0.25
-    good = RigidState()
-    decision, c = safety_check(bad, goal, th, 0)
+    bad = monitor_norms(RigidState(position=m3.vec3(0.3, 0.0, 0.0)))  # 0.3 > 0.25
+    good = monitor_norms(RigidState())
+    decision, c = safety_check(bad, th, 0)
     assert decision is None and c == 1
-    decision, c = safety_check(bad, goal, th, c)
+    decision, c = safety_check(bad, th, c)
     assert decision is None and c == 2
-    decision, c = safety_check(bad, goal, th, c)
+    decision, c = safety_check(bad, th, c)
     assert decision is ControlMode.HOLD_FALLBACK and c == 3
     # one clean tick resets the streak
-    decision, c = safety_check(good, goal, th, 2)
+    decision, c = safety_check(good, th, 2)
     assert decision is None and c == 0
 
 
 def test_safety_check_boundary_is_strict():
     th = SafetyThresholds()
-    goal = origin_goal()
-    at_limit = RigidState(position=m3.vec3(th.max_pos_err, 0.0, 0.0))
-    _, c = safety_check(at_limit, goal, th, 0)
+    at_limit = monitor_norms(RigidState(position=m3.vec3(th.max_pos_err, 0.0, 0.0)))
+    _, c = safety_check(at_limit, th, 0)
     assert c == 0, "exactly at the limit is not a violation"
+    limits = (th.max_pos_err, th.max_ori_err, th.max_lin_vel, th.max_ang_vel)
+    for k, limit in enumerate(limits):
+        norms = [0.0] * 4
+        norms[k] = limit
+        assert safety_check(norms, th, 0)[1] == 0, k
+        norms[k] = float(np.nextafter(limit, np.inf))
+        assert safety_check(norms, th, 0)[1] == 1, k
 
 
 def test_safety_check_each_channel():
     th = SafetyThresholds()
-    goal = origin_goal()
     cases = [
         RigidState(position=m3.vec3(0.26, 0, 0)),
         RigidState(attitude=m3.quat_from_rotvec(m3.vec3(0, 0, np.deg2rad(31.0)))),
         RigidState(lin_vel=m3.vec3(0.51, 0, 0)),
         RigidState(ang_vel=m3.vec3(0, 1.01, 0)),
     ]
-    for state in cases:
-        _, c = safety_check(state, goal, th, 0)
+    for k, state in enumerate(cases):
+        norms = monitor_norms(state)
+        assert [n > 0.0 for n in norms] == [j == k for j in range(4)]
+        _, c = safety_check(norms, th, 0)
         assert c == 1
 
 
@@ -384,6 +398,26 @@ def test_monitor_stays_disarmed_outside_envelope():
     assert set(log.column("mode")) == {"rl_policy"}
 
 
+def test_flight_tick_computes_orientation_error_once(monkeypatch):
+    # the observation is the tick's only error computation: the policy,
+    # the logged errors, the monitor and the success streak all read it
+    calls = []
+    quat_error = m3.quat_error
+
+    def counted(goal, current):
+        calls.append(1)
+        return quat_error(goal, current)
+
+    monkeypatch.setattr(m3, "quat_error", counted)
+    net, _ = load_policy(REFERENCE_CKPT)
+    man = stock_sequence()[0]
+    assert man.kind == "translate"
+    log = TrajectoryLog()
+    _, out = run_maneuver(RigidState(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log=log)
+    assert out.outcome == "success" and len(log) == out.ticks
+    assert len(calls) <= out.ticks + 2
+
+
 def test_run_sequence_skips_after_fallback():
     mc = MissionConfig()
     seq = [
@@ -574,9 +608,30 @@ def test_parse_goto_pose():
     assert man.timeout == 25.0
 
 
+def test_parse_timeout_is_optional():
+    cases = [
+        (["translate", "x", "0.5"], ["translate", "x", "0.5", "30"]),
+        (["rotate", "z", "-20", "resume"], ["rotate", "z", "-20", "30", "resume"]),
+        (["goto_pose", "1", "2", "3", "1", "0", "0", "0"],
+         ["goto_pose", "1", "2", "3", "1", "0", "0", "0", "30"]),
+        (["dock"], ["dock", "30"]),
+        (["dock_approach", "los"], ["dock_approach", "30", "los"]),
+    ]
+    for short, full in cases:
+        man = parse_maneuver_tokens(short)
+        assert man == parse_maneuver_tokens(full)
+        assert man.timeout == Maneuver("dock").timeout == 30.0
+
+
 def test_parse_errors_name_location():
-    with pytest.raises(ValueError, match=r"seq\.txt:3"):
-        parse_maneuver_tokens(["translate", "x", "0.5"], "seq.txt", 3)
+    with pytest.raises(ValueError, match=r"seq\.txt:3: translate needs: axis magnitude \[timeout\]"):
+        parse_maneuver_tokens(["translate", "x", "0.5", "30", "40"], "seq.txt", 3)
+    with pytest.raises(ValueError, match=r"seq\.txt:4: translate needs"):
+        parse_maneuver_tokens(["translate", "x"], "seq.txt", 4)
+    with pytest.raises(ValueError, match=r"dock needs: \[timeout\]"):
+        parse_maneuver_tokens(["dock", "30", "40"])
+    with pytest.raises(ValueError, match="goto_pose needs: px py pz qw qx qy qz"):
+        parse_maneuver_tokens(["goto_pose", "1", "2", "3"])
     with pytest.raises(ValueError, match="axis must be x, y or z"):
         parse_maneuver_tokens(["translate", "q", "0.5", "30"])
     with pytest.raises(ValueError, match="unknown maneuver kind"):
