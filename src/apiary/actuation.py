@@ -8,6 +8,7 @@ is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,28 +42,43 @@ class ActuationLimits:
     torque_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.f_max > 0.0 and self.tau_max > 0.0):
-            raise ValueError("actuation limits must be positive")
+        if not (0.0 < self.f_max < math.inf and 0.0 < self.tau_max < math.inf):
+            raise ValueError("actuation limits must be positive and finite")
         if self.force_rate < 0.0 or self.torque_rate < 0.0:
             raise ValueError("rate limits must be >= 0")
+
+
+def clamp_axes(
+    cmd: list[float], prev: list[float] | None, limit: float, rate: float, dt: float
+) -> list[float]:
+    """Per-axis clamp of one 3-axis channel in Python floats.
+
+    Each axis is clamped to [-limit, limit]; then, when `prev` (the
+    previous output, finite) is given and rate > 0, to within rate * dt
+    of prev; NaN becomes 0. Bit-identical to np.clip followed by
+    np.nan_to_num(nan=0, posinf=limit, neginf=-limit): the magnitude clamp
+    already takes +-inf to +-limit, and max() and min() keep a NaN first
+    argument as np.clip does.
+    """
+    out = [min(max(c, -limit), limit) for c in cmd]
+    if prev is not None and rate > 0.0:
+        d = rate * dt
+        out = [p + min(max(c - p, -d), d) for c, p in zip(out, prev)]
+    return [0.0 if c != c else c for c in out]
 
 
 def apply_limits(
     prev: Wrench | None, cmd: Wrench, limits: ActuationLimits, dt: float = 0.016
 ) -> Wrench:
-    """Per-axis magnitude clamp, then optional slew clamp relative to prev."""
+    """Per-axis magnitude clamp, then optional slew clamp relative to prev
+    (the previous output); non-finite commands clamp instead of propagating."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    force = np.clip(cmd.force, -limits.f_max, limits.f_max)
-    torque = np.clip(cmd.torque, -limits.tau_max, limits.tau_max)
+    prev_force = prev_torque = None
     if prev is not None:
-        if limits.force_rate > 0.0:
-            df = limits.force_rate * dt
-            force = prev.force + np.clip(force - prev.force, -df, df)
-        if limits.torque_rate > 0.0:
-            dtq = limits.torque_rate * dt
-            torque = prev.torque + np.clip(torque - prev.torque, -dtq, dtq)
-    # non-finite commands clamp to the limit instead of propagating
-    force = np.nan_to_num(force, nan=0.0, posinf=limits.f_max, neginf=-limits.f_max)
-    torque = np.nan_to_num(torque, nan=0.0, posinf=limits.tau_max, neginf=-limits.tau_max)
-    return Wrench(force, torque)
+        if not prev.is_finite():
+            raise ValueError("previous wrench must be finite")
+        prev_force, prev_torque = prev.force.tolist(), prev.torque.tolist()
+    force = clamp_axes(cmd.force.tolist(), prev_force, limits.f_max, limits.force_rate, dt)
+    torque = clamp_axes(cmd.torque.tolist(), prev_torque, limits.tau_max, limits.torque_rate, dt)
+    return Wrench(np.array(force), np.array(torque))

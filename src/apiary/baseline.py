@@ -36,16 +36,36 @@ class PdGains:
             raise ValueError("proportional action needs a damping term")
 
 
+def pd_wrench_f(
+    pos_err: list[float],
+    ori_err: list[float],
+    attitude: list[float],
+    lin_vel: list[float],
+    ang_vel: list[float],
+    gains: PdGains,
+) -> tuple[list[float], list[float]]:
+    """PD wrench (body-frame force, torque) in Python floats, from the
+    world-frame errors goal - position and quat_error(goal, attitude)."""
+    g = gains
+    f_world = [g.kp_pos * pos_err[i] - g.kd_pos * lin_vel[i] for i in range(3)]
+    force = m3.quat_rotate_inv_f(attitude, f_world)
+    ori_body = m3.quat_rotate_inv_f(attitude, ori_err)
+    torque = [g.kp_att * ori_body[i] - g.kd_att * ang_vel[i] for i in range(3)]
+    return force, torque
+
+
 def pd_wrench(state: RigidState, goal: EpisodeGoal, gains: PdGains | None = None) -> Wrench:
     """PD pose-regulation wrench in the body frame, before actuator limits."""
-    g = gains if gains is not None else PdGains()
-    pos_err = goal.position - state.position
-    f_world = g.kp_pos * pos_err - g.kd_pos * state.lin_vel
-    f_body = m3.quat_rotate_inv(state.attitude, f_world)
-    ori_err_world = m3.quat_error(goal.attitude, state.attitude)
-    ori_err_body = m3.quat_rotate_inv(state.attitude, ori_err_world)
-    tau = g.kp_att * ori_err_body - g.kd_att * state.ang_vel
-    return Wrench(f_body, tau)
+    att = state.attitude.tolist()
+    force, torque = pd_wrench_f(
+        (goal.position - state.position).tolist(),
+        m3.quat_error_f(goal.attitude.tolist(), att),
+        att,
+        state.lin_vel.tolist(),
+        state.ang_vel.tolist(),
+        gains if gains is not None else PdGains(),
+    )
+    return Wrench(np.array(force), np.array(torque))
 
 
 def hold_pose_controller(captured_state: RigidState, gains: PdGains | None = None):

@@ -165,22 +165,22 @@ def cmd_eval(args, argv: list[str]) -> int:
         )
     workers = _resolve_workers(args.workers)
     seed = args.seed if args.seed is not None else cfg.seed
-    collect = args.logs is not None
-    result = evaluate_policy(
-        net, cfg.env, cfg.reward, args.episodes, seed, workers, collect_logs=collect
-    )
+    log_sink = None
+    if args.logs is not None:
+        os.makedirs(args.logs, exist_ok=True)
+
+        def log_sink(k, rows):
+            TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, k).write_csv(
+                os.path.join(args.logs, f"episode_{k:04d}.csv")
+            )
+
+    result = evaluate_policy(net, cfg.env, cfg.reward, args.episodes, seed, workers, log_sink)
     print(",".join(SUMMARY_FIELDS))
     print(",".join(_fmt(result.summary[k]) for k in SUMMARY_FIELDS))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _snapshot(args.out, cfg, argv)
         _write_eval_outputs(args.out, result)
-    if collect:
-        os.makedirs(args.logs, exist_ok=True)
-        for i, rows in enumerate(result.logs):
-            TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, i).write_csv(
-                os.path.join(args.logs, f"episode_{i:04d}.csv")
-            )
     return 0
 
 

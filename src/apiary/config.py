@@ -280,6 +280,7 @@ def mission_config(cfg: RunConfig) -> MissionConfig:
         vel_tol=cfg.env.success_vel_tol,
         angvel_tol=cfg.env.success_angvel_tol,
         hold_steps=cfg.env.hold_steps,
+        body_frame_obs=cfg.env.body_frame_obs,
     )
 
 

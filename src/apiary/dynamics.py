@@ -162,24 +162,13 @@ def _step_single(
 ) -> tuple[list[float], list[float], list[float], list[float]]:
     """`step_arrays` for one state, in Python floats.
 
-    Every operation of `step_arrays` and the math3d kernels it calls is
-    repeated here with the same grouping, so the result is bit-identical
-    (IEEE-754 +, -, *, / and sqrt are correctly rounded either way; sin and
-    cos go through the same numpy ufuncs). It raises the same errors in the
-    same order. A single tick through numpy spends nearly all its time in
-    per-call overhead on 3- and 4-element arrays; this avoids it.
+    The same operations in the same grouping, through the math3d `*_f`
+    twins of the kernels `step_arrays` calls, so the result is
+    bit-identical and the same errors are raised in the same order. Raises
+    SimulationDivergedError where `step_arrays` would return a non-finite
+    state.
     """
-    # f_world = quat_rotate(att, force)
-    qw, qx, qy, qz = att
-    vx, vy, vz = force
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    f_world = (
-        (vx + qw * tx) + (qy * tz - qz * ty),
-        (vy + qw * ty) + (qz * tx - qx * tz),
-        (vz + qw * tz) + (qx * ty - qy * tx),
-    )
+    f_world = m3.quat_rotate_f(att, force)
     new_lv = [(lv[i] + dt * (f_world[i] / mass)) * tm[i] for i in range(3)]
     new_pos = [pos[i] + dt * new_lv[i] for i in range(3)]
 
@@ -190,57 +179,13 @@ def _step_single(
         com[0] * force[1] - com[1] * force[0],
     )
     ang_mom = [(inertia[i] * av[i] + dt * (torque[i] - cross[i])) * rm[i] for i in range(3)]
-    rv = [ang_mom[i] / inertia[i] * dt for i in range(3)]
-
-    # dq = quat_from_rotvec(rv)
-    angle = math.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
-    half = 0.5 * angle
-    if angle < 1e-8:
-        k = 0.5 - angle * angle / 48.0
-    else:
-        k = float(np.sin(half)) / angle
-    dq = _quat_normalize_single([float(np.cos(half)), rv[0] * k, rv[1] * k, rv[2] * k])
-
-    # new_att = quat_mul(att, dq)
-    _require_finite_single(att)
-    _require_finite_single(dq)
-    w2, x2, y2, z2 = dq
-    new_att = _quat_normalize_single(
-        [
-            qw * w2 - ((qx * x2 + qy * y2) + qz * z2),
-            (qw * x2 + qx * w2) + (qy * z2 - qz * y2),
-            (qw * y2 + qy * w2) + (qz * x2 - qx * z2),
-            (qw * z2 + qz * w2) + (qx * y2 - qy * x2),
-        ]
-    )
-
-    # ang_mom = quat_rotate_inv(dq, ang_mom) * rm
-    qx, qy, qz = -x2, -y2, -z2
-    vx, vy, vz = ang_mom
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    ang_mom = (
-        ((vx + w2 * tx) + (qy * tz - qz * ty)) * rm[0],
-        ((vy + w2 * ty) + (qz * tx - qx * tz)) * rm[1],
-        ((vz + w2 * tz) + (qx * ty - qy * tx)) * rm[2],
-    )
-    new_av = [ang_mom[i] / inertia[i] for i in range(3)]
+    dq = m3.quat_from_rotvec_f([ang_mom[i] / inertia[i] * dt for i in range(3)])
+    new_att = m3.quat_mul_f(att, dq)
+    ang_mom = m3.quat_rotate_inv_f(dq, ang_mom)
+    new_av = [ang_mom[i] * rm[i] / inertia[i] for i in range(3)]
+    if not all(map(math.isfinite, new_pos + new_att + new_lv + new_av)):
+        raise SimulationDivergedError("state went non-finite during step")
     return new_pos, new_att, new_lv, new_av
-
-
-def _require_finite_single(q: list[float]) -> None:
-    if not all(map(math.isfinite, q)):
-        raise ValueError("non-finite quaternion")
-
-
-def _quat_normalize_single(q: list[float]) -> list[float]:
-    # m3.quat_normalize for one quaternion
-    _require_finite_single(q)
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if n == 0.0:
-        raise ValueError("cannot normalize zero quaternion")
-    return [c / n for c in q]
 
 
 def step(
@@ -274,8 +219,6 @@ def step(
         mask.rotation_floats().tolist(),
         float(dt),
     )
-    if not all(map(math.isfinite, pos + att + v + w)):
-        raise SimulationDivergedError("state went non-finite during step")
     return RigidState(np.array(pos), np.array(att), np.array(v), np.array(w))
 
 

@@ -56,7 +56,6 @@ CURVE_FIELDS = [
 class EvalResult:
     episodes: list[dict]
     summary: dict
-    logs: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -120,12 +119,25 @@ def _eval_chunk(
             }
     logs = None
     if collect_logs:
-        logs = [buf[i, : r["steps"]].copy() for i, r in enumerate(records) if r is not None]
+        logs = [buf[i, : r["steps"]] for i, r in enumerate(records) if r is not None]
     return [r for r in records if r is not None], logs
 
 
 def _eval_chunk_star(payload):
     return _eval_chunk(*payload)
+
+
+def _merge_chunks(results, log_sink) -> list[dict]:
+    """Chunk records in order; each chunk's logs go to log_sink as it arrives."""
+    records: list[dict] = []
+    for recs, chunk_logs in results:
+        if log_sink is not None:
+            for k, rows in enumerate(chunk_logs, start=len(records)):
+                log_sink(k, rows)
+        records.extend(recs)
+        # drop this chunk's logs before the next chunk is computed
+        chunk_logs = rows = None
+    return records
 
 
 def evaluate_policy(
@@ -135,32 +147,27 @@ def evaluate_policy(
     episodes: int,
     seed: int,
     workers: int = 1,
-    collect_logs: bool = False,
+    log_sink=None,
 ) -> EvalResult:
     """Deterministic evaluation over `episodes` seeded episodes.
 
     Episode k uses RNG stream (seed, k). Work is split into EVAL_CHUNK-size
     chunks whose composition never depends on `workers`, and chunk results
     are merged back in order, so the output is identical for any worker
-    count.
+    count. With a `log_sink`, each episode's (steps, 32) trajectory rows
+    are passed to log_sink(k, rows) in episode order as soon as its chunk
+    finishes, so at most a chunk or two of logs is held in memory.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     seeds = [[seed, k] for k in range(episodes)]
     chunks = [seeds[i : i + EVAL_CHUNK] for i in range(0, episodes, EVAL_CHUNK)]
-    payloads = [(net, config, weights, chunk, collect_logs) for chunk in chunks]
+    payloads = [(net, config, weights, chunk, log_sink is not None) for chunk in chunks]
     if workers > 1 and len(chunks) > 1:
         with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
-            results = pool.map(_eval_chunk_star, payloads)
+            records = _merge_chunks(pool.imap(_eval_chunk_star, payloads), log_sink)
     else:
-        results = [_eval_chunk_star(p) for p in payloads]
-
-    records: list[dict] = []
-    logs: list[np.ndarray] = []
-    for recs, chunk_logs in results:
-        records.extend(recs)
-        if collect_logs and chunk_logs is not None:
-            logs.extend(chunk_logs)
+        records = _merge_chunks(map(_eval_chunk_star, payloads), log_sink)
     succ = np.array([r["success"] for r in records], dtype=np.float64)
     settle = np.array([r["settle_time"] for r in records])
     settled = settle[np.isfinite(settle)]
@@ -173,7 +180,7 @@ def evaluate_policy(
         "mean_return": float(np.mean([r["episode_return"] for r in records])),
         "mean_steps": float(np.mean([r["steps"] for r in records])),
     }
-    return EvalResult(records, summary, logs if collect_logs else None)
+    return EvalResult(records, summary)
 
 
 def write_curve_csv(path, curve: list[dict]) -> None:

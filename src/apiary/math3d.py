@@ -11,9 +11,13 @@ Conventions:
       no standard axis convention for plotting orientation error per axis,
       so the rotation-vector components are the documented choice here.
     - All math is float64.
+    - Each `*_f` function is the single-state twin of the array function
+      of the same name, on lists of Python floats, bit-identical to it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -223,3 +227,93 @@ def quat_rotate_inv(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[..., 1] = oy
     out[..., 2] = oz
     return out
+
+
+# Single-state twins in Python floats. Each `*_f` function repeats the
+# array function of the same name on one quaternion or vector held as a
+# list of floats, with the same operations in the same grouping, so the
+# result is bit-identical (IEEE-754 +, -, *, / and sqrt are correctly
+# rounded either way; sin, cos and arctan2 go through the same numpy
+# ufuncs). A single state through the array functions spends nearly all
+# its time in numpy's per-call overhead on 3- and 4-element arrays.
+
+
+def vec_norm_f(v: list[float]) -> float:
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+def _require_finite_f(q: list[float]) -> None:
+    if not all(map(math.isfinite, q)):
+        raise ValueError("non-finite quaternion")
+
+
+def quat_normalize_f(q: list[float]) -> list[float]:
+    _require_finite_f(q)
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    if n == 0.0:
+        raise ValueError("cannot normalize zero quaternion")
+    return [q[0] / n, q[1] / n, q[2] / n, q[3] / n]
+
+
+def quat_mul_f(a: list[float], b: list[float]) -> list[float]:
+    _require_finite_f(a)
+    _require_finite_f(b)
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return quat_normalize_f(
+        [
+            w1 * w2 - ((x1 * x2 + y1 * y2) + z1 * z2),
+            (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2),
+            (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2),
+            (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2),
+        ]
+    )
+
+
+def quat_from_rotvec_f(rv: list[float]) -> list[float]:
+    angle = math.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
+    half = 0.5 * angle
+    if angle < 1e-8:
+        k = 0.5 - angle * angle / 48.0
+    else:
+        k = float(np.sin(half)) / angle
+    return quat_normalize_f([float(np.cos(half)), rv[0] * k, rv[1] * k, rv[2] * k])
+
+
+def quat_error_f(goal: list[float], current: list[float]) -> list[float]:
+    """quat_error: log map of goal ⊗ conj(current), canonicalized to w >= 0."""
+    w, x, y, z = quat_mul_f(goal, [current[0], -current[1], -current[2], -current[3]])
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    vn = math.sqrt(x * x + y * y + z * z)
+    if vn < 1e-12:
+        k = 2.0
+    else:
+        k = 2.0 * float(np.arctan2(vn, min(max(w, -1.0), 1.0))) / vn
+    return [x * k, y * k, z * k]
+
+
+def quat_rotate_f(q: list[float], v: list[float]) -> list[float]:
+    qw, qx, qy, qz = q
+    vx, vy, vz = v
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    return [
+        (vx + qw * tx) + (qy * tz - qz * ty),
+        (vy + qw * ty) + (qz * tx - qx * tz),
+        (vz + qw * tz) + (qx * ty - qy * tx),
+    ]
+
+
+def quat_rotate_inv_f(q: list[float], v: list[float]) -> list[float]:
+    qw, qx, qy, qz = q[0], -q[1], -q[2], -q[3]
+    vx, vy, vz = v
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    return [
+        (vx + qw * tx) + (qy * tz - qz * ty),
+        (vy + qw * ty) + (qz * tx - qx * tz),
+        (vz + qw * tz) + (qx * ty - qy * tx),
+    ]

@@ -5,13 +5,24 @@ A maneuver is a goal pose derived from the pose at maneuver entry
 captured at sequence start (dock, dock_approach = dock plus a standoff
 along the dock frame's +X). Each maneuver runs a fixed-rate closed loop
 for its full timeout: measure -> observe -> safety monitor -> controller
--> clamp -> log -> propagate. The observation (`env.observe`, the vector
-the policy was trained on) is computed once per tick from the measured
-state; the policy reads it, the logged errors are its slices, and the
-monitor's arming test, its trip test and the success streak all read
-its four channel norms. Running to timeout (instead of stopping at
-first tolerance entry) lets controllers settle fully, so final errors
-reflect steady state.
+-> clamp -> log -> propagate. The observation errors (those of
+`env.observe`, the vector the policy was trained on) are computed once
+per tick from the measured state; the policy reads the observation, the
+logged errors are its slices, and the monitor's arming test, its trip
+test and the success streak all read its four channel norms. With
+`body_frame_obs` the policy reads the body-frame observation instead;
+the log, the monitor and the streak keep the world-frame errors.
+Running to timeout (instead of stopping at first tolerance entry) lets
+controllers settle fully, so final errors reflect steady state.
+
+The tick holds the true state as four lists of Python floats from
+maneuver entry to exit and runs on the single-state kernels: `math3d`'s
+`*_f` functions, `baseline.pd_wrench_f`, `actuation.clamp_axes` and
+`dynamics._step_single`. `policy_mean` is its only numpy call. Each
+kernel is bit-identical to its array twin, so a flight writes the same
+bytes as stepping state objects through `env.observe`, `np.clip` and
+`dynamics.step_arrays`, without numpy's per-call overhead on 3- and
+4-element arrays.
 
 Safety supervision guards the RL policy only. The monitor arms once the
 vehicle first enters the safety envelope around the goal (large commanded
@@ -40,10 +51,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import math3d as m3
-from .actuation import ActuationLimits, Wrench, apply_limits
-from .baseline import PdGains, hold_pose_controller, pd_wrench
-from .dynamics import FULL_6DOF, BodyParams, DofMask, RigidState, step
-from .env import ORI_ERR, POS_ERR, EpisodeGoal, obs_norms, observe
+from .actuation import ActuationLimits, clamp_axes
+from .baseline import PdGains, pd_wrench_f
+from .dynamics import FULL_6DOF, BodyParams, DofMask, RigidState, _step_single
+from .env import EpisodeGoal
 from .learn.nets import PolicyNet, policy_mean
 
 LOG_COLUMNS = [
@@ -143,6 +154,7 @@ class MissionConfig:
     dock_pos_tol: float = 0.02
     dock_ori_tol: float = np.deg2rad(2.0)
     dock_standoff: float = 0.3
+    body_frame_obs: bool = False  # the policy reads env.observe(..., body_frame=True)
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0 or self.hold_steps < 1:
@@ -169,27 +181,17 @@ class TrajectoryLog:
     def __len__(self) -> int:
         return self._n
 
-    def append(
-        self,
-        t: float,
-        state: RigidState,
-        commanded: Wrench,
-        applied: Wrench,
-        pos_err: np.ndarray,
-        ori_err: np.ndarray,
-        mode: ControlMode,
-        maneuver: int,
-    ) -> None:
+    def append(self, row, mode: ControlMode, maneuver: int) -> None:
+        """Add one row: the 32 numeric columns in schema order, then mode
+        and maneuver."""
         n = self._n
-        if n and not t > self._num[n - 1, 0]:
-            raise ValueError(f"log time must strictly increase: {t} after {self._num[n - 1, 0]}")
+        if len(row) != 32:
+            raise ValueError(f"a log row has 32 numeric columns, got {len(row)}")
+        if n and not row[0] > self._num[n - 1, 0]:
+            raise ValueError(f"log time must strictly increase: {row[0]} after {self._num[n - 1, 0]}")
         if n == len(self._num):
             self._num = np.concatenate([self._num, np.empty((max(64, n), 32))])
-        np.concatenate(
-            ([t], state.position, state.attitude, state.lin_vel, state.ang_vel, commanded.force,
-             commanded.torque, applied.force, applied.torque, pos_err, ori_err),
-            out=self._num[n],
-        )
+        self._num[n] = row
         self._n = n + 1
         self._modes.append(mode.value)
         self._maneuvers.append(int(maneuver))
@@ -327,17 +329,6 @@ def goal_for_maneuver(
     return dock_pose.copy()
 
 
-def _measured(state: RigidState, offset: np.ndarray | None) -> RigidState:
-    if offset is None:
-        return state
-    return RigidState(
-        state.position + offset,
-        state.attitude.copy(),
-        state.lin_vel.copy(),
-        state.ang_vel.copy(),
-    )
-
-
 def _maneuver_ticks(maneuver: Maneuver, dt: float) -> int:
     """Control ticks a maneuver runs for: its whole timeout at rate 1/dt."""
     return int(round(maneuver.timeout / dt))
@@ -368,37 +359,50 @@ def run_maneuver(
         raise ValueError("RL_POLICY mode needs a loaded policy")
     if not state.is_finite():
         raise ValueError("non-finite entry state")
+    dt = mc.dt
+    if not 0.0 < dt <= 0.5:
+        raise ValueError(f"dt must be in (0, 0.5], got {dt}")
     if log is None:
         log = TrajectoryLog()
 
-    offset0 = fault.pos_offset if fault is not None and fault.start_tick <= 0 else None
-    entry_meas = _measured(state, offset0)
-    entry = EpisodeGoal(entry_meas.position.copy(), entry_meas.attitude.copy())
+    # the true state, as Python floats until the maneuver ends
+    pos, att = state.position.tolist(), state.attitude.tolist()
+    lv, av = state.lin_vel.tolist(), state.ang_vel.tolist()
+    n_ticks = _maneuver_ticks(maneuver, dt)
+    # the measured position is pos + offset on ticks k >= fault_tick
+    fault_tick = fault.start_tick if fault is not None else n_ticks + 1
+    offset = fault.pos_offset.tolist() if fault is not None else None
+
+    entry_pos = [pos[i] + offset[i] for i in range(3)] if fault_tick <= 0 else pos
+    entry = EpisodeGoal(np.array(entry_pos), state.attitude.copy())
     if dock_pose is None:
         dock_pose = entry
     goal = goal_for_maneuver(maneuver, entry, dock_pose, mc)
+    goal_pos, goal_att = goal.position.tolist(), goal.attitude.tolist()
 
     if maneuver.kind in ("dock", "dock_approach"):
         pos_tol, ori_tol = mc.dock_pos_tol, mc.dock_ori_tol
     else:
         pos_tol, ori_tol = mc.pos_tol, mc.ori_tol
 
-    n_ticks = _maneuver_ticks(maneuver, mc.dt)
+    lim, gains = mc.limits, mc.gains
+    body, quat_error_f, vec_norm_f = mc.body, m3.quat_error_f, m3.vec_norm_f
+    mass, inertia, com = float(body.mass), body.inertia_diag.tolist(), body.com_offset.tolist()
+    tmask, rmask = mc.mask.translation_floats().tolist(), mc.mask.rotation_floats().tolist()
     cur_mode = mode
     trip_count = 0
     armed = False
-    hold_ctrl = None
+    hold_pos = hold_att = None
     streak = 0
     streak_start = -1
-    prev_applied: Wrench | None = None
+    prev_force = prev_torque = None
 
     for k in range(n_ticks):
-        offset = (
-            fault.pos_offset if fault is not None and k >= fault.start_tick else None
-        )
-        meas = _measured(state, offset)
-        obs = observe(meas, goal)
-        norms = obs_norms(obs).tolist()
+        meas_pos = [pos[i] + offset[i] for i in range(3)] if k >= fault_tick else pos
+        # the observation's error channels (env.observe, world frame)
+        pos_err = [goal_pos[i] - meas_pos[i] for i in range(3)]
+        ori_err = quat_error_f(goal_att, att)
+        norms = (vec_norm_f(pos_err), vec_norm_f(ori_err), vec_norm_f(lv), vec_norm_f(av))
 
         if cur_mode is ControlMode.RL_POLICY:
             # the monitor arms on the first tick inside the envelope; until
@@ -409,19 +413,30 @@ def run_maneuver(
                 trip_count = counter
                 if decision is ControlMode.HOLD_FALLBACK:
                     cur_mode = ControlMode.HOLD_FALLBACK
-                    hold_ctrl = hold_pose_controller(meas, mc.gains)
+                    hold_pos, hold_att = list(meas_pos), list(att)
 
         if cur_mode is ControlMode.HOLD_FALLBACK:
-            commanded = hold_ctrl(meas)
+            force, torque = pd_wrench_f(
+                [hold_pos[i] - meas_pos[i] for i in range(3)], quat_error_f(hold_att, att),
+                att, lv, av, gains,
+            )
         elif cur_mode is ControlMode.RL_POLICY:
-            action = policy_mean(net, obs)
-            commanded = Wrench(action[:3] * mc.limits.f_max, action[3:] * mc.limits.tau_max)
+            if mc.body_frame_obs:
+                obs = (m3.quat_rotate_inv_f(att, pos_err) + m3.quat_rotate_inv_f(att, ori_err)
+                       + m3.quat_rotate_inv_f(att, lv) + av)
+            else:
+                obs = pos_err + ori_err + lv + av
+            a = policy_mean(net, obs).tolist()
+            force = [a[0] * lim.f_max, a[1] * lim.f_max, a[2] * lim.f_max]
+            torque = [a[3] * lim.tau_max, a[4] * lim.tau_max, a[5] * lim.tau_max]
         else:
-            commanded = pd_wrench(meas, goal, mc.gains)
-        applied = apply_limits(prev_applied, commanded, mc.limits, mc.dt)
+            force, torque = pd_wrench_f(pos_err, ori_err, att, lv, av, gains)
+        applied_force = clamp_axes(force, prev_force, lim.f_max, lim.force_rate, dt)
+        applied_torque = clamp_axes(torque, prev_torque, lim.tau_max, lim.torque_rate, dt)
 
         log.append(
-            (t0_tick + k) * mc.dt, meas, commanded, applied, obs[POS_ERR], obs[ORI_ERR],
+            [(t0_tick + k) * dt, *meas_pos, *att, *lv, *av, *force, *torque,
+             *applied_force, *applied_torque, *pos_err, *ori_err],
             cur_mode, maneuver_index,
         )
 
@@ -439,8 +454,11 @@ def run_maneuver(
         else:
             streak = 0
 
-        state = step(state, applied, mc.body, mc.mask, mc.dt)
-        prev_applied = applied
+        pos, att, lv, av = _step_single(
+            pos, att, lv, av, applied_force, applied_torque,
+            mass, inertia, com, tmask, rmask, dt,
+        )
+        prev_force, prev_torque = applied_force, applied_torque
 
     if cur_mode is ControlMode.HOLD_FALLBACK:
         outcome = "fallback_triggered"
@@ -448,22 +466,19 @@ def run_maneuver(
         outcome = "success"
     else:
         outcome = "timeout"
-    final_offset = fault.pos_offset if fault is not None and n_ticks > fault.start_tick else None
-    final_pos_err, final_ori_err, _, _ = obs_norms(
-        observe(_measured(state, final_offset), goal)
-    ).tolist()
+    meas_pos = [pos[i] + offset[i] for i in range(3)] if n_ticks > fault_tick else pos
     out = ManeuverOutcome(
         index=maneuver_index,
         kind=maneuver.kind,
         outcome=outcome,
         ticks=n_ticks,
-        settle_time=streak_start * mc.dt if outcome == "success" else float("nan"),
-        final_pos_err=final_pos_err,
-        final_ori_err=final_ori_err,
+        settle_time=streak_start * dt if outcome == "success" else float("nan"),
+        final_pos_err=vec_norm_f([goal_pos[i] - meas_pos[i] for i in range(3)]),
+        final_ori_err=vec_norm_f(quat_error_f(goal_att, att)),
         end_mode=cur_mode.value,
         note=maneuver.note,
     )
-    return state, out
+    return RigidState(np.array(pos), np.array(att), np.array(lv), np.array(av)), out
 
 
 def _faults_by_maneuver(

@@ -5,10 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apiary.actuation import Wrench
 from apiary.cli import main
 from apiary.config import load_config, set_value
-from apiary.dynamics import RigidState
 from apiary.env import ORI_ERR, POS_ERR, BatchEnv
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_mean
@@ -171,16 +169,12 @@ def _row_by_row_eval_logs(episodes: int, seed: int) -> list[TrajectoryLog]:
         a = policy_mean(net, obs)
         c = np.clip(a, -1.0, 1.0)
         for i in np.flatnonzero(~benv.frozen):
-            logs[i].append(
-                t * env.dt,
-                RigidState(benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i]),
-                Wrench(a[i, :3] * f_max, a[i, 3:] * tau_max),
-                Wrench(c[i, :3] * f_max, c[i, 3:] * tau_max),
-                obs[i, POS_ERR],
-                obs[i, ORI_ERR],
-                ControlMode.RL_POLICY,
-                int(i),
+            row = np.concatenate(
+                ([t * env.dt], benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i],
+                 a[i, :3] * f_max, a[i, 3:] * tau_max, c[i, :3] * f_max, c[i, 3:] * tau_max,
+                 obs[i, POS_ERR], obs[i, ORI_ERR])
             )
+            logs[i].append(row.tolist(), ControlMode.RL_POLICY, int(i))
         benv.step(a)
     return logs
 
@@ -281,6 +275,27 @@ def test_compare_writes_metrics(workspace, capsys):
     errs = (out / "error_vs_time.csv").read_text().splitlines()
     assert errs[0] == "t,rl_pos_err,rl_ori_err,baseline_pos_err,baseline_ori_err"
     assert len(errs) == int(round(20.0 / 0.016)) + 1
+
+
+def test_compare_flies_body_frame_obs(tmp_path):
+    # [env] body_frame_obs reaches the flight loop: the policy reads the
+    # body-frame observation while the PD baseline is unaffected
+    ini = tmp_path / "body.ini"
+    ini.write_text("[env]\nbody_frame_obs = true\n")
+    outs = {}
+    for name, extra in (("world", []), ("body", ["--config", str(ini)])):
+        outs[name] = tmp_path / name
+        rc = main(
+            ["compare", "--ckpt", str(REFERENCE_CKPT), "--maneuver", "rotate:z:90:3",
+             "--out", str(outs[name])] + extra
+        )
+        assert rc == 0
+
+    def trajectory(name, kind):
+        return (outs[name] / f"{kind}_trajectory.csv").read_bytes()
+
+    assert trajectory("world", "rl") != trajectory("body", "rl")
+    assert trajectory("world", "baseline") == trajectory("body", "baseline")
 
 
 def test_compare_bad_maneuver_exits_1(workspace, capsys):

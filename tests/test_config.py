@@ -121,6 +121,8 @@ def test_mission_config_mapping():
     assert mc.safety == cfg.safety
     assert mc.mask == cfg.env.mask
     assert mc.body == cfg.body
+    assert mc.body_frame_obs is False
+    assert mission_config(set_value(cfg, "env", "body_frame_obs", True)).body_frame_obs is True
 
 
 def test_snapshot_round_trip(tmp_path):

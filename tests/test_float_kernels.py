@@ -1,0 +1,225 @@
+"""The single-state float kernels equal their numpy twins bit for bit.
+
+The flight loop runs every tick on Python floats through these kernels, so
+its bytes match the array code only if each kernel matches exactly: on
+random inputs from hypothesis (derandomized, fixed example counts) and on
+the branch edges named in each test.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+
+from apiary import math3d as m3
+from apiary.actuation import clamp_axes
+from apiary.baseline import PdGains, pd_wrench_f
+from apiary.dynamics import SimulationDivergedError, _step_single, step_arrays
+
+
+def fixed(n):
+    """Derandomized hypothesis run of n examples, no example database."""
+
+    def wrap(test):
+        return seed(20240611)(
+            settings(max_examples=n, derandomize=True, database=None, deadline=None)(test)
+        )
+
+    return wrap
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def same(float_fn, array_fn, *args):
+    """float_fn(*lists) and array_fn(*arrays) agree bit for bit, or raise
+    the same ValueError."""
+    try:
+        want = array_fn(*(np.array(a, dtype=np.float64) for a in args))
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            float_fn(*args)
+        return None
+    got = float_fn(*args)
+    assert all(type(c) is float for c in (got if isinstance(got, list) else [got]))
+    assert bits(got) == bits(want), (got, want)
+    return got
+
+
+finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+vec3s = st.lists(finite, min_size=3, max_size=3)
+quats = st.lists(finite, min_size=4, max_size=4)
+
+
+@st.composite
+def unit_quats(draw):
+    q = draw(quats)
+    n = math.sqrt(sum(c * c for c in q))
+    return [c / n for c in q] if n > 1e-3 else [1.0, 0.0, 0.0, 0.0]
+
+
+@fixed(300)
+@given(vec3s)
+def test_vec_norm_f(v):
+    assert type(m3.vec_norm_f(v)) is float
+    same(m3.vec_norm_f, m3.vec_norm, v)
+
+
+@fixed(300)
+@given(quats)
+@example([0.0, 0.0, 0.0, 0.0])  # zero quaternion: the same error
+@example([1e-200, -0.0, 0.0, 1e-200])  # squares underflow to a zero norm
+def test_quat_normalize_f(q):
+    same(m3.quat_normalize_f, m3.quat_normalize, q)
+
+
+@fixed(300)
+@given(quats, quats)
+def test_quat_mul_f(a, b):
+    same(m3.quat_mul_f, m3.quat_mul, a, b)
+
+
+def test_non_finite_quaternion_raises_like_array_path():
+    for bad in ([math.nan, 0.0, 0.0, 1.0], [1.0, math.inf, 0.0, 0.0]):
+        same(m3.quat_mul_f, m3.quat_mul, bad, [1.0, 0.0, 0.0, 0.0])
+        same(m3.quat_mul_f, m3.quat_mul, [1.0, 0.0, 0.0, 0.0], bad)
+        same(m3.quat_normalize_f, m3.quat_normalize, bad)
+        same(m3.quat_error_f, m3.quat_error, bad, [1.0, 0.0, 0.0, 0.0])
+
+
+@fixed(300)
+@given(vec3s)
+@example([0.0, 0.0, 0.0])
+@example([1e-9, -2e-9, 0.0])  # the small-angle series branch
+@example([math.pi, 0.0, 0.0])
+def test_quat_from_rotvec_f(rv):
+    same(m3.quat_from_rotvec_f, m3.quat_from_rotvec, rv)
+
+
+@fixed(300)
+@given(unit_quats(), vec3s)
+def test_quat_rotate_f(q, v):
+    same(m3.quat_rotate_f, m3.quat_rotate, q, v)
+    same(m3.quat_rotate_inv_f, m3.quat_rotate_inv, q, v)
+
+
+@fixed(300)
+@given(unit_quats(), unit_quats())
+@example([1.0, 0.0, 0.0, 0.0], [-0.5, 0.5, 0.5, 0.5])  # w of the product < 0
+@example([0.5, 0.5, -0.5, 0.5], [0.5, 0.5, -0.5, 0.5])  # identical attitudes
+def test_quat_error_f(goal, current):
+    same(m3.quat_error_f, m3.quat_error, goal, current)
+
+
+def test_quat_error_f_branch_edges():
+    goal = m3.quat_normalize(np.array([0.3, -0.2, 0.9, 0.1])).tolist()
+    # canonicalize flip: the raw product has w < 0
+    current = m3.quat_mul(np.array(goal), m3.quat_from_rotvec(np.array([0.0, 0.0, 4.0])))
+    assert m3.quat_mul(np.array(goal), m3.quat_conj(current))[0] < 0.0
+    got = same(m3.quat_error_f, m3.quat_error, goal, current.tolist())
+    assert m3.vec_norm_f(got) < math.pi
+    # identical attitudes: a true zero error
+    assert same(m3.quat_error_f, m3.quat_error, goal, goal) == [0.0, 0.0, 0.0]
+    # vn < 1e-12 but not zero: the 2/w limit branch
+    tiny = m3.quat_mul(np.array(goal), m3.quat_from_rotvec(np.array([4e-13, 0.0, 0.0])))
+    product = m3.quat_mul(np.array(goal), m3.quat_conj(tiny))
+    assert 0.0 < m3.vec_norm(product[1:]) < 1e-12
+    got = same(m3.quat_error_f, m3.quat_error, goal, tiny.tolist())
+    assert got != [0.0, 0.0, 0.0]
+
+
+# ----------------------------------------------------------- clamp
+
+
+def clamp_twin(cmd, prev, limit, rate, dt):
+    """The array clamp: np.clip, the slew np.clip, then np.nan_to_num."""
+    out = np.clip(np.array(cmd), -limit, limit)
+    if prev is not None and rate > 0.0:
+        d = rate * dt
+        out = np.array(prev) + np.clip(out - np.array(prev), -d, d)
+    return np.nan_to_num(out, nan=0.0, posinf=limit, neginf=-limit)
+
+
+LIMIT = 0.4
+edge = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, LIMIT, -LIMIT])
+axis_values = st.one_of(edge, st.floats(-1.0, 1.0, allow_nan=False), st.floats())
+prev_axes = st.lists(st.floats(-LIMIT, LIMIT, allow_nan=False), min_size=3, max_size=3)
+
+
+@fixed(300)
+@given(
+    st.lists(axis_values, min_size=3, max_size=3),
+    st.none() | prev_axes,
+    st.sampled_from([0.0, 0.5, 2.0, 1e6]),
+)
+@example([math.nan, math.inf, -math.inf], None, 0.0)
+@example([math.nan, math.inf, -math.inf], [0.1, -0.2, 0.0], 0.5)
+@example([-0.0, LIMIT, -LIMIT], None, 0.0)
+@example([-0.0, LIMIT, -LIMIT], [0.0, 0.0, 0.0], 0.5)
+@example([-0.0, LIMIT, -LIMIT], [LIMIT, -LIMIT, -0.0], 1e6)
+def test_clamp_axes(cmd, prev, rate):
+    dt = 0.016
+    got = clamp_axes(cmd, prev, LIMIT, rate, dt)
+    assert all(type(c) is float and math.isfinite(c) for c in got)
+    assert bits(got) == bits(clamp_twin(cmd, prev, LIMIT, rate, dt)), (cmd, prev, rate)
+
+
+# ----------------------------------------------------------- PD wrench
+
+
+def pd_twin(pos_err, ori_err, att, lin_vel, ang_vel, g):
+    """The array PD law on world-frame errors."""
+    f_world = g.kp_pos * pos_err - g.kd_pos * lin_vel
+    tau = g.kp_att * m3.quat_rotate_inv(att, ori_err) - g.kd_att * ang_vel
+    return m3.quat_rotate_inv(att, f_world), tau
+
+
+@fixed(200)
+@given(vec3s, vec3s, unit_quats(), vec3s, vec3s)
+def test_pd_wrench_f(pos_err, ori_err, att, lin_vel, ang_vel):
+    g = PdGains()
+    force, torque = pd_wrench_f(pos_err, ori_err, att, lin_vel, ang_vel, g)
+    args = (np.array(a) for a in (pos_err, ori_err, att, lin_vel, ang_vel))
+    want_force, want_torque = pd_twin(*args, g)
+    assert bits(force) == bits(want_force) and bits(torque) == bits(want_torque)
+
+
+# ----------------------------------------------------------- propagation
+
+
+masks = st.lists(st.sampled_from([0.0, 1.0]), min_size=3, max_size=3)
+positive = st.floats(0.05, 20.0)
+
+
+@fixed(200)
+@given(
+    vec3s, unit_quats(), vec3s, vec3s, vec3s, vec3s,
+    positive, st.lists(positive, min_size=3, max_size=3),
+    st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+    masks, masks, st.floats(1e-4, 0.5),
+)
+@example(
+    [0.0] * 3, [1.0, 0.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3, [0.0] * 3,
+    9.5, [0.15, 0.14, 0.16], [0.0] * 3, [1.0] * 3, [1.0] * 3, 0.016,
+)  # at rest: the small-angle branch at angle 0
+def test_step_single_matches_step_arrays(pos, att, lv, av, force, torque, mass, inertia,
+                                         com, tm, rm, dt):
+    args = [pos, att, lv, av, force, torque, mass, inertia, com, tm, rm]
+    got = _step_single(*args, dt)
+    want = step_arrays(*(np.array(a, dtype=np.float64) for a in args), dt)
+    for g, w in zip(got, want):
+        assert all(type(c) is float for c in g)
+        assert bits(g) == bits(w)
+
+
+def test_step_single_raises_on_divergence():
+    args = [[1.7e308] * 3, [1.0, 0.0, 0.0, 0.0], [1e308] * 3, [0.0] * 3, [0.0] * 3, [0.0] * 3,
+            9.5, [0.15, 0.14, 0.16], [0.0] * 3, [1.0] * 3, [1.0] * 3]
+    with np.errstate(over="ignore"):
+        new_pos = step_arrays(*(np.array(a, dtype=np.float64) for a in args), 0.5)[0]
+    assert not np.isfinite(new_pos).all()
+    with pytest.raises(SimulationDivergedError):
+        _step_single(*args, 0.5)

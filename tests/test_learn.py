@@ -6,6 +6,7 @@ discounted-sum reference for the advantage estimator.
 """
 
 import dataclasses
+import importlib
 import struct
 
 import numpy as np
@@ -501,11 +502,40 @@ def test_evaluate_policy_validation_and_logs():
     cfg = quick_env()
     with pytest.raises(ValueError):
         evaluate_policy(net, cfg, RewardWeights(), 0, seed=1)
-    r = evaluate_policy(net, cfg, RewardWeights(), 3, seed=1, collect_logs=True)
-    assert len(r.logs) == 3
-    for log, rec in zip(r.logs, r.episodes):
+    logs = []
+    r = evaluate_policy(
+        net, cfg, RewardWeights(), 3, seed=1, log_sink=lambda k, rows: logs.append((k, rows))
+    )
+    assert [k for k, _ in logs] == [0, 1, 2]
+    for (_, log), rec in zip(logs, r.episodes):
         assert log.shape == (rec["steps"], 32)
         assert log[0, 0] == 0.0
+
+
+def test_evaluate_policy_streams_logs_chunk_by_chunk(monkeypatch):
+    # each chunk's logs reach the sink before the next chunk runs, so an
+    # eval with logs holds one chunk of them at a time
+    # the package's `train` name is the function; this is its module
+    train_module = importlib.import_module("apiary.learn.train")
+    events = []
+    eval_chunk = train_module._eval_chunk
+
+    def counted(net, config, weights, seeds, collect_logs):
+        events.append(("chunk", seeds[0][1]))
+        return eval_chunk(net, config, weights, seeds, collect_logs)
+
+    monkeypatch.setattr(train_module, "_eval_chunk", counted)
+    monkeypatch.setattr(train_module, "EVAL_CHUNK", 2)
+    net = policy_init(np.random.default_rng(42))
+    evaluate_policy(
+        net, quick_env(), RewardWeights(), 5, seed=1,
+        log_sink=lambda k, rows: events.append(("log", k)),
+    )
+    assert events == [
+        ("chunk", 0), ("log", 0), ("log", 1),
+        ("chunk", 2), ("log", 2), ("log", 3),
+        ("chunk", 4), ("log", 4),
+    ]
 
 
 # ------------------------------------------------- training loop

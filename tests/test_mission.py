@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from apiary import math3d as m3
-from apiary.actuation import Wrench
-from apiary.dynamics import RigidState
-from apiary.env import EpisodeGoal, obs_norms, observe
+from apiary.actuation import ActuationLimits, Wrench
+from apiary.dynamics import RigidState, SimulationDivergedError, step_arrays
+from apiary.env import ORI_ERR, POS_ERR, EpisodeGoal, obs_norms, observe
 from apiary.learn.checkpoint import load_policy
-from apiary.learn.nets import policy_init
+from apiary.learn.nets import policy_init, policy_mean
 from apiary.mission import (
     LOG_COLUMNS,
     ControlMode,
@@ -184,15 +184,27 @@ def test_goal_dock_approach_standoff_in_dock_frame():
 # ------------------------------------------------------------- logging
 
 
+def log_row(t, state=None, commanded=None, applied=None, pos_err=(0, 0, 0), ori_err=(0, 0, 0)):
+    """One numeric log row in schema order from state and wrench objects."""
+    state = state or RigidState()
+    commanded = commanded or Wrench()
+    applied = applied or Wrench()
+    return np.concatenate(
+        ([t], state.position, state.attitude, state.lin_vel, state.ang_vel, commanded.force,
+         commanded.torque, applied.force, applied.torque, pos_err, ori_err)
+    )
+
+
 def make_log_rows(log, n=3):
     for k in range(n):
         log.append(
-            k * DT,
-            RigidState(position=m3.vec3(0.1 * k, 0, 0)),
-            Wrench(m3.vec3(0.5, 0, 0), np.zeros(3)),
-            Wrench(m3.vec3(0.4, 0, 0), np.zeros(3)),
-            m3.vec3(1.0 - 0.1 * k, 0, 0),
-            np.zeros(3),
+            log_row(
+                k * DT,
+                RigidState(position=m3.vec3(0.1 * k, 0, 0)),
+                Wrench(m3.vec3(0.5, 0, 0), np.zeros(3)),
+                Wrench(m3.vec3(0.4, 0, 0), np.zeros(3)),
+                m3.vec3(1.0 - 0.1 * k, 0, 0),
+            ),
             ControlMode.BASELINE,
             0,
         )
@@ -215,11 +227,10 @@ def test_log_requires_increasing_time():
     log = TrajectoryLog()
     make_log_rows(log, 2)
     with pytest.raises(ValueError, match="strictly increase"):
-        log.append(
-            DT, RigidState(), Wrench(np.zeros(3), np.zeros(3)),
-            Wrench(np.zeros(3), np.zeros(3)), np.zeros(3), np.zeros(3),
-            ControlMode.BASELINE, 0,
-        )
+        log.append(log_row(DT), ControlMode.BASELINE, 0)
+    with pytest.raises(ValueError, match="32 numeric columns"):
+        log.append([3 * DT], ControlMode.BASELINE, 0)
+    assert len(log) == 2
 
 
 def test_log_csv_round_trip(tmp_path):
@@ -252,11 +263,7 @@ def test_log_csv_bytes_survive_round_trip(tmp_path):
     log = TrajectoryLog.from_array(rows[:2], ControlMode.RL_POLICY, 3)
     for k, mode in ((2, ControlMode.HOLD_FALLBACK), (3, ControlMode.BASELINE)):
         r = rows[k]
-        log.append(
-            r[0], RigidState(r[1:4], r[4:8], r[8:11], r[11:14]),
-            Wrench(r[14:17], r[17:20]), Wrench(r[20:23], r[23:26]),
-            r[26:29], r[29:32], mode, k + 4,
-        )
+        log.append(r.tolist(), mode, k + 4)
     first = tmp_path / "a.csv"
     log.write_csv(first)
     data = first.read_bytes()
@@ -298,11 +305,7 @@ def test_log_from_array_reads_and_grows():
     with pytest.raises(ValueError, match="strictly increase"):
         make_log_rows(log, 1)  # t = 0.0 after DT
     for k in range(2, 200):
-        log.append(
-            k * DT, RigidState(), Wrench(np.zeros(3), np.zeros(3)),
-            Wrench(np.zeros(3), np.zeros(3)), np.zeros(3), np.zeros(3),
-            ControlMode.BASELINE, 2,
-        )
+        log.append(log_row(k * DT), ControlMode.BASELINE, 2)
     assert log.numeric().shape == (200, 32)
     np.testing.assert_array_equal(log.column("t")[:3], [0.0, DT, 2 * DT])
     np.testing.assert_array_equal(rows[:, 1], [0.5, 0.6])
@@ -327,6 +330,16 @@ def test_run_maneuver_validation():
     bad = RigidState(position=m3.vec3(np.nan, 0, 0))
     with pytest.raises(ValueError, match="finite"):
         run_maneuver(bad, Maneuver("dock"), ControlMode.BASELINE, mc)
+    # dt is checked before the first tick is flown or logged
+    log = TrajectoryLog()
+    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
+        run_maneuver(RigidState(), Maneuver("dock"), ControlMode.BASELINE, MissionConfig(dt=0.6),
+                     log=log)
+    assert len(log) == 0
+    # a state that overflows during propagation stops the flight
+    fast = RigidState(position=m3.vec3(1.79e308, 0, 0), lin_vel=m3.vec3(1e308, 0, 0))
+    with pytest.raises(SimulationDivergedError):
+        run_maneuver(fast, Maneuver("dock"), ControlMode.BASELINE, mc)
 
 
 def test_pd_translate_full_timeout_and_log_consistency():
@@ -400,15 +413,20 @@ def test_monitor_stays_disarmed_outside_envelope():
 
 def test_flight_tick_computes_orientation_error_once(monkeypatch):
     # the observation is the tick's only error computation: the policy,
-    # the logged errors, the monitor and the success streak all read it
+    # the logged errors, the monitor and the success streak all read it.
+    # The tick runs in Python floats, so it is the float kernel that counts.
     calls = []
-    quat_error = m3.quat_error
+    quat_error_f = m3.quat_error_f
 
     def counted(goal, current):
         calls.append(1)
-        return quat_error(goal, current)
+        return quat_error_f(goal, current)
 
-    monkeypatch.setattr(m3, "quat_error", counted)
+    def array_path(goal, current):
+        raise AssertionError("the flight tick called the array quat_error")
+
+    monkeypatch.setattr(m3, "quat_error_f", counted)
+    monkeypatch.setattr(m3, "quat_error", array_path)
     net, _ = load_policy(REFERENCE_CKPT)
     man = stock_sequence()[0]
     assert man.kind == "translate"
@@ -505,12 +523,13 @@ def hand_log():
     ]
     for t, pos, fc in rows:
         log.append(
-            t,
-            RigidState(position=pos),
-            Wrench(fc * 2, np.zeros(3)),
-            Wrench(fc, np.zeros(3)),
-            m3.vec3(1.0, 0, 0) - pos,
-            np.zeros(3),
+            log_row(
+                t,
+                RigidState(position=pos),
+                Wrench(fc * 2, np.zeros(3)),
+                Wrench(fc, np.zeros(3)),
+                m3.vec3(1.0, 0, 0) - pos,
+            ),
             ControlMode.BASELINE,
             0,
         )
@@ -535,11 +554,7 @@ def test_metrics_cross_axis_without_displacement():
     # zero commanded displacement: excursion is distance from entry
     log = TrajectoryLog({"entry_pos": np.zeros(3), "goal_pos": np.zeros(3)})
     for k, pos in enumerate([np.zeros(3), m3.vec3(0.0, 0.3, 0.4), np.zeros(3)]):
-        log.append(
-            k * DT, RigidState(position=pos),
-            Wrench(np.zeros(3), np.zeros(3)), Wrench(np.zeros(3), np.zeros(3)),
-            -pos, np.zeros(3), ControlMode.BASELINE, 0,
-        )
+        log.append(log_row(k * DT, RigidState(position=pos), pos_err=-pos), ControlMode.BASELINE, 0)
     met = metrics_from_log(log)
     assert met.max_cross_axis_excursion == pytest.approx(0.5)
 
@@ -562,6 +577,120 @@ def test_compare_rejects_mismatched_maneuvers():
     b.meta["kind"] = "rotate"
     with pytest.raises(ValueError, match="different maneuvers"):
         compare_metrics(a, b)
+
+
+def _array_pd(state, goal, g):
+    """The PD law over arrays: world-frame errors, then body-frame wrench."""
+    f_world = g.kp_pos * (goal.position - state.position) - g.kd_pos * state.lin_vel
+    ori_body = m3.quat_rotate_inv(state.attitude, m3.quat_error(goal.attitude, state.attitude))
+    return (
+        m3.quat_rotate_inv(state.attitude, f_world),
+        g.kp_att * ori_body - g.kd_att * state.ang_vel,
+    )
+
+
+def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
+    """One maneuver flown tick by tick over arrays: env.observe, the
+    monitor, policy_mean or the PD law, np.clip + np.nan_to_num with the
+    slew clamp, and step_arrays. Returns (final state, log)."""
+    lim = mc.limits
+    start = 0 if fault is None else fault.start_tick
+
+    def measured(st, k):
+        pos = st.position + fault.pos_offset if fault is not None and k >= start else st.position
+        return RigidState(pos, st.attitude, st.lin_vel, st.ang_vel)
+
+    entry = measured(state, 0)
+    entry_goal = EpisodeGoal(entry.position, entry.attitude)
+    goal = goal_for_maneuver(maneuver, entry_goal, entry_goal, mc)
+    log = TrajectoryLog()
+    cur, trip, armed, hold_goal, prev = mode, 0, False, None, None
+    for k in range(int(round(maneuver.timeout / mc.dt))):
+        meas = measured(state, k)
+        obs = observe(meas, goal)
+        if cur is ControlMode.RL_POLICY:
+            decision, counter = safety_check(obs_norms(obs).tolist(), mc.safety, trip)
+            armed = armed or counter == 0
+            if armed:
+                trip = counter
+                if decision is ControlMode.HOLD_FALLBACK:
+                    cur = ControlMode.HOLD_FALLBACK
+                    hold_goal = EpisodeGoal(meas.position.copy(), meas.attitude.copy())
+        if cur is ControlMode.HOLD_FALLBACK:
+            force, torque = _array_pd(meas, hold_goal, mc.gains)
+        elif cur is ControlMode.RL_POLICY:
+            a = policy_mean(net, obs)
+            force, torque = a[:3] * lim.f_max, a[3:] * lim.tau_max
+        else:
+            force, torque = _array_pd(meas, goal, mc.gains)
+        f = np.clip(force, -lim.f_max, lim.f_max)
+        tq = np.clip(torque, -lim.tau_max, lim.tau_max)
+        if prev is not None:
+            df, dtq = lim.force_rate * mc.dt, lim.torque_rate * mc.dt
+            f = prev[0] + np.clip(f - prev[0], -df, df)
+            tq = prev[1] + np.clip(tq - prev[1], -dtq, dtq)
+        f = np.nan_to_num(f, nan=0.0, posinf=lim.f_max, neginf=-lim.f_max)
+        tq = np.nan_to_num(tq, nan=0.0, posinf=lim.tau_max, neginf=-lim.tau_max)
+        row = np.concatenate(
+            ([k * mc.dt], meas.position, meas.attitude, meas.lin_vel, meas.ang_vel,
+             force, torque, f, tq, obs[POS_ERR], obs[ORI_ERR])
+        )
+        log.append(row.tolist(), cur, 0)
+        state = RigidState(*step_arrays(
+            state.position, state.attitude, state.lin_vel, state.ang_vel, f, tq,
+            mc.body.mass, mc.body.inertia_diag, mc.body.com_offset,
+            mc.mask.translation_floats(), mc.mask.rotation_floats(), mc.dt,
+        ))
+        prev = (f, tq)
+    return state, log
+
+
+@pytest.mark.parametrize("mode", [ControlMode.RL_POLICY, ControlMode.BASELINE])
+def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
+    mc = MissionConfig(limits=ActuationLimits(force_rate=0.5, torque_rate=0.2))
+    man = parse_maneuver_spec("translate:x:0.5:30")
+    fault = FaultSpec(0, 1000, m3.vec3(0.5, 0.0, 0.0))
+    net, _ = load_policy(REFERENCE_CKPT)
+    log = TrajectoryLog()
+    state, out = run_maneuver(RigidState(), man, mode, mc, net=net, log=log, fault=fault)
+    want_state, want_log = _array_flight(RigidState(), man, mode, mc, net=net, fault=fault)
+
+    log.write_csv(tmp_path / "flight.csv")
+    want_log.write_csv(tmp_path / "oracle.csv")
+    assert (tmp_path / "flight.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    for name in ("position", "attitude", "lin_vel", "ang_vel"):
+        assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes()
+    # the slew clamp binds on some ticks: applied force differs from the
+    # magnitude-clamped command
+    commanded = np.clip(log.columns(["Fx", "Fy", "Fz"]), -mc.limits.f_max, mc.limits.f_max)
+    assert np.any(log.columns(["Fcx", "Fcy", "Fcz"]) != commanded)
+    if mode is ControlMode.RL_POLICY:
+        assert out.outcome == "fallback_triggered"
+        assert "hold_fallback" in set(log.column("mode"))
+
+
+def test_body_frame_policy_reads_body_frame_observation():
+    net, _ = load_policy(REFERENCE_CKPT)
+    start = RigidState(attitude=m3.quat_from_rotvec(m3.vec3(0.2, -0.4, 0.7)))
+    man = Maneuver("translate", 1, 0.3, timeout=1.0)
+    entry = EpisodeGoal(start.position, start.attitude)
+    goal = goal_for_maneuver(man, entry, entry, MissionConfig())
+    lim = MissionConfig().limits
+    scale = np.array([lim.f_max] * 3 + [lim.tau_max] * 3)
+    first_cmd = {}
+    for body_frame in (False, True):
+        log = TrajectoryLog()
+        mc = MissionConfig(body_frame_obs=body_frame)
+        run_maneuver(start.copy(), man, ControlMode.RL_POLICY, mc, net=net, log=log)
+        first_cmd[body_frame] = log.columns(["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
+        want = policy_mean(net, observe(start, goal, body_frame=body_frame)) * scale
+        assert first_cmd[body_frame].tobytes() == want.tobytes()
+        # the logged errors stay world-frame either way
+        np.testing.assert_array_equal(
+            log.columns(["epx", "epy", "epz", "erx", "ery", "erz"])[0],
+            observe(start, goal)[:6],
+        )
+    assert not np.array_equal(first_cmd[False], first_cmd[True])
 
 
 def test_run_compare_same_entry_both_logs():
