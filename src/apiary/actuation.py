@@ -1,35 +1,16 @@
 """Wrench limiting between controller output and the simulated body.
 
-The controller/policy boundary is a body-frame wrench. This module enforces
-per-axis magnitude limits (plus an optional slew-rate limit, disabled by
-default). Fidelity below the wrench level, like fan or nozzle allocation,
-is out of scope.
+The controller/policy boundary is a body-frame wrench. `ActuationLimits`
+holds per-axis magnitude limits (plus an optional slew-rate limit, disabled
+by default), and `clamp_axes` applies them to one 3-axis channel in Python
+floats. Fidelity below the wrench level, like fan or nozzle allocation, is
+out of scope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-
-@dataclass
-class Wrench:
-    """Body-frame force (N) and torque (N*m)."""
-
-    force: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    torque: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self) -> None:
-        self.force = np.asarray(self.force, dtype=np.float64)
-        self.torque = np.asarray(self.torque, dtype=np.float64)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.force).all() and np.isfinite(self.torque).all())
-
-    def copy(self) -> "Wrench":
-        return Wrench(self.force.copy(), self.torque.copy())
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -66,19 +47,3 @@ def clamp_axes(
         out = [p + min(max(c - p, -d), d) for c, p in zip(out, prev)]
     return [0.0 if c != c else c for c in out]
 
-
-def apply_limits(
-    prev: Wrench | None, cmd: Wrench, limits: ActuationLimits, dt: float = 0.016
-) -> Wrench:
-    """Per-axis magnitude clamp, then optional slew clamp relative to prev
-    (the previous output); non-finite commands clamp instead of propagating."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    prev_force = prev_torque = None
-    if prev is not None:
-        if not prev.is_finite():
-            raise ValueError("previous wrench must be finite")
-        prev_force, prev_torque = prev.force.tolist(), prev.torque.tolist()
-    force = clamp_axes(cmd.force.tolist(), prev_force, limits.f_max, limits.force_rate, dt)
-    torque = clamp_axes(cmd.torque.tolist(), prev_torque, limits.tau_max, limits.torque_rate, dt)
-    return Wrench(np.array(force), np.array(torque))

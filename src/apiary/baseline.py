@@ -2,22 +2,19 @@
 
 Force obeys a world-frame PD law on position error, then rotates into the
 body frame where the thrusters act. Torque is PD on the body-frame
-rotation-vector attitude error with body-rate damping. Gains default to a
-critically damped translation loop for the nominal body (kd = 2*sqrt(kp*m)),
-which captures a 5 cm/s drift to under 5 mm/s within 10 s and settles a
-0.5 m translation without overshoot.
+rotation-vector attitude error with body-rate damping. `pd_wrench_f`
+computes it in Python floats from the flight tick's errors, for the
+BASELINE mode and the hold fallback. Gains default to a critically damped
+translation loop for the nominal body (kd = 2*sqrt(kp*m)), which captures
+a 5 cm/s drift to under 5 mm/s within 10 s and settles a 0.5 m translation
+without overshoot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import math3d as m3
-from .actuation import Wrench
-from .dynamics import RigidState
-from .env import EpisodeGoal
 
 
 @dataclass(frozen=True)
@@ -53,34 +50,3 @@ def pd_wrench_f(
     torque = [g.kp_att * ori_body[i] - g.kd_att * ang_vel[i] for i in range(3)]
     return force, torque
 
-
-def pd_wrench(state: RigidState, goal: EpisodeGoal, gains: PdGains | None = None) -> Wrench:
-    """PD pose-regulation wrench in the body frame, before actuator limits."""
-    att = state.attitude.tolist()
-    force, torque = pd_wrench_f(
-        (goal.position - state.position).tolist(),
-        m3.quat_error_f(goal.attitude.tolist(), att),
-        att,
-        state.lin_vel.tolist(),
-        state.ang_vel.tolist(),
-        gains if gains is not None else PdGains(),
-    )
-    return Wrench(np.array(force), np.array(torque))
-
-
-def hold_pose_controller(captured_state: RigidState, gains: PdGains | None = None):
-    """Controller closure that regulates to the pose captured at call time.
-
-    The returned callable maps a current RigidState to a Wrench; velocity
-    targets are implicitly zero, so it brings the body to rest at the
-    captured pose regardless of the motion it had when captured.
-    """
-    hold_goal = EpisodeGoal(
-        np.array(captured_state.position, dtype=np.float64, copy=True),
-        np.array(captured_state.attitude, dtype=np.float64, copy=True),
-    )
-
-    def controller(state: RigidState) -> Wrench:
-        return pd_wrench(state, hold_goal, gains)
-
-    return controller

@@ -182,7 +182,12 @@ def load_config(path=None) -> RunConfig:
                 values[section][key] = _parse_value(
                     kind, text, f"{path}: [{section}] {key}"
                 )
-    return build_config(values)
+    try:
+        return build_config(values)
+    except ValueError as e:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {e}") from None
 
 
 def build_config(values: dict) -> RunConfig:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import math3d as m3
-from .actuation import Wrench
 
 
 class SimulationDivergedError(RuntimeError):
@@ -126,8 +125,8 @@ def step_arrays(
     """One propagation step over raw arrays; broadcasts over leading axes.
 
     force/torque are body-frame. mass broadcasts as (...,) against (...,3)
-    vectors. Used directly by the vectorized environment; `step` wraps it
-    for single states. Pure function of its inputs.
+    vectors. Used directly by the vectorized environment; `step_f` is its
+    single-state twin. Pure function of its inputs.
     """
     f_world = m3.quat_rotate(attitude, force)
     acc = f_world / np.asarray(mass, dtype=np.float64)[..., None]
@@ -146,7 +145,7 @@ def step_arrays(
     return new_position, new_attitude, new_linvel, new_angvel
 
 
-def _step_single(
+def step_f(
     pos: list[float],
     att: list[float],
     lv: list[float],
@@ -186,40 +185,6 @@ def _step_single(
     if not all(map(math.isfinite, new_pos + new_att + new_lv + new_av)):
         raise SimulationDivergedError("state went non-finite during step")
     return new_pos, new_att, new_lv, new_av
-
-
-def step(
-    state: RigidState,
-    wrench: Wrench,
-    params: BodyParams,
-    mask: DofMask = FULL_6DOF,
-    dt: float = 0.016,
-) -> RigidState:
-    """Advance one control tick. Raises on bad dt or diverging state.
-
-    Bit-identical to `step_arrays` on the same single state.
-    """
-    if not 0.0 < dt <= 0.5:
-        raise ValueError(f"dt must be in (0, 0.5], got {dt}")
-    force = wrench.force.tolist()
-    torque = wrench.torque.tolist()
-    if not (all(map(math.isfinite, force)) and all(map(math.isfinite, torque))):
-        raise ValueError("wrench must be finite")
-    pos, att, v, w = _step_single(
-        state.position.tolist(),
-        state.attitude.tolist(),
-        state.lin_vel.tolist(),
-        state.ang_vel.tolist(),
-        force,
-        torque,
-        float(params.mass),
-        params.inertia_diag.tolist(),
-        params.com_offset.tolist(),
-        mask.translation_floats().tolist(),
-        mask.rotation_floats().tolist(),
-        float(dt),
-    )
-    return RigidState(np.array(pos), np.array(att), np.array(v), np.array(w))
 
 
 def momentum(state: RigidState, params: BodyParams) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,8 @@ consecutive steps, out-of-bounds, or episode_len reached.
 `BatchEnv` advances n independent environments with broadcastable array
 math, so row i of a batch is bit-identical to a batch of one stepped alone
 with row i's RNG stream, which is derived from (master seed, env index).
-The flight loop in `mission` computes its errors with the same `observe`
-and `obs_norms`.
+The flight loop in `mission` computes the errors of `observe_arrays` and
+the norms of `obs_norms` per tick in Python floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -118,8 +118,10 @@ class EnvConfig:
         lo, hi = self.mass_range
         if not (0.0 < lo <= hi):
             raise ValueError("mass_range must satisfy 0 < lo <= hi")
-        if self.hold_steps <= 0 or self.oob_radius <= 0.0 or self.dt <= 0.0:
-            raise ValueError("hold_steps, oob_radius and dt must be positive")
+        if self.hold_steps <= 0 or self.oob_radius <= 0.0:
+            raise ValueError("hold_steps and oob_radius must be positive")
+        if not 0.0 < self.dt <= 0.5:
+            raise ValueError(f"dt must be in (0, 0.5], got {self.dt}")
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -153,6 +155,7 @@ def observe_arrays(
     goal_att: np.ndarray,
     body_frame: bool = False,
 ) -> np.ndarray:
+    """(..., 12) observation; all-zero exactly when the state sits at the goal."""
     pos_err = goal_pos - position
     ori_err = m3.quat_error(goal_att, attitude)
     vel = lin_vel
@@ -161,19 +164,6 @@ def observe_arrays(
         ori_err = m3.quat_rotate_inv(attitude, ori_err)
         vel = m3.quat_rotate_inv(attitude, vel)
     return np.concatenate([pos_err, ori_err, vel, ang_vel], axis=-1)
-
-
-def observe(state: RigidState, goal: EpisodeGoal, body_frame: bool = False) -> np.ndarray:
-    """12-vector observation; all-zero exactly when state sits at the goal."""
-    return observe_arrays(
-        state.position,
-        state.attitude,
-        state.lin_vel,
-        state.ang_vel,
-        goal.position,
-        goal.attitude,
-        body_frame,
-    )
 
 
 def obs_norms(obs: np.ndarray) -> np.ndarray:

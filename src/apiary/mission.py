@@ -6,9 +6,9 @@ captured at sequence start (dock, dock_approach = dock plus a standoff
 along the dock frame's +X). Each maneuver runs a fixed-rate closed loop
 for its full timeout: measure -> observe -> safety monitor -> controller
 -> clamp -> log -> propagate. The observation errors (those of
-`env.observe`, the vector the policy was trained on) are computed once
-per tick from the measured state; the policy reads the observation, the
-logged errors are its slices, and the monitor's arming test, its trip
+`env.observe_arrays`, the vector the policy was trained on) are computed
+once per tick from the measured state; the policy reads the observation,
+the logged errors are its slices, and the monitor's arming test, its trip
 test and the success streak all read its four channel norms. With
 `body_frame_obs` the policy reads the body-frame observation instead;
 the log, the monitor and the streak keep the world-frame errors.
@@ -18,9 +18,9 @@ controllers settle fully, so final errors reflect steady state.
 The tick holds the true state as four lists of Python floats from
 maneuver entry to exit and runs on the single-state kernels: `math3d`'s
 `*_f` functions, `baseline.pd_wrench_f`, `actuation.clamp_axes` and
-`dynamics._step_single`. `policy_mean` is its only numpy call. Each
-kernel is bit-identical to its array twin, so a flight writes the same
-bytes as stepping state objects through `env.observe`, `np.clip` and
+`dynamics.step_f`. `policy_mean` is its only numpy call. Each kernel is
+bit-identical to its array twin, so a flight writes the same bytes as
+stepping arrays through `env.observe_arrays`, `np.clip` and
 `dynamics.step_arrays`, without numpy's per-call overhead on 3- and
 4-element arrays.
 
@@ -53,7 +53,7 @@ import numpy as np
 from . import math3d as m3
 from .actuation import ActuationLimits, clamp_axes
 from .baseline import PdGains, pd_wrench_f
-from .dynamics import FULL_6DOF, BodyParams, DofMask, RigidState, _step_single
+from .dynamics import FULL_6DOF, BodyParams, DofMask, RigidState, step_f
 from .env import EpisodeGoal
 from .learn.nets import PolicyNet, policy_mean
 
@@ -154,11 +154,13 @@ class MissionConfig:
     dock_pos_tol: float = 0.02
     dock_ori_tol: float = np.deg2rad(2.0)
     dock_standoff: float = 0.3
-    body_frame_obs: bool = False  # the policy reads env.observe(..., body_frame=True)
+    body_frame_obs: bool = False  # the policy reads the body-frame observation
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.hold_steps < 1:
-            raise ValueError("dt must be positive and hold_steps >= 1")
+        if not 0.0 < self.dt <= 0.5:
+            raise ValueError(f"dt must be in (0, 0.5], got {self.dt}")
+        if self.hold_steps < 1:
+            raise ValueError("hold_steps must be >= 1")
         if min(
             self.pos_tol, self.ori_tol, self.vel_tol, self.angvel_tol,
             self.dock_pos_tol, self.dock_ori_tol, self.dock_standoff,
@@ -329,9 +331,16 @@ def goal_for_maneuver(
     return dock_pose.copy()
 
 
-def _maneuver_ticks(maneuver: Maneuver, dt: float) -> int:
-    """Control ticks a maneuver runs for: its whole timeout at rate 1/dt."""
-    return int(round(maneuver.timeout / dt))
+def _maneuver_ticks(maneuver: Maneuver, index: int, dt: float) -> int:
+    """Control ticks a maneuver runs for: its whole timeout at rate 1/dt.
+    Raises ValueError, naming the maneuver's index, when that is 0 ticks."""
+    n_ticks = int(round(maneuver.timeout / dt))
+    if n_ticks == 0:
+        raise ValueError(
+            f"maneuver index {index}: timeout {maneuver.timeout} s "
+            f"rounds to 0 ticks at dt {dt} s"
+        )
+    return n_ticks
 
 
 def run_maneuver(
@@ -351,7 +360,7 @@ def run_maneuver(
     Outcome is success when the maneuver's tolerance condition is true for
     the final hold_steps ticks, fallback_triggered if the safety monitor
     tripped, else timeout. Returns the true final state; the log records
-    measured state.
+    measured state. Raises ValueError for a timeout that rounds to 0 ticks.
     """
     if mode not in (ControlMode.RL_POLICY, ControlMode.BASELINE):
         raise ValueError("run_maneuver starts in RL_POLICY or BASELINE mode")
@@ -360,15 +369,13 @@ def run_maneuver(
     if not state.is_finite():
         raise ValueError("non-finite entry state")
     dt = mc.dt
-    if not 0.0 < dt <= 0.5:
-        raise ValueError(f"dt must be in (0, 0.5], got {dt}")
+    n_ticks = _maneuver_ticks(maneuver, maneuver_index, dt)
     if log is None:
         log = TrajectoryLog()
 
     # the true state, as Python floats until the maneuver ends
     pos, att = state.position.tolist(), state.attitude.tolist()
     lv, av = state.lin_vel.tolist(), state.ang_vel.tolist()
-    n_ticks = _maneuver_ticks(maneuver, dt)
     # the measured position is pos + offset on ticks k >= fault_tick
     fault_tick = fault.start_tick if fault is not None else n_ticks + 1
     offset = fault.pos_offset.tolist() if fault is not None else None
@@ -399,7 +406,7 @@ def run_maneuver(
 
     for k in range(n_ticks):
         meas_pos = [pos[i] + offset[i] for i in range(3)] if k >= fault_tick else pos
-        # the observation's error channels (env.observe, world frame)
+        # the observation's error channels (env.observe_arrays, world frame)
         pos_err = [goal_pos[i] - meas_pos[i] for i in range(3)]
         ori_err = quat_error_f(goal_att, att)
         norms = (vec_norm_f(pos_err), vec_norm_f(ori_err), vec_norm_f(lv), vec_norm_f(av))
@@ -454,7 +461,7 @@ def run_maneuver(
         else:
             streak = 0
 
-        pos, att, lv, av = _step_single(
+        pos, att, lv, av = step_f(
             pos, att, lv, av, applied_force, applied_torque,
             mass, inertia, com, tmask, rmask, dt,
         )
@@ -493,7 +500,7 @@ def _faults_by_maneuver(
                 f"{where}: the sequence has only {len(sequence)} maneuvers "
                 f"(indices 0..{len(sequence) - 1})"
             )
-        n_ticks = _maneuver_ticks(sequence[f.maneuver_index], dt)
+        n_ticks = _maneuver_ticks(sequence[f.maneuver_index], f.maneuver_index, dt)
         if f.start_tick >= n_ticks:
             raise ValueError(
                 f"{where}: that maneuver runs ticks 0..{n_ticks - 1}, so the fault never fires"
@@ -520,12 +527,14 @@ def run_sequence(
     The dock pose is the sequence entry pose. After a fallback_triggered
     outcome the sequence runs the next entry only if it carries the resume
     flag; otherwise that entry and everything after it is skipped.
-    Raises ValueError, before anything runs, for a fault past the end of
-    the sequence, a second fault for one maneuver, or a start tick at or
-    past the maneuver's tick count.
+    Raises ValueError, before anything runs, for a maneuver that runs 0
+    ticks, a fault past the end of the sequence, a second fault for one
+    maneuver, or a start tick at or past the maneuver's tick count.
     """
     if not sequence:
         raise ValueError("sequence must not be empty")
+    for i, man in enumerate(sequence):
+        _maneuver_ticks(man, i, mc.dt)
     state = start_state.copy() if start_state is not None else RigidState()
     dock_pose = EpisodeGoal(state.position.copy(), state.attitude.copy())
     log = TrajectoryLog()

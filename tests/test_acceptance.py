@@ -14,10 +14,15 @@ import numpy as np
 import pytest
 
 from apiary import math3d as m3
-from apiary.actuation import Wrench
 from apiary.cli import main as cli_main
 from apiary.config import load_config, mission_config
-from apiary.dynamics import GRANITE_3DOF, BodyParams, RigidState, momentum, step
+from apiary.dynamics import (
+    GRANITE_3DOF,
+    BodyParams,
+    RigidState,
+    momentum,
+    step_f,
+)
 from apiary.env import EnvConfig, RewardWeights
 from apiary.learn import PpoConfig, evaluate_policy, train
 from apiary.learn.checkpoint import load_policy
@@ -33,6 +38,7 @@ from apiary.mission import (
     run_sequence,
     stock_sequence,
 )
+from float_state import as_state, body_args, lists
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -46,13 +52,16 @@ def _gate(num, name, ok, detail):
 # ---------------------------------------------------------------- gate 01
 
 
+ZERO = [0.0, 0.0, 0.0]
+
+
 def _translation_rel_err(dt, n_steps):
     params = BodyParams()
     force = np.array([0.3, -0.2, 0.1])
-    st = RigidState()
-    w = Wrench(force.copy(), np.zeros(3))
+    s, body = lists(RigidState()), body_args(params)
     for _ in range(n_steps):
-        st = step(st, w, params, dt=dt)
+        s = step_f(*s, force.tolist(), ZERO, *body, dt)
+    st = as_state(s)
     t_total = dt * n_steps
     p_exact = 0.5 * (force / params.mass) * t_total**2
     v_exact = (force / params.mass) * t_total
@@ -66,10 +75,10 @@ def _rotation_rel_err(dt, n_steps):
     # momentum stays axis-aligned so the closed form is one-dimensional
     params = BodyParams()
     tau_z = 0.05
-    st = RigidState()
-    w = Wrench(np.zeros(3), np.array([0.0, 0.0, tau_z]))
+    s, body = lists(RigidState()), body_args(params)
     for _ in range(n_steps):
-        st = step(st, w, params, dt=dt)
+        s = step_f(*s, ZERO, [0.0, 0.0, tau_z], *body, dt)
+    st = as_state(s)
     t_total = dt * n_steps
     i_z = params.inertia_diag[2]
     ang_exact = 0.5 * (tau_z / i_z) * t_total**2
@@ -123,14 +132,14 @@ def test_zero_wrench_conserves_momentum():
         lin_vel=np.array([0.02, -0.01, 0.03]),
         ang_vel=np.array([0.3, -0.2, 0.4]),
     )
-    w = Wrench()
     lin0, ang0 = momentum(st, params)
     ang0_norm = np.linalg.norm(ang0)
     lin_exact = True
     worst = 0.0
+    s, body = lists(st), body_args(params)
     for _ in range(10_000):
-        st = step(st, w, params, dt=0.016)
-        lin, ang = momentum(st, params)
+        s = step_f(*s, ZERO, ZERO, *body, 0.016)
+        lin, ang = momentum(as_state(s), params)
         lin_exact = lin_exact and np.array_equal(lin, lin0)
         worst = max(worst, np.linalg.norm(ang - ang0) / ang0_norm)
     ok = lin_exact and worst <= 1e-6
@@ -436,20 +445,20 @@ def test_outputs_bit_reproducible(tmp_path):
 
 
 def test_granite_mode_zeroes_constrained_axes():
-    params = BodyParams()
     rng = np.random.default_rng(31)
-    st = RigidState()
+    pos, att, lv, av = lists(RigidState())
+    body = body_args(BodyParams(), GRANITE_3DOF)
     clean = True
     for _ in range(10_000):
-        w = Wrench(rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.1, 0.1, 3))
-        st = step(st, w, params, mask=GRANITE_3DOF, dt=0.016)
+        force, torque = rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.1, 0.1, 3)
+        pos, att, lv, av = step_f(pos, att, lv, av, force.tolist(), torque.tolist(), *body, 0.016)
         clean = clean and (
-            st.position[2] == 0.0
-            and st.lin_vel[2] == 0.0
-            and st.ang_vel[0] == 0.0
-            and st.ang_vel[1] == 0.0
-            and st.attitude[1] == 0.0
-            and st.attitude[2] == 0.0
+            pos[2] == 0.0
+            and lv[2] == 0.0
+            and av[0] == 0.0
+            and av[1] == 0.0
+            and att[1] == 0.0
+            and att[2] == 0.0
         )
     _gate(
         10,

@@ -413,3 +413,58 @@ def test_replay_divergence_exits_2(workspace, capsys, tmp_path):
         )
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "compare", "replay"])
+def test_dt_out_of_range_exits_1_naming_the_file(tmp_path, capsys, command):
+    # one dt rule for every command: the config itself rejects dt > 0.5
+    cfg = tmp_path / "fast.ini"
+    cfg.write_text("[env]\ndt = 0.6\n")
+    out = tmp_path / "out"
+    ckpt = str(REFERENCE_CKPT)
+    args = {
+        "train": ["--out", str(out)],
+        "eval": ["--ckpt", ckpt, "--scenario", "iss6dof", "--episodes", "1",
+                 "--logs", str(out / "logs"), "--out", str(out)],
+        "compare": ["--ckpt", ckpt, "--maneuver", "translate:x:0.5", "--out", str(out)],
+        "replay": ["--ckpt", ckpt, "--sequence", str(ASSETS / "stock_sequence.txt"),
+                   "--out", str(out)],
+    }[command]
+    assert main([command, "--config", str(cfg)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: dt must be in (0, 0.5], got 0.6")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "replay"])
+def test_maneuver_of_zero_ticks_exits_1(tmp_path, capsys, command):
+    # 0.001 s is under half of the 0.016 s tick
+    seq = tmp_path / "seq.txt"
+    seq.write_text("translate x 0.5 0.001\ndock 2\n")
+    out = tmp_path / "out"
+    args = {
+        "compare": ["--maneuver", "translate:x:0.5:0.001"],
+        "replay": ["--sequence", str(seq)],
+    }[command]
+    assert main([command, "--ckpt", str(REFERENCE_CKPT), "--out", str(out)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: maneuver index 0: timeout 0.001 s rounds to 0 ticks at dt 0.016 s")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["pos_offset 0 5 0.5 0 0", "pos_offset 1 0 0.5 0 0"])
+def test_replay_rejects_zero_tick_maneuver_before_flying(tmp_path, capsys, fault):
+    # a fault on item 0 trips the fallback, which would skip item 1 unchecked;
+    # a fault on item 1 would be reported against a tick range 0..-1
+    seq, faults = tmp_path / "seq.txt", tmp_path / "faults.txt"
+    seq.write_text("translate x 0.0 2\ntranslate x 0.0 0.001\n")
+    faults.write_text(fault + "\n")
+    out = tmp_path / "out"
+    args = ["replay", "--ckpt", str(REFERENCE_CKPT), "--sequence", str(seq),
+            "--faults", str(faults), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: maneuver index 1: timeout 0.001 s rounds to 0 ticks at dt 0.016 s")
+    assert not out.exists()

@@ -2,14 +2,14 @@
 
 Covers Newton/Euler limits with constant wrenches, conservation under
 zero wrench, the planar DOF mask, parameter validation and the batched
-array path.
+array path. Single states step through `step_f`, the kernel the flight
+loop runs, as four lists of Python floats.
 """
 
 import numpy as np
 import pytest
 
 from apiary import math3d as m3
-from apiary.actuation import Wrench
 from apiary.dynamics import (
     FULL_6DOF,
     GRANITE_3DOF,
@@ -17,9 +17,12 @@ from apiary.dynamics import (
     RigidState,
     SimulationDivergedError,
     momentum,
-    step,
     step_arrays,
+    step_f,
 )
+from float_state import as_state, body_args, lists
+
+ZERO = [0.0, 0.0, 0.0]
 
 
 def kinetic_energy(state, params):
@@ -34,9 +37,10 @@ def test_constant_body_force_matches_newton():
     dt = 1e-3
     n = 1000
     f = np.array([0.2, -0.1, 0.05])
-    state = RigidState()
+    s, body = lists(RigidState()), body_args(params)
     for _ in range(n):
-        state = step(state, Wrench(f, np.zeros(3)), params, dt=dt)
+        s = step_f(*s, f.tolist(), ZERO, *body, dt)
+    state = as_state(s)
     t = n * dt
     # semi-implicit velocity is exact for constant acceleration
     np.testing.assert_allclose(state.lin_vel, f / params.mass * t, rtol=1e-13)
@@ -51,9 +55,10 @@ def test_constant_axis_torque_matches_euler():
     dt = 1e-3
     n = 1000
     tau = np.array([0.0, 0.0, 0.02])
-    state = RigidState()
+    s, body = lists(RigidState()), body_args(params)
     for _ in range(n):
-        state = step(state, Wrench(np.zeros(3), tau), params, dt=dt)
+        s = step_f(*s, ZERO, tau.tolist(), *body, dt)
+    state = as_state(s)
     t = n * dt
     np.testing.assert_allclose(state.ang_vel, tau / params.inertia_diag * t, rtol=1e-12)
     angle = m3.quat_to_rotvec(state.attitude)
@@ -70,10 +75,10 @@ def test_zero_wrench_conserves_momentum():
         lin_vel=rng.uniform(-0.3, 0.3, 3), ang_vel=rng.uniform(-1.0, 1.0, 3)
     )
     p0, l0 = momentum(state, params)
-    zero = Wrench()
+    s, body = lists(state), body_args(params)
     for _ in range(10_000):
-        state = step(state, zero, params, dt=0.016)
-    p1, l1 = momentum(state, params)
+        s = step_f(*s, ZERO, ZERO, *body, 0.016)
+    p1, l1 = momentum(as_state(s), params)
     # force-free linear velocity never changes at all
     np.testing.assert_array_equal(p1, p0)
     np.testing.assert_allclose(l1, l0, rtol=1e-9, atol=1e-12)
@@ -84,8 +89,10 @@ def test_principal_axis_spin_is_steady():
     params = BodyParams(inertia_diag=m3.vec3(0.15, 0.11, 0.19))
     state = RigidState(ang_vel=np.array([0.0, 0.0, 0.8]))
     e0 = kinetic_energy(state, params)
+    s, body = lists(state), body_args(params)
     for _ in range(10_000):
-        state = step(state, Wrench(), params, dt=0.016)
+        s = step_f(*s, ZERO, ZERO, *body, 0.016)
+    state = as_state(s)
     np.testing.assert_allclose(state.ang_vel, [0.0, 0.0, 0.8], atol=1e-12)
     assert abs(kinetic_energy(state, params) - e0) <= 1e-12 * e0
 
@@ -97,8 +104,10 @@ def test_tumbling_attitude_follows_momentum():
     state = RigidState(ang_vel=np.array([0.7, 0.5, 0.3]))
     _, l0 = momentum(state, params)
     w_first = state.ang_vel.copy()
+    s, body = lists(state), body_args(params)
     for _ in range(2000):
-        state = step(state, Wrench(), params, dt=0.016)
+        s = step_f(*s, ZERO, ZERO, *body, 0.016)
+    state = as_state(s)
     _, l1 = momentum(state, params)
     np.testing.assert_allclose(l1, l0, rtol=1e-10)
     assert np.linalg.norm(state.ang_vel - w_first) > 1e-3
@@ -107,19 +116,19 @@ def test_tumbling_attitude_follows_momentum():
 def test_com_offset_converts_force_to_torque():
     # +x force applied ahead of the COM (offset +y) torques about -z
     params = BodyParams(com_offset=m3.vec3(0.0, 0.1, 0.0))
-    state = step(RigidState(), Wrench(m3.vec3(1.0, 0, 0), np.zeros(3)), params, dt=0.01)
+    state = as_state(step_f(*lists(RigidState()), [1.0, 0.0, 0.0], ZERO, *body_args(params), 0.01))
     expected_tau = -np.cross(params.com_offset, [1.0, 0.0, 0.0])
     expected_w = expected_tau * 0.01 / params.inertia_diag
     np.testing.assert_allclose(state.ang_vel, expected_w, rtol=1e-12)
 
 
 def test_granite_mask_pins_out_of_plane_axes():
-    params = BodyParams()
-    state = RigidState()
+    s, body = lists(RigidState()), body_args(BodyParams(), GRANITE_3DOF)
     rng = np.random.default_rng(22)
     for _ in range(500):
-        w = Wrench(rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.1, 0.1, 3))
-        state = step(state, w, params, GRANITE_3DOF, dt=0.016)
+        force, torque = rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.1, 0.1, 3)
+        s = step_f(*s, force.tolist(), torque.tolist(), *body, 0.016)
+        state = as_state(s)
         assert state.position[2] == 0.0
         assert state.lin_vel[2] == 0.0
         assert state.ang_vel[0] == 0.0 and state.ang_vel[1] == 0.0
@@ -158,7 +167,7 @@ def test_step_arrays_batched_bit_identical():
 
 
 def test_step_matches_step_arrays_bitwise():
-    # `step` runs its own float path; it must agree bit for bit with the
+    # `step_f` runs its own float path; it must agree bit for bit with the
     # array path the batched environment uses, over long rollouts, both
     # masks, a COM offset and the small-angle branch of the exponential map
     rng = np.random.default_rng(31)
@@ -174,41 +183,37 @@ def test_step_matches_step_arrays_bitwise():
             rng.standard_normal(3), att / np.linalg.norm(att),
             rng.standard_normal(3) * 0.2, rng.standard_normal(3) * scale,
         )
+        body = body_args(params, mask)
         for _ in range(200):
-            w = Wrench(rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.1, 0.1, 3) * scale)
+            force, torque = rng.uniform(-0.4, 0.4, 3), rng.uniform(-0.1, 0.1, 3) * scale
             expect = step_arrays(
                 state.position, state.attitude, state.lin_vel, state.ang_vel,
-                w.force, w.torque, np.float64(params.mass), params.inertia_diag,
+                force, torque, np.float64(params.mass), params.inertia_diag,
                 params.com_offset, mask.translation_floats(), mask.rotation_floats(), 0.016,
             )
-            state = step(state, w, params, mask, dt=0.016)
+            state = as_state(step_f(*lists(state), force.tolist(), torque.tolist(), *body, 0.016))
             got = (state.position, state.attitude, state.lin_vel, state.ang_vel)
             for g, e in zip(got, expect):
                 assert g.tobytes() == e.tobytes()
 
 
 def test_step_rejects_non_finite_attitude():
-    state = RigidState(attitude=np.array([np.nan, 0.0, 0.0, 0.0]))
+    s = lists(RigidState(attitude=np.array([np.nan, 0.0, 0.0, 0.0])))
     with pytest.raises(ValueError, match="non-finite quaternion"):
-        step(state, Wrench(), BodyParams())
+        step_f(*s, ZERO, ZERO, *body_args(BodyParams()), 0.016)
 
 
 def test_step_validation():
-    params = BodyParams()
+    # an unclamped infinite wrench stops the step instead of propagating
     with pytest.raises(ValueError):
-        step(RigidState(), Wrench(), params, dt=0.0)
-    with pytest.raises(ValueError):
-        step(RigidState(), Wrench(), params, dt=0.6)
-    with pytest.raises(ValueError):
-        step(RigidState(), Wrench(m3.vec3(np.inf, 0, 0), np.zeros(3)), params)
+        step_f(*lists(RigidState()), [np.inf, 0.0, 0.0], ZERO, *body_args(BodyParams()), 0.016)
 
 
 def test_diverged_state_raises():
-    params = BodyParams(mass=1e-308)
-    state = RigidState()
+    s, body = lists(RigidState()), body_args(BodyParams(mass=1e-308))
     with pytest.raises(SimulationDivergedError):
         for _ in range(2000):
-            state = step(state, Wrench(m3.vec3(0.4, 0, 0), np.zeros(3)), params)
+            s = step_f(*s, [0.4, 0.0, 0.0], ZERO, *body, 0.016)
 
 
 def test_body_params_validation():

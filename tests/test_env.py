@@ -18,7 +18,7 @@ from apiary.env import (
     RewardWeights,
     batch_rollout,
     obs_norms,
-    observe,
+    observe_arrays,
     reset,
     reward_arrays,
     success_flags,
@@ -55,10 +55,19 @@ def run_single_env(benv, action):
             return rewards, finished[0]
 
 
+def test_env_config_dt_range():
+    for dt in (0.0, 0.6):
+        with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
+            EnvConfig(dt=dt)
+    EnvConfig(dt=0.5)
+
+
 def test_observation_zero_at_goal():
     goal = EpisodeGoal(m3.vec3(0.2, -0.1, 0.3), m3.quat_from_rotvec(m3.vec3(0.1, 0.2, -0.1)))
     state = RigidState(position=goal.position.copy(), attitude=goal.attitude.copy())
-    obs = observe(state, goal)
+    obs = observe_arrays(
+        state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position, goal.attitude
+    )
     np.testing.assert_array_equal(obs, np.zeros(12))
 
 
@@ -72,7 +81,10 @@ def test_observation_components():
             ang_vel=rng.uniform(-0.5, 0.5, 3),
         )
         goal = EpisodeGoal(rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3)))
-        obs = observe(state, goal)
+        obs = observe_arrays(
+            state.position, state.attitude, state.lin_vel, state.ang_vel,
+            goal.position, goal.attitude,
+        )
         np.testing.assert_array_equal(obs[POS_ERR], goal.position - state.position)
         np.testing.assert_array_equal(obs[ORI_ERR], m3.quat_error(goal.attitude, state.attitude))
         np.testing.assert_array_equal(obs[LIN_VEL], state.lin_vel)
@@ -86,7 +98,10 @@ def test_observation_body_frame_option():
         lin_vel=m3.vec3(0.1, 0.0, 0.0),
     )
     goal = EpisodeGoal(m3.vec3(1.0, 0.0, 0.0), state.attitude.copy())
-    obs = observe(state, goal, body_frame=True)
+    obs = observe_arrays(
+        state.position, state.attitude, state.lin_vel, state.ang_vel,
+        goal.position, goal.attitude, body_frame=True,
+    )
     # world +x maps to body -y after a +90 deg yaw
     np.testing.assert_allclose(obs[POS_ERR], [0.0, -1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(obs[LIN_VEL], [0.0, -0.1, 0.0], atol=1e-12)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from apiary import math3d as m3
 from apiary.actuation import clamp_axes
 from apiary.baseline import PdGains, pd_wrench_f
-from apiary.dynamics import SimulationDivergedError, _step_single, step_arrays
+from apiary.dynamics import SimulationDivergedError, step_arrays, step_f
 
 
 def fixed(n):
@@ -205,21 +205,21 @@ positive = st.floats(0.05, 20.0)
     [0.0] * 3, [1.0, 0.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3, [0.0] * 3, [0.0] * 3,
     9.5, [0.15, 0.14, 0.16], [0.0] * 3, [1.0] * 3, [1.0] * 3, 0.016,
 )  # at rest: the small-angle branch at angle 0
-def test_step_single_matches_step_arrays(pos, att, lv, av, force, torque, mass, inertia,
-                                         com, tm, rm, dt):
+def test_step_f_matches_step_arrays(pos, att, lv, av, force, torque, mass, inertia,
+                                    com, tm, rm, dt):
     args = [pos, att, lv, av, force, torque, mass, inertia, com, tm, rm]
-    got = _step_single(*args, dt)
+    got = step_f(*args, dt)
     want = step_arrays(*(np.array(a, dtype=np.float64) for a in args), dt)
     for g, w in zip(got, want):
         assert all(type(c) is float for c in g)
         assert bits(g) == bits(w)
 
 
-def test_step_single_raises_on_divergence():
+def test_step_f_raises_on_divergence():
     args = [[1.7e308] * 3, [1.0, 0.0, 0.0, 0.0], [1e308] * 3, [0.0] * 3, [0.0] * 3, [0.0] * 3,
             9.5, [0.15, 0.14, 0.16], [0.0] * 3, [1.0] * 3, [1.0] * 3]
     with np.errstate(over="ignore"):
         new_pos = step_arrays(*(np.array(a, dtype=np.float64) for a in args), 0.5)[0]
     assert not np.isfinite(new_pos).all()
     with pytest.raises(SimulationDivergedError):
-        _step_single(*args, 0.5)
+        step_f(*args, 0.5)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from apiary import math3d as m3
-from apiary.actuation import ActuationLimits, Wrench
+from apiary.actuation import ActuationLimits
 from apiary.dynamics import RigidState, SimulationDivergedError, step_arrays
-from apiary.env import ORI_ERR, POS_ERR, EpisodeGoal, obs_norms, observe
+from apiary.env import ORI_ERR, POS_ERR, EpisodeGoal, obs_norms, observe_arrays
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init, policy_mean
 from apiary.mission import (
@@ -47,12 +47,20 @@ def origin_goal():
     return EpisodeGoal(np.zeros(3), m3.quat_identity())
 
 
+def obs_of(state, goal, body_frame=False):
+    """The 12-vector observation of one state against one goal."""
+    return observe_arrays(
+        state.position, state.attitude, state.lin_vel, state.ang_vel,
+        goal.position, goal.attitude, body_frame,
+    )
+
+
 # ------------------------------------------------------------- safety
 
 
 def monitor_norms(state, goal=None):
     """The four channel norms the flight loop hands the monitor."""
-    return obs_norms(observe(state, goal or origin_goal())).tolist()
+    return obs_norms(obs_of(state, goal or origin_goal())).tolist()
 
 
 def test_safety_check_counts_and_trips():
@@ -132,8 +140,10 @@ def test_fault_spec_validation():
 
 
 def test_mission_config_validation():
-    with pytest.raises(ValueError):
-        MissionConfig(dt=0.0)
+    for dt in (0.0, 0.6):
+        with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
+            MissionConfig(dt=dt)
+    MissionConfig(dt=0.5)
     with pytest.raises(ValueError):
         MissionConfig(pos_tol=0.0)
     with pytest.raises(ValueError):
@@ -184,14 +194,17 @@ def test_goal_dock_approach_standoff_in_dock_frame():
 # ------------------------------------------------------------- logging
 
 
-def log_row(t, state=None, commanded=None, applied=None, pos_err=(0, 0, 0), ori_err=(0, 0, 0)):
-    """One numeric log row in schema order from state and wrench objects."""
+NO_WRENCH = [0.0] * 6
+
+
+def log_row(t, state=None, commanded=NO_WRENCH, applied=NO_WRENCH, pos_err=(0, 0, 0),
+            ori_err=(0, 0, 0)):
+    """One numeric log row in schema order; the commanded and applied
+    wrenches are six numbers each, force then torque."""
     state = state or RigidState()
-    commanded = commanded or Wrench()
-    applied = applied or Wrench()
     return np.concatenate(
-        ([t], state.position, state.attitude, state.lin_vel, state.ang_vel, commanded.force,
-         commanded.torque, applied.force, applied.torque, pos_err, ori_err)
+        ([t], state.position, state.attitude, state.lin_vel, state.ang_vel, commanded,
+         applied, pos_err, ori_err)
     )
 
 
@@ -201,8 +214,8 @@ def make_log_rows(log, n=3):
             log_row(
                 k * DT,
                 RigidState(position=m3.vec3(0.1 * k, 0, 0)),
-                Wrench(m3.vec3(0.5, 0, 0), np.zeros(3)),
-                Wrench(m3.vec3(0.4, 0, 0), np.zeros(3)),
+                [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
                 m3.vec3(1.0 - 0.1 * k, 0, 0),
             ),
             ControlMode.BASELINE,
@@ -330,12 +343,14 @@ def test_run_maneuver_validation():
     bad = RigidState(position=m3.vec3(np.nan, 0, 0))
     with pytest.raises(ValueError, match="finite"):
         run_maneuver(bad, Maneuver("dock"), ControlMode.BASELINE, mc)
-    # dt is checked before the first tick is flown or logged
+    # a timeout under half a tick runs no ticks: rejected before anything is logged
     log = TrajectoryLog()
-    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
-        run_maneuver(RigidState(), Maneuver("dock"), ControlMode.BASELINE, MissionConfig(dt=0.6),
-                     log=log)
+    with pytest.raises(ValueError, match=r"maneuver index 3: timeout 0.001 s .* dt 0.016 s"):
+        run_maneuver(RigidState(), Maneuver("translate", 0, 0.5, timeout=0.001),
+                     ControlMode.BASELINE, mc, log=log, maneuver_index=3)
     assert len(log) == 0
+    assert run_maneuver(RigidState(), Maneuver("dock", timeout=0.01), ControlMode.BASELINE,
+                        mc)[1].ticks == 1
     # a state that overflows during propagation stops the flight
     fast = RigidState(position=m3.vec3(1.79e308, 0, 0), lin_vel=m3.vec3(1e308, 0, 0))
     with pytest.raises(SimulationDivergedError):
@@ -526,8 +541,8 @@ def hand_log():
             log_row(
                 t,
                 RigidState(position=pos),
-                Wrench(fc * 2, np.zeros(3)),
-                Wrench(fc, np.zeros(3)),
+                [*(fc * 2), 0.0, 0.0, 0.0],
+                [*fc, 0.0, 0.0, 0.0],
                 m3.vec3(1.0, 0, 0) - pos,
             ),
             ControlMode.BASELINE,
@@ -590,7 +605,7 @@ def _array_pd(state, goal, g):
 
 
 def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
-    """One maneuver flown tick by tick over arrays: env.observe, the
+    """One maneuver flown tick by tick over arrays: env.observe_arrays, the
     monitor, policy_mean or the PD law, np.clip + np.nan_to_num with the
     slew clamp, and step_arrays. Returns (final state, log)."""
     lim = mc.limits
@@ -607,7 +622,7 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
     cur, trip, armed, hold_goal, prev = mode, 0, False, None, None
     for k in range(int(round(maneuver.timeout / mc.dt))):
         meas = measured(state, k)
-        obs = observe(meas, goal)
+        obs = obs_of(meas, goal)
         if cur is ControlMode.RL_POLICY:
             decision, counter = safety_check(obs_norms(obs).tolist(), mc.safety, trip)
             armed = armed or counter == 0
@@ -683,12 +698,12 @@ def test_body_frame_policy_reads_body_frame_observation():
         mc = MissionConfig(body_frame_obs=body_frame)
         run_maneuver(start.copy(), man, ControlMode.RL_POLICY, mc, net=net, log=log)
         first_cmd[body_frame] = log.columns(["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
-        want = policy_mean(net, observe(start, goal, body_frame=body_frame)) * scale
+        want = policy_mean(net, obs_of(start, goal, body_frame=body_frame)) * scale
         assert first_cmd[body_frame].tobytes() == want.tobytes()
         # the logged errors stay world-frame either way
         np.testing.assert_array_equal(
             log.columns(["epx", "epy", "epz", "erx", "ery", "erz"])[0],
-            observe(start, goal)[:6],
+            obs_of(start, goal)[:6],
         )
     assert not np.array_equal(first_cmd[False], first_cmd[True])
 
