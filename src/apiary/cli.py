@@ -17,7 +17,7 @@ import shlex
 import sys
 
 from . import math3d as m3
-from .config import load_config, mission_config, set_value, write_snapshot
+from .config import load_config, set_value, write_snapshot
 from .dynamics import SimulationDivergedError
 from .learn.checkpoint import env_config_hash, load_policy
 from .learn.ppo import UpdateDivergedError
@@ -25,6 +25,7 @@ from .learn.train import evaluate_policy, train
 from .mission import (
     ControlMode,
     ManeuverMetrics,
+    MissionConfig,
     TrajectoryLog,
     parse_faults_file,
     parse_maneuver_spec,
@@ -110,6 +111,19 @@ def _snapshot(out_dir, cfg, argv: list[str]) -> None:
     )
 
 
+def _load_checkpoint(path, env_cfg):
+    """Load a policy; warn on stderr when it was trained under an
+    environment other than `env_cfg`, and go on."""
+    net, meta = load_policy(path)
+    if meta["env_hash"] != env_config_hash(env_cfg):
+        print(
+            "warning: checkpoint was trained under a different environment "
+            "configuration; running anyway",
+            file=sys.stderr,
+        )
+    return net
+
+
 def cmd_train(args, argv: list[str]) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -156,13 +170,9 @@ def _write_eval_outputs(out_dir, result) -> None:
 def cmd_eval(args, argv: list[str]) -> int:
     cfg = load_config(args.config)
     cfg = set_value(cfg, "env", "scenario", args.scenario)
-    net, meta = load_policy(args.ckpt)
-    if meta["env_hash"] != env_config_hash(cfg.env):
-        print(
-            "warning: checkpoint was trained under a different environment "
-            "configuration; evaluating anyway",
-            file=sys.stderr,
-        )
+    if args.episodes < 1:
+        raise CliError("--episodes must be >= 1")
+    net = _load_checkpoint(args.ckpt, cfg.env)
     workers = _resolve_workers(args.workers)
     seed = args.seed if args.seed is not None else cfg.seed
     log_sink = None
@@ -221,9 +231,9 @@ def _write_error_vs_time(path, log_rl: TrajectoryLog, log_pd: TrajectoryLog) -> 
 
 def cmd_compare(args, argv: list[str]) -> int:
     cfg = load_config(args.config)
-    net, _meta = load_policy(args.ckpt)
+    net = _load_checkpoint(args.ckpt, cfg.env)
     maneuver = parse_maneuver_spec(args.maneuver)
-    mc = mission_config(cfg)
+    mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     log_rl, log_pd, report = run_compare(maneuver, mc, net)
     os.makedirs(args.out, exist_ok=True)
     _snapshot(args.out, cfg, argv)
@@ -246,10 +256,10 @@ def cmd_compare(args, argv: list[str]) -> int:
 
 def cmd_replay(args, argv: list[str]) -> int:
     cfg = load_config(args.config)
-    net, _meta = load_policy(args.ckpt)
+    net = _load_checkpoint(args.ckpt, cfg.env)
     sequence = parse_sequence_file(args.sequence)
     faults = parse_faults_file(args.faults) if args.faults else None
-    mc = mission_config(cfg)
+    mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     result = run_sequence(sequence, ControlMode.RL_POLICY, mc, net=net, faults=faults)
     os.makedirs(args.out, exist_ok=True)
     _snapshot(args.out, cfg, argv)

@@ -19,7 +19,7 @@ from .baseline import PdGains
 from .dynamics import FULL_6DOF, GRANITE_3DOF, BodyParams
 from .env import EnvConfig, RewardWeights
 from .learn.ppo import PpoConfig
-from .mission import MissionConfig, SafetyThresholds
+from .mission import SafetyThresholds
 
 SCENARIOS = ("iss6dof", "granite3dof")
 
@@ -114,8 +114,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
 
 @dataclass
 class RunConfig:
-    body: BodyParams
-    limits: ActuationLimits
     env: EnvConfig
     reward: RewardWeights
     ppo: PpoConfig
@@ -249,8 +247,6 @@ def build_config(values: dict) -> RunConfig:
         s["trip_consecutive"],
     )
     return RunConfig(
-        body=body,
-        limits=limits,
         env=env_cfg,
         reward=reward,
         ppo=ppo,
@@ -269,24 +265,6 @@ def set_value(cfg: RunConfig, section: str, key: str, value) -> RunConfig:
     values = {s: dict(kv) for s, kv in cfg.raw.items()}
     values[section][key] = value
     return build_config(values)
-
-
-def mission_config(cfg: RunConfig) -> MissionConfig:
-    """Mission-layer settings derived from the run configuration."""
-    return MissionConfig(
-        body=cfg.body,
-        limits=cfg.limits,
-        safety=cfg.safety,
-        gains=cfg.gains,
-        dt=cfg.env.dt,
-        mask=cfg.env.mask,
-        pos_tol=cfg.env.success_pos_tol,
-        ori_tol=cfg.env.success_ori_tol,
-        vel_tol=cfg.env.success_vel_tol,
-        angvel_tol=cfg.env.success_angvel_tol,
-        hold_steps=cfg.env.hold_steps,
-        body_frame_obs=cfg.env.body_frame_obs,
-    )
 
 
 def write_snapshot(path, cfg: RunConfig, header_lines: list[str] | None = None) -> None:

@@ -15,6 +15,14 @@ the log, the monitor and the streak keep the world-frame errors.
 Running to timeout (instead of stopping at first tolerance entry) lets
 controllers settle fully, so final errors reflect steady state.
 
+`MissionConfig` bundles what a flight reads: the `EnvConfig` the policy
+was trained in, the safety thresholds and the PD gains. The flight takes
+its vehicle, actuation limits, control period, DOF mask, success test
+and observation frame from that `EnvConfig`, so it flies what training
+simulated. Dock maneuvers succeed inside the fixed `DOCK_POS_TOL`
+(0.02 m) and `DOCK_ORI_TOL` (2 degrees) in place of the env's position
+and attitude tolerances.
+
 The tick holds the true state as four lists of Python floats from
 maneuver entry to exit and runs on the single-state kernels: `math3d`'s
 `*_f` functions, `baseline.pd_wrench_f`, `actuation.clamp_axes` and
@@ -46,15 +54,16 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import math3d as m3
-from .actuation import ActuationLimits, clamp_axes
+from .actuation import clamp_axes
 from .baseline import PdGains, pd_wrench_f
-from .dynamics import FULL_6DOF, BodyParams, DofMask, RigidState, step_f
-from .env import EpisodeGoal
+from .dynamics import RigidState, step_f
+from .env import EnvConfig, EpisodeGoal
 from .learn.nets import PolicyNet, policy_mean
 
 LOG_COLUMNS = [
@@ -73,6 +82,11 @@ LOG_COLUMNS = [
 ]
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
+# dock and dock_approach succeed inside these tolerances; the approach
+# goal stands DOCK_STANDOFF meters off the dock along the dock frame's +X
+DOCK_POS_TOL = 0.02
+DOCK_ORI_TOL = float(np.deg2rad(2.0))
+DOCK_STANDOFF = 0.3
 MANEUVER_KINDS = ("translate", "rotate", "goto_pose", "dock_approach", "dock")
 
 
@@ -110,6 +124,8 @@ class Maneuver:
     def __post_init__(self) -> None:
         if self.kind not in MANEUVER_KINDS:
             raise ValueError(f"unknown maneuver kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.magnitude, self.timeout, *(self.pose or ())))):
+            raise ValueError("magnitude, timeout and pose must be finite")
         if self.timeout <= 0.0:
             raise ValueError("timeout must be positive")
         if self.kind in ("translate", "rotate"):
@@ -140,32 +156,12 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class MissionConfig:
-    body: BodyParams = field(default_factory=BodyParams)
-    limits: ActuationLimits = field(default_factory=ActuationLimits)
+    """What a flight reads: the trained environment, the monitor's
+    thresholds and the PD gains (see the module docstring)."""
+
+    env: EnvConfig = field(default_factory=EnvConfig)
     safety: SafetyThresholds = field(default_factory=SafetyThresholds)
     gains: PdGains = field(default_factory=PdGains)
-    dt: float = 0.016
-    mask: DofMask = FULL_6DOF
-    pos_tol: float = 0.05
-    ori_tol: float = np.deg2rad(5.0)
-    vel_tol: float = 0.05
-    angvel_tol: float = 0.05
-    hold_steps: int = 25
-    dock_pos_tol: float = 0.02
-    dock_ori_tol: float = np.deg2rad(2.0)
-    dock_standoff: float = 0.3
-    body_frame_obs: bool = False  # the policy reads the body-frame observation
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dt <= 0.5:
-            raise ValueError(f"dt must be in (0, 0.5], got {self.dt}")
-        if self.hold_steps < 1:
-            raise ValueError("hold_steps must be >= 1")
-        if min(
-            self.pos_tol, self.ori_tol, self.vel_tol, self.angvel_tol,
-            self.dock_pos_tol, self.dock_ori_tol, self.dock_standoff,
-        ) <= 0.0:
-            raise ValueError("tolerances and standoff must be positive")
 
 
 class TrajectoryLog:
@@ -304,12 +300,12 @@ def safety_check(
 
 
 def goal_for_maneuver(
-    maneuver: Maneuver, entry: EpisodeGoal, dock_pose: EpisodeGoal, mc: MissionConfig
+    maneuver: Maneuver, entry: EpisodeGoal, dock_pose: EpisodeGoal
 ) -> EpisodeGoal:
     """Resolve a maneuver to an absolute goal pose.
 
     translate/rotate are relative to the entry pose; dock kinds target the
-    dock pose (approach offset by dock_standoff along the dock frame +X);
+    dock pose (approach offset by DOCK_STANDOFF along the dock frame +X);
     goto_pose is absolute.
     """
     if maneuver.kind == "translate":
@@ -325,7 +321,7 @@ def goal_for_maneuver(
         pose = np.asarray(maneuver.pose, dtype=np.float64)
         return EpisodeGoal(pose[:3], m3.quat_normalize(pose[3:]))
     if maneuver.kind == "dock_approach":
-        standoff = m3.quat_rotate(dock_pose.attitude, m3.vec3(mc.dock_standoff, 0.0, 0.0))
+        standoff = m3.quat_rotate(dock_pose.attitude, m3.vec3(DOCK_STANDOFF, 0.0, 0.0))
         return EpisodeGoal(dock_pose.position + standoff, dock_pose.attitude.copy())
     # dock
     return dock_pose.copy()
@@ -368,7 +364,8 @@ def run_maneuver(
         raise ValueError("RL_POLICY mode needs a loaded policy")
     if not state.is_finite():
         raise ValueError("non-finite entry state")
-    dt = mc.dt
+    env = mc.env
+    dt = env.dt
     n_ticks = _maneuver_ticks(maneuver, maneuver_index, dt)
     if log is None:
         log = TrajectoryLog()
@@ -384,18 +381,20 @@ def run_maneuver(
     entry = EpisodeGoal(np.array(entry_pos), state.attitude.copy())
     if dock_pose is None:
         dock_pose = entry
-    goal = goal_for_maneuver(maneuver, entry, dock_pose, mc)
+    goal = goal_for_maneuver(maneuver, entry, dock_pose)
     goal_pos, goal_att = goal.position.tolist(), goal.attitude.tolist()
 
     if maneuver.kind in ("dock", "dock_approach"):
-        pos_tol, ori_tol = mc.dock_pos_tol, mc.dock_ori_tol
+        pos_tol, ori_tol = DOCK_POS_TOL, DOCK_ORI_TOL
     else:
-        pos_tol, ori_tol = mc.pos_tol, mc.ori_tol
+        pos_tol, ori_tol = env.success_pos_tol, env.success_ori_tol
+    vel_tol, angvel_tol = env.success_vel_tol, env.success_angvel_tol
+    body_frame_obs, hold_steps = env.body_frame_obs, env.hold_steps
 
-    lim, gains = mc.limits, mc.gains
-    body, quat_error_f, vec_norm_f = mc.body, m3.quat_error_f, m3.vec_norm_f
+    lim, gains, safety = env.limits, mc.gains, mc.safety
+    body, quat_error_f, vec_norm_f = env.body, m3.quat_error_f, m3.vec_norm_f
     mass, inertia, com = float(body.mass), body.inertia_diag.tolist(), body.com_offset.tolist()
-    tmask, rmask = mc.mask.translation_floats().tolist(), mc.mask.rotation_floats().tolist()
+    tmask, rmask = env.mask.translation_floats().tolist(), env.mask.rotation_floats().tolist()
     cur_mode = mode
     trip_count = 0
     armed = False
@@ -414,7 +413,7 @@ def run_maneuver(
         if cur_mode is ControlMode.RL_POLICY:
             # the monitor arms on the first tick inside the envelope; until
             # then a violating tick neither counts nor trips
-            decision, counter = safety_check(norms, mc.safety, trip_count)
+            decision, counter = safety_check(norms, safety, trip_count)
             armed = armed or counter == 0
             if armed:
                 trip_count = counter
@@ -428,7 +427,7 @@ def run_maneuver(
                 att, lv, av, gains,
             )
         elif cur_mode is ControlMode.RL_POLICY:
-            if mc.body_frame_obs:
+            if body_frame_obs:
                 obs = (m3.quat_rotate_inv_f(att, pos_err) + m3.quat_rotate_inv_f(att, ori_err)
                        + m3.quat_rotate_inv_f(att, lv) + av)
             else:
@@ -452,8 +451,8 @@ def run_maneuver(
             cur_mode is not ControlMode.HOLD_FALLBACK
             and pe <= pos_tol
             and oe <= ori_tol
-            and speed <= mc.vel_tol
-            and rate <= mc.angvel_tol
+            and speed <= vel_tol
+            and rate <= angvel_tol
         ):
             if streak == 0:
                 streak_start = k
@@ -469,7 +468,7 @@ def run_maneuver(
 
     if cur_mode is ControlMode.HOLD_FALLBACK:
         outcome = "fallback_triggered"
-    elif streak >= mc.hold_steps:
+    elif streak >= hold_steps:
         outcome = "success"
     else:
         outcome = "timeout"
@@ -534,11 +533,11 @@ def run_sequence(
     if not sequence:
         raise ValueError("sequence must not be empty")
     for i, man in enumerate(sequence):
-        _maneuver_ticks(man, i, mc.dt)
+        _maneuver_ticks(man, i, mc.env.dt)
     state = start_state.copy() if start_state is not None else RigidState()
     dock_pose = EpisodeGoal(state.position.copy(), state.attitude.copy())
     log = TrajectoryLog()
-    fault_by_index = _faults_by_maneuver(sequence, faults or [], mc.dt)
+    fault_by_index = _faults_by_maneuver(sequence, faults or [], mc.env.dt)
     outcomes: list[ManeuverOutcome] = []
     tick = 0
     paused = False
@@ -697,7 +696,6 @@ def run_compare(
         maneuver,
         EpisodeGoal(entry.position.copy(), entry.attitude.copy()),
         EpisodeGoal(entry.position.copy(), entry.attitude.copy()),
-        mc,
     )
     meta = {
         "kind": maneuver.kind,
@@ -710,7 +708,8 @@ def run_compare(
     log_pd = TrajectoryLog(meta)
     run_maneuver(entry.copy(), maneuver, ControlMode.RL_POLICY, mc, net=net, log=log_rl)
     run_maneuver(entry.copy(), maneuver, ControlMode.BASELINE, mc, log=log_pd)
-    report = compare_metrics(log_rl, log_pd, mc.pos_tol, mc.ori_tol, mc.dt)
+    env = mc.env
+    report = compare_metrics(log_rl, log_pd, env.success_pos_tol, env.success_ori_tol, env.dt)
     return log_rl, log_pd, report
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from apiary import math3d as m3
 from apiary.cli import main as cli_main
-from apiary.config import load_config, mission_config
+from apiary.config import load_config
 from apiary.dynamics import (
     GRANITE_3DOF,
     BodyParams,
@@ -31,6 +31,7 @@ from apiary.learn.ppo import _minibatch_grads, gae, minibatch_loss
 from apiary.mission import (
     ControlMode,
     Maneuver,
+    MissionConfig,
     TrajectoryLog,
     parse_faults_file,
     parse_sequence_file,
@@ -245,7 +246,8 @@ def test_gae_matches_discounted_sums():
 
 
 def test_pd_completes_undock_translation():
-    mc = mission_config(load_config())
+    cfg = load_config()
+    mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     log = TrajectoryLog()
     state = RigidState()
     man = Maneuver("translate", 0, 0.5, 30.0)
@@ -332,7 +334,8 @@ def test_mass_randomization_improves_robustness(default_training, norand_trainin
 
 
 def test_stock_sequence_replay_and_fault_recovery():
-    mc = mission_config(load_config())
+    cfg = load_config()
+    mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     net, _ = load_policy(ASSETS / "reference_policy.ckpt")
     seq = parse_sequence_file(ASSETS / "stock_sequence.txt")
     assert seq == stock_sequence()  # the shipped file is the stock eight

@@ -15,6 +15,11 @@ from apiary.mission import ControlMode, TrajectoryLog
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 REFERENCE_CKPT = ASSETS / "reference_policy.ckpt"
 RECIPE = ASSETS / "reference_training_config.ini"
+# the reference policy was trained under RECIPE, not under the defaults
+MISMATCH = (
+    "warning: checkpoint was trained under a different environment "
+    "configuration; running anyway\n"
+)
 
 TINY_CONFIG = """\
 [env]
@@ -385,7 +390,7 @@ def test_replay_rejects_fault_that_never_fires(tmp_path, capsys, after_stock_fau
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(MISMATCH + "error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -449,7 +454,9 @@ def test_maneuver_of_zero_ticks_exits_1(tmp_path, capsys, command):
     }[command]
     assert main([command, "--ckpt", str(REFERENCE_CKPT), "--out", str(out)] + args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: maneuver index 0: timeout 0.001 s rounds to 0 ticks at dt 0.016 s")
+    assert err.startswith(
+        MISMATCH + "error: maneuver index 0: timeout 0.001 s rounds to 0 ticks at dt 0.016 s"
+    )
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -466,5 +473,77 @@ def test_replay_rejects_zero_tick_maneuver_before_flying(tmp_path, capsys, fault
             "--faults", str(faults), "--out", str(out)]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: maneuver index 1: timeout 0.001 s rounds to 0 ticks at dt 0.016 s")
+    assert err.startswith(
+        MISMATCH + "error: maneuver index 1: timeout 0.001 s rounds to 0 ticks at dt 0.016 s"
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["translate:x:0.5:inf", "translate:x:0.5:nan", "translate:x:inf:5",
+     "goto_pose:nan:0:0:1:0:0:0:5", "sequence"],
+)
+def test_non_finite_maneuver_numbers_exit_1(tmp_path, capsys, spec):
+    out = tmp_path / "out"
+    if spec == "sequence":
+        seq = tmp_path / "seq.txt"
+        seq.write_text("translate x 0.5 30\ntranslate x 0.5 inf\n")
+        args = ["replay", "--sequence", str(seq)]
+        where = f"{seq}:2: "
+    else:
+        args = ["compare", "--maneuver", spec]
+        where = "<maneuver spec>:0: "
+    assert main(args + ["--ckpt", str(REFERENCE_CKPT), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {where}bad number in maneuver: magnitude, timeout and pose must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_bad_episode_count_makes_no_directory(tmp_path, capsys):
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    rc = main(
+        ["eval", "--ckpt", str(REFERENCE_CKPT), "--scenario", "iss6dof", "--episodes", "0",
+         "--logs", str(logs), "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--episodes must be >= 1" in err and "Traceback" not in err
+    assert not logs.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "replay"])
+def test_flight_warns_on_env_mismatch(tmp_path, capsys, command):
+    # compare and replay check the checkpoint's env hash as eval does
+    seq = tmp_path / "seq.txt"
+    seq.write_text("rotate z 90 3\n")
+    args = {
+        "compare": ["--maneuver", "rotate:z:90:3"],
+        "replay": ["--sequence", str(seq)],
+    }[command]
+    body = tmp_path / "body.ini"
+    body.write_text("[env]\nbody_frame_obs = true\n")
+    for config, warns in ((body, True), (RECIPE, False)):
+        out = tmp_path / config.stem
+        rc = main([command, "--config", str(config), "--ckpt", str(REFERENCE_CKPT),
+                   "--out", str(out)] + args)
+        assert rc == 0
+        assert ("different environment" in capsys.readouterr().err) is warns
+
+
+def test_compare_flies_the_config_vehicle(tmp_path):
+    # the flight reads [actuation] and [env] from the INI: the control
+    # period and the actuator limit the env was configured with
+    ini = tmp_path / "slow.ini"
+    ini.write_text("[actuation]\nf_max = 0.2\n\n[env]\ndt = 0.02\n")
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", str(ini), "--ckpt", str(REFERENCE_CKPT),
+               "--maneuver", "translate:x:0.5:5", "--out", str(out)])
+    assert rc == 0
+    log = TrajectoryLog.read_csv(out / "baseline_trajectory.csv")
+    t = log.column("t")
+    assert len(t) == 250
+    np.testing.assert_array_equal(t, np.arange(250) * 0.02)
+    applied = np.abs(log.columns(["Fcx", "Fcy", "Fcz"]))
+    assert applied.max() == 0.2 and np.all(applied <= 0.2)

@@ -6,7 +6,6 @@ import pytest
 from apiary.config import (
     RunConfig,
     load_config,
-    mission_config,
     set_value,
     write_snapshot,
 )
@@ -22,8 +21,8 @@ def test_defaults_without_file():
     assert cfg.env.episode_len == 1875
     assert cfg.env.hold_steps == 25
     assert cfg.env.dt == 0.016
-    assert cfg.body.mass == 9.5
-    assert cfg.limits.f_max == 0.4 and cfg.limits.tau_max == 0.1
+    assert cfg.env.body.mass == 9.5
+    assert cfg.env.limits.f_max == 0.4 and cfg.env.limits.tau_max == 0.1
     assert cfg.ppo.total_env_steps == 3_000_000
     assert cfg.ppo.hidden == (64, 64)
     assert cfg.reward.w_pos == 10.0 and cfg.reward.bonus_success == 20.0
@@ -108,21 +107,6 @@ def test_set_value_returns_new_config():
     assert cfg.ppo.n_envs == 64, "original must be untouched"
     with pytest.raises(ValueError, match="unknown config entry"):
         set_value(cfg, "ppo", "momentum", 0.9)
-
-
-def test_mission_config_mapping():
-    cfg = load_config()
-    mc = mission_config(cfg)
-    assert mc.dt == cfg.env.dt
-    assert mc.pos_tol == cfg.env.success_pos_tol
-    assert mc.ori_tol == cfg.env.success_ori_tol
-    assert mc.hold_steps == cfg.env.hold_steps
-    assert mc.gains == cfg.gains
-    assert mc.safety == cfg.safety
-    assert mc.mask == cfg.env.mask
-    assert mc.body == cfg.body
-    assert mc.body_frame_obs is False
-    assert mission_config(set_value(cfg, "env", "body_frame_obs", True)).body_frame_obs is True
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -9,10 +9,12 @@ import pytest
 from apiary import math3d as m3
 from apiary.actuation import ActuationLimits
 from apiary.dynamics import RigidState, SimulationDivergedError, step_arrays
-from apiary.env import ORI_ERR, POS_ERR, EpisodeGoal, obs_norms, observe_arrays
+from apiary.env import ORI_ERR, POS_ERR, EnvConfig, EpisodeGoal, obs_norms, observe_arrays
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init, policy_mean
 from apiary.mission import (
+    DOCK_POS_TOL,
+    DOCK_STANDOFF,
     LOG_COLUMNS,
     ControlMode,
     FaultSpec,
@@ -126,6 +128,14 @@ def test_maneuver_validation():
         Maneuver("translate", axis=0, timeout=0.0)
     with pytest.raises(ValueError):
         Maneuver("goto_pose", pose=(1.0, 2.0))
+    for bad in (
+        dict(kind="translate", axis=0, magnitude=np.inf),
+        dict(kind="rotate", axis=2, magnitude=0.1, timeout=np.nan),
+        dict(kind="dock", timeout=np.inf),
+        dict(kind="goto_pose", pose=(np.nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            Maneuver(**bad)
     Maneuver("dock")  # no extra args needed
 
 
@@ -139,23 +149,12 @@ def test_fault_spec_validation():
         FaultSpec(0, 0, np.array([np.nan, 0.0, 0.0]))
 
 
-def test_mission_config_validation():
-    for dt in (0.0, 0.6):
-        with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
-            MissionConfig(dt=dt)
-    MissionConfig(dt=0.5)
-    with pytest.raises(ValueError):
-        MissionConfig(pos_tol=0.0)
-    with pytest.raises(ValueError):
-        MissionConfig(hold_steps=0)
-
-
 # ------------------------------------------------------------- goals
 
 
 def test_goal_translate():
     entry = EpisodeGoal(m3.vec3(1.0, 2.0, 3.0), m3.quat_from_rotvec(m3.vec3(0.1, 0, 0)))
-    goal = goal_for_maneuver(Maneuver("translate", 1, -0.5), entry, entry, MissionConfig())
+    goal = goal_for_maneuver(Maneuver("translate", 1, -0.5), entry, entry)
     np.testing.assert_array_equal(goal.position, [1.0, 1.5, 3.0])
     np.testing.assert_array_equal(goal.attitude, entry.attitude)
 
@@ -163,7 +162,7 @@ def test_goal_translate():
 def test_goal_rotate_composes_with_entry():
     entry = EpisodeGoal(np.zeros(3), m3.quat_identity())
     ang = np.deg2rad(20.0)
-    goal = goal_for_maneuver(Maneuver("rotate", 2, ang), entry, entry, MissionConfig())
+    goal = goal_for_maneuver(Maneuver("rotate", 2, ang), entry, entry)
     np.testing.assert_allclose(
         goal.attitude, m3.quat_from_rotvec(m3.vec3(0, 0, ang)), atol=1e-15
     )
@@ -173,21 +172,20 @@ def test_goal_rotate_composes_with_entry():
 def test_goal_goto_pose_normalizes():
     entry = origin_goal()
     man = Maneuver("goto_pose", pose=(1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0))
-    goal = goal_for_maneuver(man, entry, entry, MissionConfig())
+    goal = goal_for_maneuver(man, entry, entry)
     np.testing.assert_array_equal(goal.attitude, m3.quat_identity())
     np.testing.assert_array_equal(goal.position, [1.0, 0.0, 0.0])
 
 
 def test_goal_dock_approach_standoff_in_dock_frame():
-    mc = MissionConfig()
     yaw90 = m3.quat_from_rotvec(m3.vec3(0, 0, np.pi / 2))
     dock = EpisodeGoal(m3.vec3(1.0, 1.0, 0.0), yaw90)
     entry = EpisodeGoal(m3.vec3(9.0, 9.0, 9.0), m3.quat_identity())
-    goal = goal_for_maneuver(Maneuver("dock_approach"), entry, dock, mc)
+    goal = goal_for_maneuver(Maneuver("dock_approach"), entry, dock)
     # dock frame +X points along world +Y after the 90 degree yaw
-    np.testing.assert_allclose(goal.position, [1.0, 1.0 + mc.dock_standoff, 0.0], atol=1e-15)
+    np.testing.assert_allclose(goal.position, [1.0, 1.0 + DOCK_STANDOFF, 0.0], atol=1e-15)
     np.testing.assert_array_equal(goal.attitude, yaw90)
-    direct = goal_for_maneuver(Maneuver("dock"), entry, dock, mc)
+    direct = goal_for_maneuver(Maneuver("dock"), entry, dock)
     np.testing.assert_array_equal(direct.position, dock.position)
 
 
@@ -518,7 +516,7 @@ def test_run_sequence_dock_targets_entry_pose():
     start = RigidState(position=m3.vec3(1.0, -2.0, 0.5))
     res = run_sequence(seq, ControlMode.BASELINE, mc, start_state=start)
     assert [o.outcome for o in res.outcomes] == ["success", "success"]
-    np.testing.assert_allclose(res.final_state.position, start.position, atol=mc.dock_pos_tol)
+    np.testing.assert_allclose(res.final_state.position, start.position, atol=DOCK_POS_TOL)
 
 
 def test_run_sequence_rejects_empty():
@@ -608,7 +606,8 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
     """One maneuver flown tick by tick over arrays: env.observe_arrays, the
     monitor, policy_mean or the PD law, np.clip + np.nan_to_num with the
     slew clamp, and step_arrays. Returns (final state, log)."""
-    lim = mc.limits
+    env = mc.env
+    lim = env.limits
     start = 0 if fault is None else fault.start_tick
 
     def measured(st, k):
@@ -617,10 +616,10 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
 
     entry = measured(state, 0)
     entry_goal = EpisodeGoal(entry.position, entry.attitude)
-    goal = goal_for_maneuver(maneuver, entry_goal, entry_goal, mc)
+    goal = goal_for_maneuver(maneuver, entry_goal, entry_goal)
     log = TrajectoryLog()
     cur, trip, armed, hold_goal, prev = mode, 0, False, None, None
-    for k in range(int(round(maneuver.timeout / mc.dt))):
+    for k in range(int(round(maneuver.timeout / env.dt))):
         meas = measured(state, k)
         obs = obs_of(meas, goal)
         if cur is ControlMode.RL_POLICY:
@@ -641,20 +640,20 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
         f = np.clip(force, -lim.f_max, lim.f_max)
         tq = np.clip(torque, -lim.tau_max, lim.tau_max)
         if prev is not None:
-            df, dtq = lim.force_rate * mc.dt, lim.torque_rate * mc.dt
+            df, dtq = lim.force_rate * env.dt, lim.torque_rate * env.dt
             f = prev[0] + np.clip(f - prev[0], -df, df)
             tq = prev[1] + np.clip(tq - prev[1], -dtq, dtq)
         f = np.nan_to_num(f, nan=0.0, posinf=lim.f_max, neginf=-lim.f_max)
         tq = np.nan_to_num(tq, nan=0.0, posinf=lim.tau_max, neginf=-lim.tau_max)
         row = np.concatenate(
-            ([k * mc.dt], meas.position, meas.attitude, meas.lin_vel, meas.ang_vel,
+            ([k * env.dt], meas.position, meas.attitude, meas.lin_vel, meas.ang_vel,
              force, torque, f, tq, obs[POS_ERR], obs[ORI_ERR])
         )
         log.append(row.tolist(), cur, 0)
         state = RigidState(*step_arrays(
             state.position, state.attitude, state.lin_vel, state.ang_vel, f, tq,
-            mc.body.mass, mc.body.inertia_diag, mc.body.com_offset,
-            mc.mask.translation_floats(), mc.mask.rotation_floats(), mc.dt,
+            env.body.mass, env.body.inertia_diag, env.body.com_offset,
+            env.mask.translation_floats(), env.mask.rotation_floats(), env.dt,
         ))
         prev = (f, tq)
     return state, log
@@ -662,7 +661,7 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
 
 @pytest.mark.parametrize("mode", [ControlMode.RL_POLICY, ControlMode.BASELINE])
 def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
-    mc = MissionConfig(limits=ActuationLimits(force_rate=0.5, torque_rate=0.2))
+    mc = MissionConfig(EnvConfig(limits=ActuationLimits(force_rate=0.5, torque_rate=0.2)))
     man = parse_maneuver_spec("translate:x:0.5:30")
     fault = FaultSpec(0, 1000, m3.vec3(0.5, 0.0, 0.0))
     net, _ = load_policy(REFERENCE_CKPT)
@@ -677,7 +676,7 @@ def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
         assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes()
     # the slew clamp binds on some ticks: applied force differs from the
     # magnitude-clamped command
-    commanded = np.clip(log.columns(["Fx", "Fy", "Fz"]), -mc.limits.f_max, mc.limits.f_max)
+    commanded = np.clip(log.columns(["Fx", "Fy", "Fz"]), -mc.env.limits.f_max, mc.env.limits.f_max)
     assert np.any(log.columns(["Fcx", "Fcy", "Fcz"]) != commanded)
     if mode is ControlMode.RL_POLICY:
         assert out.outcome == "fallback_triggered"
@@ -689,13 +688,13 @@ def test_body_frame_policy_reads_body_frame_observation():
     start = RigidState(attitude=m3.quat_from_rotvec(m3.vec3(0.2, -0.4, 0.7)))
     man = Maneuver("translate", 1, 0.3, timeout=1.0)
     entry = EpisodeGoal(start.position, start.attitude)
-    goal = goal_for_maneuver(man, entry, entry, MissionConfig())
-    lim = MissionConfig().limits
+    goal = goal_for_maneuver(man, entry, entry)
+    lim = EnvConfig().limits
     scale = np.array([lim.f_max] * 3 + [lim.tau_max] * 3)
     first_cmd = {}
     for body_frame in (False, True):
         log = TrajectoryLog()
-        mc = MissionConfig(body_frame_obs=body_frame)
+        mc = MissionConfig(EnvConfig(body_frame_obs=body_frame))
         run_maneuver(start.copy(), man, ControlMode.RL_POLICY, mc, net=net, log=log)
         first_cmd[body_frame] = log.columns(["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
         want = policy_mean(net, obs_of(start, goal, body_frame=body_frame)) * scale
