@@ -55,11 +55,14 @@ def run_single_env(benv, action):
             return rewards, finished[0]
 
 
-def test_env_config_validation():
+def test_env_config_dt_range():
     for dt in (0.0, 0.6):
         with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
             EnvConfig(dt=dt)
     EnvConfig(dt=0.5)
+
+
+def test_env_config_validation():
     for tol in ("success_pos_tol", "success_ori_tol", "success_vel_tol", "success_angvel_tol"):
         with pytest.raises(ValueError, match="success tolerances must be positive"):
             EnvConfig(**{tol: 0.0})

@@ -8,6 +8,7 @@ import pytest
 
 from apiary import math3d as m3
 from apiary.actuation import ActuationLimits
+from apiary.baseline import PdGains
 from apiary.dynamics import RigidState, SimulationDivergedError, step_arrays
 from apiary.env import ORI_ERR, POS_ERR, EnvConfig, EpisodeGoal, obs_norms, observe_arrays
 from apiary.learn.checkpoint import load_policy
@@ -137,6 +138,22 @@ def test_maneuver_validation():
         with pytest.raises(ValueError, match="must be finite"):
             Maneuver(**bad)
     Maneuver("dock")  # no extra args needed
+
+
+def test_mission_config_validation():
+    # MissionConfig holds only parts that check themselves when built
+    for dt in (0.0, 0.6):
+        with pytest.raises(ValueError, match=r"dt must be in \(0, 0.5\]"):
+            MissionConfig(EnvConfig(dt=dt))
+    MissionConfig(EnvConfig(dt=0.5))
+    with pytest.raises(ValueError, match="success tolerances must be positive"):
+        MissionConfig(EnvConfig(success_pos_tol=0.0))
+    with pytest.raises(ValueError, match="hold_steps"):
+        MissionConfig(EnvConfig(hold_steps=0))
+    with pytest.raises(ValueError, match="trip_consecutive"):
+        MissionConfig(safety=SafetyThresholds(trip_consecutive=0))
+    with pytest.raises(ValueError, match="damping"):
+        MissionConfig(gains=PdGains(kp_pos=1.0, kd_pos=0.0))
 
 
 def test_fault_spec_validation():
