@@ -17,7 +17,7 @@ import shlex
 import sys
 
 from . import math3d as m3
-from .config import load_config, set_value, write_snapshot
+from .config import SCENARIOS, load_config, set_value, write_snapshot
 from .dynamics import SimulationDivergedError
 from .learn.checkpoint import env_config_hash, load_policy
 from .learn.ppo import UpdateDivergedError
@@ -77,12 +77,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _resolve_workers(flag: int | None) -> int:
@@ -146,7 +140,7 @@ def _write_eval_outputs(out_dir, result) -> None:
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(SUMMARY_FIELDS)
-        w.writerow([_fmt(result.summary[k]) for k in SUMMARY_FIELDS])
+        w.writerow([result.summary[k] for k in SUMMARY_FIELDS])
     with open(os.path.join(out_dir, "episodes.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(EPISODE_FIELDS)
@@ -157,12 +151,12 @@ def _write_eval_outputs(out_dir, result) -> None:
                     int(rec["success"]),
                     rec["reason"],
                     rec["steps"],
-                    _fmt(rec["episode_return"]),
-                    _fmt(rec["final_pos_err"]),
-                    _fmt(rec["final_ori_err"]),
-                    _fmt(rec["final_lin_vel"]),
-                    _fmt(rec["final_ang_vel"]),
-                    _fmt(rec["settle_time"]),
+                    rec["episode_return"],
+                    rec["final_pos_err"],
+                    rec["final_ori_err"],
+                    rec["final_lin_vel"],
+                    rec["final_ang_vel"],
+                    rec["settle_time"],
                 ]
             )
 
@@ -186,7 +180,7 @@ def cmd_eval(args, argv: list[str]) -> int:
 
     result = evaluate_policy(net, cfg.env, cfg.reward, args.episodes, seed, workers, log_sink)
     print(",".join(SUMMARY_FIELDS))
-    print(",".join(_fmt(result.summary[k]) for k in SUMMARY_FIELDS))
+    print(",".join(str(result.summary[k]) for k in SUMMARY_FIELDS))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _snapshot(args.out, cfg, argv)
@@ -202,15 +196,15 @@ def _write_metrics_csv(path, report) -> None:
             w.writerow(
                 [
                     name,
-                    _fmt(getattr(report.rl, name)),
-                    _fmt(getattr(report.baseline, name)),
-                    _fmt(report.diff[name]),
+                    getattr(report.rl, name),
+                    getattr(report.baseline, name),
+                    report.diff[name],
                 ]
             )
         for axis, label in enumerate(("x", "y", "z")):
             rl_v = float(report.rl.final_pos_err_axes[axis])
             b_v = float(report.baseline.final_pos_err_axes[axis])
-            w.writerow([f"final_pos_err_{label}", _fmt(rl_v), _fmt(b_v), _fmt(rl_v - b_v)])
+            w.writerow([f"final_pos_err_{label}", rl_v, b_v, rl_v - b_v])
 
 
 def _write_error_vs_time(path, log_rl: TrajectoryLog, log_pd: TrajectoryLog) -> None:
@@ -222,11 +216,7 @@ def _write_error_vs_time(path, log_rl: TrajectoryLog, log_pd: TrajectoryLog) -> 
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "rl_pos_err", "rl_ori_err", "baseline_pos_err", "baseline_ori_err"])
-        for k in range(len(t)):
-            w.writerow(
-                [_fmt(float(t[k])), _fmt(float(rl_pe[k])), _fmt(float(rl_oe[k])),
-                 _fmt(float(pd_pe[k])), _fmt(float(pd_oe[k]))]
-            )
+        w.writerows(zip(*(a.tolist() for a in (t, rl_pe, rl_oe, pd_pe, pd_oe))))
 
 
 def cmd_compare(args, argv: list[str]) -> int:
@@ -273,9 +263,9 @@ def cmd_replay(args, argv: list[str]) -> int:
                     out.kind,
                     out.outcome,
                     out.ticks,
-                    _fmt(out.settle_time),
-                    _fmt(out.final_pos_err),
-                    _fmt(out.final_ori_err),
+                    out.settle_time,
+                    out.final_pos_err,
+                    out.final_ori_err,
                     out.end_mode,
                     out.note,
                 ]
@@ -303,7 +293,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on seeded episodes")
     p.add_argument("--config", default=None)
     p.add_argument("--ckpt", required=True, help="policy checkpoint path")
-    p.add_argument("--scenario", required=True, choices=("iss6dof", "granite3dof"))
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--episodes", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--logs", default=None, help="directory for per-episode trajectories")

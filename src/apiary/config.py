@@ -5,12 +5,23 @@ configuration; unknown sections or keys are rejected with the file and
 location named, so typos fail loudly instead of silently running with
 defaults. Angles are radians in the file. The resolved configuration can
 be written back out as a snapshot that reloads to the identical setup.
+
+Every default lives in the dataclass the section builds. `[actuation]`,
+`[reward]`, `[ppo]`, `[baseline_gains]` and `[safety]` mirror
+`ActuationLimits`, `RewardWeights`, `PpoConfig`, `PdGains` and
+`SafetyThresholds` field for field: their keys, kinds and defaults are
+read from `dataclasses.fields`, and each is built as `cls(**section)`.
+`[body]` and `[env]` list their keys by hand, because they split
+`BodyParams`/`EnvConfig` vectors into `_x/_y/_z` keys, `mass_range` into
+`mass_min`/`mass_max`, and pick the DOF mask by `scenario`; their scalar
+keys still take the class's default, and only the vector keys, whose
+fields default through a factory, hold literals here.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,94 +32,72 @@ from .env import EnvConfig, RewardWeights
 from .learn.ppo import PpoConfig
 from .mission import SafetyThresholds
 
-SCENARIOS = ("iss6dof", "granite3dof")
+_SCENARIO_MASKS = {"iss6dof": FULL_6DOF, "granite3dof": GRANITE_3DOF}
+SCENARIOS = tuple(_SCENARIO_MASKS)
 
-_DEG5 = float(np.deg2rad(5.0))
 _DEG30 = float(np.deg2rad(30.0))
+# [env] keys passed to EnvConfig under their own names
+_ENV_SCALARS = (
+    "episode_len",
+    "success_pos_tol",
+    "success_ori_tol",
+    "success_vel_tol",
+    "success_angvel_tol",
+    "hold_steps",
+    "oob_radius",
+    "dt",
+    "body_frame_obs",
+)
 
-# section -> key -> (kind, default). kinds: float, int, bool, str, intlist.
+
+def _entry(default) -> tuple[str, object]:
+    """(kind, default) of one key; the kind follows the default's type.
+    kinds: float, int, bool, intlist (and str, which is written by hand)."""
+    if isinstance(default, bool):
+        return "bool", default
+    if isinstance(default, tuple):
+        return "intlist", default
+    return ("int" if isinstance(default, int) else "float"), default
+
+
+def _fields_of(cls) -> dict[str, tuple[str, object]]:
+    """The keys of a section that mirrors `cls` field for field."""
+    return {f.name: _entry(f.default) for f in fields(cls)}
+
+
+# section -> key -> (kind, default). Five sections mirror a dataclass and
+# read their keys from it; [body] and [env] split vectors and tuples into
+# scalar keys, whose defaults are literals only where the field's default
+# comes from a factory.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "body": {
-        "mass": ("float", 9.5),
-        "inertia_x": ("float", 0.15),
-        "inertia_y": ("float", 0.14),
-        "inertia_z": ("float", 0.16),
-        "com_x": ("float", 0.0),
-        "com_y": ("float", 0.0),
-        "com_z": ("float", 0.0),
+        "mass": _entry(BodyParams.mass),
+        "inertia_x": _entry(0.15),
+        "inertia_y": _entry(0.14),
+        "inertia_z": _entry(0.16),
+        "com_x": _entry(0.0),
+        "com_y": _entry(0.0),
+        "com_z": _entry(0.0),
     },
-    "actuation": {
-        "f_max": ("float", 0.4),
-        "tau_max": ("float", 0.1),
-        "force_rate": ("float", 0.0),
-        "torque_rate": ("float", 0.0),
-    },
+    "actuation": _fields_of(ActuationLimits),
     "env": {
-        "scenario": ("str", "iss6dof"),
-        "goal_pos_range_x": ("float", 0.5),
-        "goal_pos_range_y": ("float", 0.5),
-        "goal_pos_range_z": ("float", 0.5),
-        "goal_ang_range_x": ("float", _DEG30),
-        "goal_ang_range_y": ("float", _DEG30),
-        "goal_ang_range_z": ("float", _DEG30),
-        "mass_min": ("float", 0.75),
-        "mass_max": ("float", 1.25),
-        "episode_len": ("int", 1875),
-        "success_pos_tol": ("float", 0.05),
-        "success_ori_tol": ("float", _DEG5),
-        "success_vel_tol": ("float", 0.05),
-        "success_angvel_tol": ("float", 0.05),
-        "hold_steps": ("int", 25),
-        "oob_radius": ("float", 2.0),
-        "dt": ("float", 0.016),
-        "body_frame_obs": ("bool", False),
+        "scenario": ("str", SCENARIOS[0]),
+        "goal_pos_range_x": _entry(0.5),
+        "goal_pos_range_y": _entry(0.5),
+        "goal_pos_range_z": _entry(0.5),
+        "goal_ang_range_x": _entry(_DEG30),
+        "goal_ang_range_y": _entry(_DEG30),
+        "goal_ang_range_z": _entry(_DEG30),
+        "mass_min": _entry(EnvConfig.mass_range[0]),
+        "mass_max": _entry(EnvConfig.mass_range[1]),
+        **{key: _entry(getattr(EnvConfig, key)) for key in _ENV_SCALARS},
     },
-    "reward": {
-        "w_pos": ("float", 10.0),
-        "w_ori": ("float", 5.0),
-        "w_linvel": ("float", 0.05),
-        "w_angvel": ("float", 0.05),
-        "bonus_success": ("float", 20.0),
-        "penalty_oob": ("float", 10.0),
-    },
-    "ppo": {
-        "gamma": ("float", 0.99),
-        "lam": ("float", 0.95),
-        "clip_eps": ("float", 0.2),
-        "lr": ("float", 3e-4),
-        "epochs": ("int", 4),
-        "minibatch_size": ("int", 1024),
-        "value_coef": ("float", 0.5),
-        "entropy_coef": ("float", 0.0),
-        "max_grad_norm": ("float", 0.5),
-        "n_envs": ("int", 64),
-        "horizon": ("int", 256),
-        "total_env_steps": ("int", 3_000_000),
-        "hidden": ("intlist", (64, 64)),
-        "log_std_init": ("float", -0.5),
-        "eval_every": ("int", 10),
-        "eval_episodes": ("int", 20),
-        "eval_seed": ("int", 9000),
-    },
-    "baseline_gains": {
-        "kp_pos": ("float", 1.0),
-        "kd_pos": ("float", 6.164414002969432),
-        "kp_att": ("float", 0.2),
-        "kd_att": ("float", 0.35),
-    },
-    "safety": {
-        "max_pos_err": ("float", 0.25),
-        "max_ori_err": ("float", _DEG30),
-        "max_lin_vel": ("float", 0.5),
-        "max_ang_vel": ("float", 1.0),
-        "trip_consecutive": ("int", 3),
-    },
-    "logging": {
-        "verbose": ("bool", True),
-    },
-    "seed": {
-        "seed": ("int", 2),
-    },
+    "reward": _fields_of(RewardWeights),
+    "ppo": _fields_of(PpoConfig),
+    "baseline_gains": _fields_of(PdGains),
+    "safety": _fields_of(SafetyThresholds),
+    "logging": {"verbose": _entry(True)},
+    "seed": {"seed": _entry(2)},
 }
 
 
@@ -195,63 +184,26 @@ def build_config(values: dict) -> RunConfig:
         inertia_diag=(b["inertia_x"], b["inertia_y"], b["inertia_z"]),
         com_offset=(b["com_x"], b["com_y"], b["com_z"]),
     )
-    a = values["actuation"]
-    limits = ActuationLimits(a["f_max"], a["tau_max"], a["force_rate"], a["torque_rate"])
     e = values["env"]
     if e["scenario"] not in SCENARIOS:
         raise ValueError(
             f"scenario must be one of {', '.join(SCENARIOS)}, got {e['scenario']!r}"
         )
-    mask = GRANITE_3DOF if e["scenario"] == "granite3dof" else FULL_6DOF
     env_cfg = EnvConfig(
-        goal_pos_range=np.array(
-            [e["goal_pos_range_x"], e["goal_pos_range_y"], e["goal_pos_range_z"]]
-        ),
-        goal_ang_range=np.array(
-            [e["goal_ang_range_x"], e["goal_ang_range_y"], e["goal_ang_range_z"]]
-        ),
+        goal_pos_range=np.array([e[f"goal_pos_range_{a}"] for a in "xyz"]),
+        goal_ang_range=np.array([e[f"goal_ang_range_{a}"] for a in "xyz"]),
         mass_range=(e["mass_min"], e["mass_max"]),
-        episode_len=e["episode_len"],
-        success_pos_tol=e["success_pos_tol"],
-        success_ori_tol=e["success_ori_tol"],
-        success_vel_tol=e["success_vel_tol"],
-        success_angvel_tol=e["success_angvel_tol"],
-        hold_steps=e["hold_steps"],
-        oob_radius=e["oob_radius"],
-        dt=e["dt"],
-        mask=mask,
+        mask=_SCENARIO_MASKS[e["scenario"]],
         body=body,
-        limits=limits,
-        body_frame_obs=e["body_frame_obs"],
-    )
-    r = values["reward"]
-    reward = RewardWeights(
-        r["w_pos"], r["w_ori"], r["w_linvel"], r["w_angvel"],
-        r["bonus_success"], r["penalty_oob"],
-    )
-    p = values["ppo"]
-    ppo = PpoConfig(
-        gamma=p["gamma"], lam=p["lam"], clip_eps=p["clip_eps"], lr=p["lr"],
-        epochs=p["epochs"], minibatch_size=p["minibatch_size"],
-        value_coef=p["value_coef"], entropy_coef=p["entropy_coef"],
-        max_grad_norm=p["max_grad_norm"], n_envs=p["n_envs"], horizon=p["horizon"],
-        total_env_steps=p["total_env_steps"], hidden=tuple(p["hidden"]),
-        log_std_init=p["log_std_init"], eval_every=p["eval_every"],
-        eval_episodes=p["eval_episodes"], eval_seed=p["eval_seed"],
-    )
-    g = values["baseline_gains"]
-    gains = PdGains(g["kp_pos"], g["kd_pos"], g["kp_att"], g["kd_att"])
-    s = values["safety"]
-    safety = SafetyThresholds(
-        s["max_pos_err"], s["max_ori_err"], s["max_lin_vel"], s["max_ang_vel"],
-        s["trip_consecutive"],
+        limits=ActuationLimits(**values["actuation"]),
+        **{key: e[key] for key in _ENV_SCALARS},
     )
     return RunConfig(
         env=env_cfg,
-        reward=reward,
-        ppo=ppo,
-        gains=gains,
-        safety=safety,
+        reward=RewardWeights(**values["reward"]),
+        ppo=PpoConfig(**values["ppo"]),
+        gains=PdGains(**values["baseline_gains"]),
+        safety=SafetyThresholds(**values["safety"]),
         verbose=values["logging"]["verbose"],
         seed=values["seed"]["seed"],
         raw=values,

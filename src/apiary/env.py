@@ -88,7 +88,7 @@ class EnvConfig:
     mass_range: tuple[float, float] = (0.75, 1.25)
     episode_len: int = 1875
     success_pos_tol: float = 0.05
-    success_ori_tol: float = np.deg2rad(5.0)
+    success_ori_tol: float = float(np.deg2rad(5.0))
     success_vel_tol: float = 0.05
     success_angvel_tol: float = 0.05
     hold_steps: int = 25

@@ -157,16 +157,11 @@ class RolloutPolicy:
     sequence for an env depends only on that env's stream, not on n_envs.
     """
 
-    def __init__(self, net: PolicyNet, deterministic: bool = False):
+    def __init__(self, net: PolicyNet):
         self.net = net
-        self.deterministic = deterministic
 
     def sample(self, obs: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray]:
         mean = policy_mean(self.net, obs)
-        if self.deterministic:
-            log_std = clamped_log_std(self.net)
-            logp = gaussian_log_prob(mean, log_std, mean)
-            return mean, logp
         log_std = clamped_log_std(self.net)
         noise = np.stack([rngs[i].standard_normal(mean.shape[-1]) for i in range(mean.shape[0])])
         actions = mean + np.exp(log_std) * noise

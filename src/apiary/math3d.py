@@ -21,8 +21,6 @@ import math
 
 import numpy as np
 
-QUAT_NORM_TOL = 1e-6
-
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=np.float64)

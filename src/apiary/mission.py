@@ -87,6 +87,9 @@ _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 DOCK_POS_TOL = 0.02
 DOCK_ORI_TOL = float(np.deg2rad(2.0))
 DOCK_STANDOFF = 0.3
+# the most control ticks one maneuver may run: 66 min at the default dt,
+# about 64 MB of trajectory log
+MAX_MANEUVER_TICKS = 250_000
 MANEUVER_KINDS = ("translate", "rotate", "goto_pose", "dock_approach", "dock")
 
 
@@ -99,7 +102,7 @@ class ControlMode(enum.Enum):
 @dataclass(frozen=True)
 class SafetyThresholds:
     max_pos_err: float = 0.25
-    max_ori_err: float = np.deg2rad(30.0)
+    max_ori_err: float = float(np.deg2rad(30.0))
     max_lin_vel: float = 0.5
     max_ang_vel: float = 1.0
     trip_consecutive: int = 3
@@ -329,12 +332,18 @@ def goal_for_maneuver(
 
 def _maneuver_ticks(maneuver: Maneuver, index: int, dt: float) -> int:
     """Control ticks a maneuver runs for: its whole timeout at rate 1/dt.
-    Raises ValueError, naming the maneuver's index, when that is 0 ticks."""
+    Raises ValueError, naming the maneuver's index, when that is 0 ticks
+    or more than MAX_MANEUVER_TICKS."""
     n_ticks = int(round(maneuver.timeout / dt))
     if n_ticks == 0:
         raise ValueError(
             f"maneuver index {index}: timeout {maneuver.timeout} s "
             f"rounds to 0 ticks at dt {dt} s"
+        )
+    if n_ticks > MAX_MANEUVER_TICKS:
+        raise ValueError(
+            f"maneuver index {index}: timeout {maneuver.timeout} s is {n_ticks} ticks "
+            f"at dt {dt} s, more than the {MAX_MANEUVER_TICKS} a maneuver may run"
         )
     return n_ticks
 
@@ -356,7 +365,8 @@ def run_maneuver(
     Outcome is success when the maneuver's tolerance condition is true for
     the final hold_steps ticks, fallback_triggered if the safety monitor
     tripped, else timeout. Returns the true final state; the log records
-    measured state. Raises ValueError for a timeout that rounds to 0 ticks.
+    measured state. Raises ValueError for a timeout that rounds to 0 ticks
+    or to more than MAX_MANEUVER_TICKS.
     """
     if mode not in (ControlMode.RL_POLICY, ControlMode.BASELINE):
         raise ValueError("run_maneuver starts in RL_POLICY or BASELINE mode")
@@ -527,8 +537,9 @@ def run_sequence(
     outcome the sequence runs the next entry only if it carries the resume
     flag; otherwise that entry and everything after it is skipped.
     Raises ValueError, before anything runs, for a maneuver that runs 0
-    ticks, a fault past the end of the sequence, a second fault for one
-    maneuver, or a start tick at or past the maneuver's tick count.
+    ticks or more than MAX_MANEUVER_TICKS, a fault past the end of the
+    sequence, a second fault for one maneuver, or a start tick at or past
+    the maneuver's tick count.
     """
     if not sequence:
         raise ValueError("sequence must not be empty")
@@ -596,10 +607,7 @@ class MetricReport:
 
 
 def metrics_from_log(
-    log: TrajectoryLog,
-    pos_tol: float = 0.05,
-    ori_tol: float = np.deg2rad(5.0),
-    dt: float = 0.016,
+    log: TrajectoryLog, pos_tol: float, ori_tol: float, dt: float
 ) -> ManeuverMetrics:
     """Scalar maneuver metrics from one log.
 
@@ -667,9 +675,9 @@ def metrics_from_log(
 def compare_metrics(
     log_rl: TrajectoryLog,
     log_baseline: TrajectoryLog,
-    pos_tol: float = 0.05,
-    ori_tol: float = np.deg2rad(5.0),
-    dt: float = 0.016,
+    pos_tol: float,
+    ori_tol: float,
+    dt: float,
 ) -> MetricReport:
     """Side-by-side metrics for two logs of the same maneuver."""
     for key in ("kind", "axis", "magnitude"):

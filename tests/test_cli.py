@@ -1,5 +1,6 @@
 """End-to-end command-line tests, including exit-code contracts."""
 
+import time
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,30 @@ def test_maneuver_of_zero_ticks_exits_1(tmp_path, capsys, command):
     )
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "replay"])
+def test_maneuver_past_tick_bound_exits_1(tmp_path, capsys, command):
+    # 1e12 s would be 6.25e13 ticks; the bound rejects it before anything flies
+    seq = tmp_path / "seq.txt"
+    seq.write_text("translate x 0.5 2\ntranslate x 0.5 1e12\n")
+    out = tmp_path / "out"
+    args, index = {
+        "compare": (["--maneuver", "translate:x:0.5:1e12"], 0),
+        "replay": (["--sequence", str(seq)], 1),
+    }[command]
+    start = time.perf_counter()
+    rc = main([command, "--ckpt", str(REFERENCE_CKPT), "--out", str(out)] + args)
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        MISMATCH + f"error: maneuver index {index}: timeout 1000000000000.0 s is "
+        "62500000000000 ticks at dt 0.016 s, more than the 250000 a maneuver may run"
+    )
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("fault", ["pos_offset 0 5 0.5 0 0", "pos_offset 1 0 0.5 0 0"])

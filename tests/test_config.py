@@ -1,15 +1,25 @@
 """Configuration loading, validation, overrides and snapshots."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from apiary.actuation import ActuationLimits
+from apiary.baseline import PdGains
 from apiary.config import (
     RunConfig,
     load_config,
     set_value,
     write_snapshot,
 )
-from apiary.dynamics import GRANITE_3DOF
+from apiary.dynamics import GRANITE_3DOF, BodyParams
+from apiary.env import EnvConfig, RewardWeights
+from apiary.learn.checkpoint import env_config_hash
+from apiary.learn.ppo import PpoConfig
+from apiary.mission import SafetyThresholds
+
+ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
 
 def test_defaults_without_file():
@@ -30,6 +40,28 @@ def test_defaults_without_file():
     assert cfg.safety.trip_consecutive == 3
     assert cfg.seed == 2
     assert cfg.verbose is True
+
+
+def test_defaults_are_the_dataclass_defaults():
+    cfg = load_config()
+    assert cfg.reward == RewardWeights()
+    assert cfg.ppo == PpoConfig()
+    assert cfg.gains == PdGains()
+    assert cfg.safety == SafetyThresholds()
+    assert cfg.env.limits == ActuationLimits()
+    body = BodyParams()
+    assert cfg.env.body.mass == body.mass
+    np.testing.assert_array_equal(cfg.env.body.inertia_diag, body.inertia_diag)
+    np.testing.assert_array_equal(cfg.env.body.com_offset, body.com_offset)
+    # the hash covers every EnvConfig field, the [env] vector keys included
+    assert env_config_hash(cfg.env) == env_config_hash(EnvConfig())
+    # angle defaults are Python floats, as the INI values are
+    assert type(EnvConfig().success_ori_tol) is float
+    assert type(SafetyThresholds().max_ori_err) is float
+
+
+def test_default_config_file_holds_the_defaults():
+    assert load_config(ASSETS / "default_config.ini").raw == load_config().raw
 
 
 def test_file_overlay(tmp_path):
@@ -77,6 +109,9 @@ def test_bad_value_names_location(tmp_path):
         load_config(path)
     path.write_text("[env]\ndt = inf\n")
     with pytest.raises(ValueError, match="finite"):
+        load_config(path)
+    path.write_text("[ppo]\nhidden = 64,0\n")
+    with pytest.raises(ValueError, match=r"run\.ini: hidden layer widths must be >= 1"):
         load_config(path)
 
 

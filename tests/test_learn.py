@@ -207,10 +207,7 @@ def test_rollout_policy_per_env_streams():
     a5, lp5 = pol.sample(obs, rngs5)
     np.testing.assert_array_equal(a3, a5[:3])
     np.testing.assert_array_equal(lp3, lp5[:3])
-    det = RolloutPolicy(net, deterministic=True)
-    am, _ = det.sample(obs, rngs5)
-    np.testing.assert_array_equal(am, policy_mean(net, obs))
-    np.testing.assert_array_equal(det.value(obs), value(net, obs))
+    np.testing.assert_array_equal(pol.value(obs), value(net, obs))
 
 
 # ---------------------------------------------------------------- GAE
@@ -395,6 +392,9 @@ def test_ppo_config_validation():
         PpoConfig(lr=-1.0)
     with pytest.raises(ValueError):
         PpoConfig(epochs=0)
+    for hidden in ((0,), (64, -3)):
+        with pytest.raises(ValueError, match="hidden layer widths must be >= 1"):
+            PpoConfig(hidden=hidden)
 
 
 # ------------------------------------------------- checkpoints

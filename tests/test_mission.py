@@ -17,6 +17,7 @@ from apiary.mission import (
     DOCK_POS_TOL,
     DOCK_STANDOFF,
     LOG_COLUMNS,
+    MAX_MANEUVER_TICKS,
     ControlMode,
     FaultSpec,
     Maneuver,
@@ -524,6 +525,25 @@ def test_run_sequence_fault_on_last_tick_fires():
     np.testing.assert_allclose(res.log.column("epx")[-2:], [0.0, -0.5], atol=1e-3)
 
 
+def test_maneuver_tick_bound():
+    # 4000 s is exactly MAX_MANEUVER_TICKS at 0.016 s: accepted, as the
+    # fault check's tick range shows without flying it; one tick more is
+    # rejected before the first maneuver flies
+    mc = MissionConfig()
+    assert round(4000.0 / DT) == MAX_MANEUVER_TICKS
+    short = Maneuver("translate", 0, 0.0, timeout=2.0)
+    fault = FaultSpec(1, MAX_MANEUVER_TICKS, m3.vec3(0.5, 0, 0))
+    with pytest.raises(ValueError, match=r"index 1, tick 250000: .*ticks 0\.\.249999"):
+        run_sequence([short, Maneuver("dock", timeout=4000.0)], ControlMode.BASELINE, mc,
+                     faults=[fault])
+    too_long = Maneuver("dock", timeout=4000.0 + DT)
+    message = r"maneuver index 1: timeout 4000.016 s is 250001 ticks .* more than the 250000"
+    with pytest.raises(ValueError, match=message):
+        run_sequence([short, too_long], ControlMode.BASELINE, mc)
+    with pytest.raises(ValueError, match="maneuver index 0: .* more than the 250000"):
+        run_maneuver(RigidState(), too_long, ControlMode.BASELINE, mc)
+
+
 def test_run_sequence_dock_targets_entry_pose():
     mc = MissionConfig()
     seq = [
@@ -585,17 +605,17 @@ def test_metrics_cross_axis_without_displacement():
     log = TrajectoryLog({"entry_pos": np.zeros(3), "goal_pos": np.zeros(3)})
     for k, pos in enumerate([np.zeros(3), m3.vec3(0.0, 0.3, 0.4), np.zeros(3)]):
         log.append(log_row(k * DT, RigidState(position=pos), pos_err=-pos), ControlMode.BASELINE, 0)
-    met = metrics_from_log(log)
+    met = metrics_from_log(log, 0.05, 0.1, DT)
     assert met.max_cross_axis_excursion == pytest.approx(0.5)
 
 
 def test_metrics_empty_log_raises():
     with pytest.raises(ValueError, match="empty"):
-        metrics_from_log(TrajectoryLog())
+        metrics_from_log(TrajectoryLog(), 0.05, 0.1, DT)
 
 
 def test_compare_identical_logs_zero_diff():
-    report = compare_metrics(hand_log(), hand_log())
+    report = compare_metrics(hand_log(), hand_log(), 0.05, 0.1, DT)
     for name, v in report.diff.items():
         assert v == 0.0, name
 
@@ -606,7 +626,7 @@ def test_compare_rejects_mismatched_maneuvers():
     a.meta["kind"] = "translate"
     b.meta["kind"] = "rotate"
     with pytest.raises(ValueError, match="different maneuvers"):
-        compare_metrics(a, b)
+        compare_metrics(a, b, 0.05, 0.1, DT)
 
 
 def _array_pd(state, goal, g):
