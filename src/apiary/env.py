@@ -178,29 +178,29 @@ def obs_norms(obs: np.ndarray) -> np.ndarray:
 def success_flags(norms: np.ndarray, config: EnvConfig) -> np.ndarray:
     """Instantaneous success condition (pose and twist inside tolerances)
     from `obs_norms` output."""
-    return (
-        (norms[..., 0] <= config.success_pos_tol)
-        & (norms[..., 1] <= config.success_ori_tol)
-        & (norms[..., 2] <= config.success_vel_tol)
-        & (norms[..., 3] <= config.success_angvel_tol)
-    )
+    tols = np.array([
+        config.success_pos_tol,
+        config.success_ori_tol,
+        config.success_vel_tol,
+        config.success_angvel_tol,
+    ])
+    return (norms <= tols).all(axis=-1)
 
 
 def reward_arrays(
-    prev_obs: np.ndarray,
-    obs: np.ndarray,
+    prev: np.ndarray,
+    norms: np.ndarray,
     weights: RewardWeights,
     config: EnvConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base reward (shaping, velocity costs, oob penalty) plus condition flags.
+    """Base reward (shaping, velocity costs, oob penalty) plus condition flags,
+    from the `obs_norms` of the previous and the new observation.
 
     The success bonus is NOT included here: it pays out only once the
     success condition has latched (held for hold_steps consecutive ticks),
     which is episode bookkeeping the caller owns. Out-of-bounds is a
     single-tick event because it terminates the episode.
     """
-    prev = obs_norms(prev_obs)
-    norms = obs_norms(obs)
     pe = norms[..., 0]
     oob = pe > config.oob_radius
     r = (
@@ -213,6 +213,12 @@ def reward_arrays(
     return r, success_flags(norms, config), oob
 
 
+def _where_live(mask: np.ndarray | None, new: np.ndarray, old) -> np.ndarray:
+    """Rows of `new` where mask is set, else `old`; `new` itself when no
+    row is frozen (mask None), since np.where(all-True, new, old) is new."""
+    return new if mask is None else np.where(mask, new, old)
+
+
 class BatchEnv:
     """n independent environments advanced in lockstep with array math.
 
@@ -220,7 +226,8 @@ class BatchEnv:
     trajectory of env i does not depend on n_envs or on how a caller
     shards work. With auto_reset a finished environment immediately starts
     a new episode; without it the environment freezes at its terminal
-    state (used for evaluation).
+    state (used for evaluation). `norms` holds `obs_norms(obs)`, which the
+    next tick's reward reads as its previous norms.
     """
 
     def __init__(
@@ -258,6 +265,7 @@ class BatchEnv:
         self.steps = np.zeros(n_envs, dtype=np.int64)
         self.frozen = np.zeros(n_envs, dtype=bool)
         self.obs = np.zeros((n_envs, OBS_DIM))
+        self.norms = np.zeros((n_envs, 4))
         self.episode_return = np.zeros(n_envs)
         self._tmask = config.mask.translation_floats()
         self._rmask = config.mask.rotation_floats()
@@ -287,6 +295,7 @@ class BatchEnv:
             self.goal_att[i],
             self.config.body_frame_obs,
         )
+        self.norms[i] = obs_norms(self.obs[i])
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
         """Advance every live env one tick.
@@ -297,11 +306,11 @@ class BatchEnv:
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (self.n, ACT_DIM):
             raise ValueError(f"actions must have shape ({self.n}, {ACT_DIM})")
-        if not np.all(np.isfinite(actions)):
-            bad = int(np.argwhere(~np.all(np.isfinite(actions), axis=1))[0, 0])
+        if not np.isfinite(actions).all():
+            bad = int(np.argwhere(~np.isfinite(actions).all(axis=1))[0, 0])
             raise ValueError(f"non-finite action for env {bad}")
         cfg = self.config
-        a = np.clip(actions, -1.0, 1.0)
+        a = actions.clip(-1.0, 1.0)
         force = a[:, :3] * cfg.limits.f_max
         torque = a[:, 3:] * cfg.limits.tau_max
 
@@ -319,43 +328,47 @@ class BatchEnv:
             self._rmask,
             cfg.dt,
         )
-        live = ~self.frozen
-        self.pos = np.where(live[:, None], pos2, self.pos)
-        self.att = np.where(live[:, None], att2, self.att)
-        self.linvel = np.where(live[:, None], lv2, self.linvel)
-        self.angvel = np.where(live[:, None], av2, self.angvel)
+        # frozen rows keep their state; training never freezes a row, and
+        # then every merge below is skipped
+        live = ~self.frozen if self.frozen.any() else None
+        rows = None if live is None else live[:, None]
+        self.pos = _where_live(rows, pos2, self.pos)
+        self.att = _where_live(rows, att2, self.att)
+        self.linvel = _where_live(rows, lv2, self.linvel)
+        self.angvel = _where_live(rows, av2, self.angvel)
         if not (
-            np.all(np.isfinite(self.pos))
-            and np.all(np.isfinite(self.att))
-            and np.all(np.isfinite(self.linvel))
-            and np.all(np.isfinite(self.angvel))
+            np.isfinite(self.pos).all()
+            and np.isfinite(self.att).all()
+            and np.isfinite(self.linvel).all()
+            and np.isfinite(self.angvel).all()
         ):
             finite = (
-                np.all(np.isfinite(self.pos), axis=1)
-                & np.all(np.isfinite(self.att), axis=1)
-                & np.all(np.isfinite(self.linvel), axis=1)
-                & np.all(np.isfinite(self.angvel), axis=1)
+                np.isfinite(self.pos).all(axis=1)
+                & np.isfinite(self.att).all(axis=1)
+                & np.isfinite(self.linvel).all(axis=1)
+                & np.isfinite(self.angvel).all(axis=1)
             )
             bad = int(np.argwhere(~finite)[0, 0])
             raise SimulationDivergedError(f"env {bad}: state went non-finite")
 
-        prev_obs = self.obs
         obs = observe_arrays(
             self.pos, self.att, self.linvel, self.angvel, self.goal_pos, self.goal_att,
             cfg.body_frame_obs,
         )
-        r, succ, oob = reward_arrays(prev_obs, obs, self.weights, cfg)
-        r = np.where(live, r, 0.0)
-        self.obs = np.where(live[:, None], obs, self.obs)
+        norms = obs_norms(obs)
+        r, succ, oob = reward_arrays(self.norms, norms, self.weights, cfg)
+        r = _where_live(live, r, 0.0)
+        self.obs = _where_live(rows, obs, self.obs)
+        self.norms = _where_live(rows, norms, self.norms)
 
-        self.hold = np.where(live & succ, self.hold + 1, 0)
-        self.steps = np.where(live, self.steps + 1, self.steps)
-        done_success = live & (self.hold >= cfg.hold_steps)
+        self.hold = np.where(_where_live(live, succ, False), self.hold + 1, 0)
+        self.steps = _where_live(live, self.steps + 1, self.steps)
+        done_success = _where_live(live, self.hold >= cfg.hold_steps, False)
         r = r + self.weights.bonus_success * done_success
-        done_oob = live & oob
-        done_timeout = live & (self.steps >= cfg.episode_len)
+        done_oob = _where_live(live, oob, False)
+        done_timeout = _where_live(live, self.steps >= cfg.episode_len, False)
         done = done_success | done_oob | done_timeout
-        self.episode_return = np.where(live, self.episode_return + r, self.episode_return)
+        self.episode_return = _where_live(live, self.episode_return + r, self.episode_return)
 
         finished = []
         for i in np.flatnonzero(done):

@@ -9,6 +9,15 @@ activations are tanh, output heads linear.
 Parameters travel as a flat list of arrays in a fixed declaration order
 (actor W/b pairs, log_std, critic W/b pairs); the optimizer, the gradient
 check and the checkpoint format all rely on that order.
+
+`mlp_forward` and `mlp_backward` take an optional workspace: a dict of
+scratch arrays keyed by (name, shape), filled on first use. Its owner is
+whoever creates it: `ppo.ppo_update` makes one per update and passes it
+to every minibatch. With a workspace, `mlp_forward`'s output and cache
+live in it and are overwritten by the next call that uses the same
+workspace, so a caller must finish with one pass before starting the
+next. Without one (rollouts, evaluation) every call allocates fresh
+arrays. The arithmetic is the same either way.
 """
 
 from __future__ import annotations
@@ -51,8 +60,28 @@ def mlp_init(sizes: list[int], rng: np.random.Generator, out_scale: float = 1.0)
     return MlpParams(weights, biases)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Returns (output, cache). x is (B, in) or (in,); cache feeds mlp_backward."""
+def _scratch(ws: dict, name, shape: tuple[int, ...]) -> np.ndarray:
+    """The workspace array for (name, shape), made on first use.
+
+    Fresh (B, 64) temporaries are large enough that the allocator hands
+    them back to the OS, so every new one page-faults. Callers pass
+    out=None instead when there is no workspace, so that numpy allocates
+    and a single-row call pays for no lookup.
+    """
+    key = (name, shape)
+    if key not in ws:
+        ws[key] = np.empty(shape)
+    return ws[key]
+
+
+def mlp_forward(
+    params: MlpParams, x: np.ndarray, ws: dict | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Returns (output, cache). x is (B, in) or (in,); cache feeds mlp_backward.
+
+    With a workspace, the output and every cached activation live in it and
+    are overwritten by the next call that uses the same workspace.
+    """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -61,21 +90,24 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.n
     h = x
     n_layers = len(params.weights)
     for k in range(n_layers):
-        z = h @ params.weights[k] + params.biases[k]
+        w = params.weights[k]
+        out = None if ws is None else _scratch(ws, ("h", k), (h.shape[0], w.shape[1]))
+        h = np.matmul(h, w, out=out)
+        h += params.biases[k]
         if k < n_layers - 1:
-            h = np.tanh(z)
-        else:
-            h = z
+            np.tanh(h, out=h)
         cache.append(h)
     return (h[0] if squeeze else h), cache
 
 
 def mlp_backward(
-    params: MlpParams, cache: list[np.ndarray], dy: np.ndarray
+    params: MlpParams, cache: list[np.ndarray], dy: np.ndarray, ws: dict | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of sum(dy * output) w.r.t. weights and biases.
 
     dy is (B, out); returns (dweights, dbiases) matching params' shapes.
+    With a workspace, the backpropagated signal alternates between two of
+    its arrays; the returned gradients are always fresh.
     """
     n_layers = len(params.weights)
     dws = [None] * n_layers
@@ -83,13 +115,19 @@ def mlp_backward(
     grad = np.asarray(dy, dtype=np.float64)
     for k in range(n_layers - 1, -1, -1):
         h_in = cache[k]
-        # d(tanh) applied at hidden layers only; output layer is linear
+        # d(tanh) applied at hidden layers only; output layer is linear:
+        # grad * (1 - h**2), one operation at a time
         if k < n_layers - 1:
-            grad = grad * (1.0 - cache[k + 1] ** 2)
+            h = cache[k + 1]
+            d = np.multiply(h, h, out=None if ws is None else _scratch(ws, "dtanh", h.shape))
+            np.subtract(1.0, d, out=d)
+            grad = np.multiply(grad, d, out=d)
         dws[k] = h_in.T @ grad
         dbs[k] = grad.sum(axis=0)
         if k > 0:
-            grad = grad @ params.weights[k].T
+            w = params.weights[k]
+            out = None if ws is None else _scratch(ws, "grad", (grad.shape[0], w.shape[0]))
+            grad = np.matmul(grad, w.T, out=out)
     return dws, dbs
 
 
@@ -163,7 +201,9 @@ class RolloutPolicy:
     def sample(self, obs: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray]:
         mean = policy_mean(self.net, obs)
         log_std = clamped_log_std(self.net)
-        noise = np.stack([rngs[i].standard_normal(mean.shape[-1]) for i in range(mean.shape[0])])
+        noise = np.empty(mean.shape)
+        for i in range(mean.shape[0]):
+            rngs[i].standard_normal(out=noise[i])
         actions = mean + np.exp(log_std) * noise
         return actions, gaussian_log_prob(mean, log_std, actions)
 
@@ -216,12 +256,21 @@ def adam_step(
     """One bias-corrected Adam update, applied to the arrays in place."""
     state.t += 1
     t = state.t
+    # a -= lr * (m / c1) / (sqrt(v / c2) + eps), updating in place where
+    # the operation order allows
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m[...] = beta1 * m + (1.0 - beta1) * g
-        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        a -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        den = np.sqrt(v / c2)
+        den += eps
+        step = m / c1
+        step *= lr
+        step /= den
+        a -= step
 
 
 def global_grad_norm(grads: list[np.ndarray]) -> float:

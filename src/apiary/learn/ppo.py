@@ -10,6 +10,11 @@ MLPs, clips the global gradient norm and applies one Adam step.
 
 All gradient math lives in `_minibatch_grads`; a finite-difference check
 in the tests pins it against the loss function alone.
+
+`ppo_update` owns one workspace (see `nets`) for the whole update. Every
+minibatch runs the actor's forward and backward pass and then the
+critic's in the same hidden-layer arrays, which the next pass
+overwrites; sharing them keeps the update's memory at one net's worth.
 """
 
 from __future__ import annotations
@@ -103,18 +108,20 @@ def _minibatch_grads(
     adv: np.ndarray,
     returns: np.ndarray,
     cfg: PpoConfig,
+    ws: dict | None = None,
 ) -> tuple[list[np.ndarray], dict]:
     """Loss gradients for one minibatch, ordered like nets.param_list.
 
     The loss is  mean(-min(ratio*A, clip(ratio)*A))
                + value_coef*mean((v - returns)^2)
                - entropy_coef*H(pi).
+
+    The actor's forward and backward pass finish before the critic's
+    start, so with a workspace both nets run in the same hidden arrays.
     """
     b = obs.shape[0]
     xn = nets.normalize_obs(net, obs)
-    mean, actor_cache = nets.mlp_forward(net.actor, xn)
-    v_raw, critic_cache = nets.mlp_forward(net.critic, xn)
-    v = v_raw[:, 0]
+    mean, actor_cache = nets.mlp_forward(net.actor, xn, ws)
     log_std = nets.clamped_log_std(net)
     std = np.exp(log_std)
 
@@ -123,10 +130,6 @@ def _minibatch_grads(
     surr1 = ratio * adv
     surr2 = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
     pg_loss = float(np.mean(-np.minimum(surr1, surr2)))
-    v_err = v - returns
-    value_loss = float(np.mean(v_err**2))
-    entropy = nets.gaussian_entropy(log_std)
-    loss = pg_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
 
     # d(loss)/d(log pi): only samples where the unclipped branch is active
     # carry gradient; elsewhere the clipped constant wins the min.
@@ -144,10 +147,16 @@ def _minibatch_grads(
         0.0,
         dlog_std,
     )
+    actor_dw, actor_db = nets.mlp_backward(net.actor, actor_cache, dmean, ws)
 
+    v_raw, critic_cache = nets.mlp_forward(net.critic, xn, ws)
+    v_err = v_raw[:, 0] - returns
+    value_loss = float(np.mean(v_err**2))
     dv = (2.0 * cfg.value_coef / b) * v_err
-    actor_dw, actor_db = nets.mlp_backward(net.actor, actor_cache, dmean)
-    critic_dw, critic_db = nets.mlp_backward(net.critic, critic_cache, dv[:, None])
+    critic_dw, critic_db = nets.mlp_backward(net.critic, critic_cache, dv[:, None], ws)
+
+    entropy = nets.gaussian_entropy(log_std)
+    loss = pg_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
 
     grads: list[np.ndarray] = []
     for dw, db in zip(actor_dw, actor_db):
@@ -208,6 +217,7 @@ def ppo_update(
     n = obs.shape[0]
     mb = min(cfg.minibatch_size, n)
     params = nets.param_list(net)
+    ws: dict = {}
 
     agg: dict[str, float] = {}
     count = 0
@@ -217,14 +227,14 @@ def ppo_update(
             idx = order[start : start + mb]
             mb_adv = normalize_advantages(adv[idx])
             grads, stats = _minibatch_grads(
-                net, obs[idx], actions[idx], old_logp[idx], mb_adv, returns[idx], cfg
+                net, obs[idx], actions[idx], old_logp[idx], mb_adv, returns[idx], cfg, ws
             )
             if not np.isfinite(stats["loss"]):
                 raise UpdateDivergedError(
                     f"non-finite loss at epoch {epoch}, minibatch {start // mb}"
                 )
             for g in grads:
-                if not np.all(np.isfinite(g)):
+                if not np.isfinite(g).all():
                     raise UpdateDivergedError(
                         f"non-finite gradient at epoch {epoch}, minibatch {start // mb}"
                     )

@@ -11,7 +11,11 @@ re-raises, so a crashed run still leaves a usable checkpoint.
 Evaluation runs episodes in fixed-size chunks of EVAL_CHUNK regardless of
 worker count; `workers` only spreads whole chunks across processes, so
 summaries are byte-identical for any worker count. Episode k is seeded
-(seed, k): results do not depend on how many episodes run alongside it.
+(seed, k), but its result also depends on the size of the chunk that
+holds it (EVAL_CHUNK, or the remainder for the last chunk): the policy
+runs on all of a chunk's rows at once, and BLAS may round a row
+differently for another number of rows. So `episodes=1` and
+`episodes=2` can give episode 0 returns that differ in the last digits.
 """
 
 from __future__ import annotations
@@ -154,7 +158,9 @@ def evaluate_policy(
     Episode k uses RNG stream (seed, k). Work is split into EVAL_CHUNK-size
     chunks whose composition never depends on `workers`, and chunk results
     are merged back in order, so the output is identical for any worker
-    count. With a `log_sink`, each episode's (steps, 32) trajectory rows
+    count. It is not always identical for another `episodes`: the last
+    chunk's size changes with it, and a policy row may round differently
+    in a batch of another size. With a `log_sink`, each episode's (steps, 32) trajectory rows
     are passed to log_sink(k, rows) in episode order as soon as its chunk
     finishes, so at most a chunk or two of logs is held in memory.
     """

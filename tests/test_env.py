@@ -39,7 +39,7 @@ def quick_config(**kw):
 
 def reward(prev_obs, obs, weights, config):
     """Base reward of one transition (no success bonus) as a float."""
-    r, _, _ = reward_arrays(np.asarray(prev_obs), np.asarray(obs), weights, config)
+    r, _, _ = reward_arrays(obs_norms(prev_obs), obs_norms(obs), weights, config)
     return float(r)
 
 
@@ -152,7 +152,7 @@ def test_reward_bonus_only_when_latched():
     at_goal = np.zeros(12)
     # merely being inside tolerance pays nothing extra: the bonus is the
     # episode bookkeeping's, paid on the latch tick (see the BatchEnv test)
-    r, succ, oob = reward_arrays(at_goal, at_goal.copy(), w, cfg)
+    r, succ, oob = reward_arrays(obs_norms(at_goal), obs_norms(at_goal), w, cfg)
     assert bool(succ) and not bool(oob)
     assert float(r) == 0.0
 
@@ -164,7 +164,7 @@ def test_reward_oob_penalty():
     prev[POS_ERR] = [1.9, 0.0, 0.0]
     cur = np.zeros(12)
     cur[POS_ERR] = [2.1, 0.0, 0.0]
-    r, succ, oob = reward_arrays(prev, cur, w, cfg)
+    r, succ, oob = reward_arrays(obs_norms(prev), obs_norms(cur), w, cfg)
     assert bool(oob) and not bool(succ)
     assert float(r) == pytest.approx(-w.w_pos * 0.2 - w.penalty_oob, rel=1e-12)
 
@@ -309,6 +309,41 @@ def test_batch_env_freezes_without_auto_reset():
     frozen_obs = benv.obs.copy()
     benv.step(np.full((3, 6), 0.5))
     np.testing.assert_array_equal(benv.obs, frozen_obs)
+
+
+def test_batch_env_frozen_row_leaves_live_rows_bitwise_unchanged():
+    # with no row frozen, step skips its np.where merges; with one frozen
+    # it takes them. The live rows must come out the same either way.
+    cfg = quick_config(
+        goal_pos_range=m3.vec3(0.5, 0.5, 0.5), goal_ang_range=np.full(3, 0.5), episode_len=200
+    )
+    w = RewardWeights()
+    live = BatchEnv(4, cfg, w, seed=12, auto_reset=False)
+    merged = BatchEnv(4, cfg, w, seed=12, auto_reset=False)
+    merged.frozen[3] = True
+    frozen_state = [a[3].copy() for a in (merged.pos, merged.att, merged.linvel, merged.angvel)]
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        actions = rng.uniform(-0.5, 0.5, (4, 6))
+        obs_a, r_a, done_a, _ = live.step(actions)
+        obs_b, r_b, done_b, _ = merged.step(actions)
+        assert not live.frozen.any()
+        # obs follows the new state, and norms (next tick's previous
+        # norms) follow obs
+        want = observe_arrays(live.pos, live.att, live.linvel, live.angvel, live.goal_pos,
+                              live.goal_att)
+        assert obs_a.tobytes() == want.tobytes()
+        assert live.norms.tobytes() == obs_norms(want).tobytes()
+        assert obs_a[:3].tobytes() == obs_b[:3].tobytes()
+        assert r_a[:3].tobytes() == r_b[:3].tobytes() and r_b[3] == 0.0
+        assert not done_a.any() and not done_b.any()
+        for name in ("pos", "att", "linvel", "angvel", "norms", "hold", "steps",
+                     "episode_return"):
+            a, b = getattr(live, name), getattr(merged, name)
+            assert a[:3].tobytes() == b[:3].tobytes(), name
+    for a, before in zip((merged.pos, merged.att, merged.linvel, merged.angvel), frozen_state):
+        assert a[3].tobytes() == before.tobytes()
+    assert merged.steps[3] == 0
 
 
 def test_batch_env_episode_return_matches_reward_sum():

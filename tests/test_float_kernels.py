@@ -131,6 +131,87 @@ def test_quat_error_f_branch_edges():
     assert got != [0.0, 0.0, 0.0]
 
 
+# ------------------------------------------------- batch shapes
+#
+# BatchEnv calls the array kernels on (n, 3) and (n, 4) arrays. Each row
+# of such a call must equal the float twin on that row alone, for batches
+# of 1, 3 and 64 rows.
+
+batch_sizes = st.sampled_from([1, 3, 64])
+
+
+@st.composite
+def batches(draw, *elements):
+    """One list of n rows per element strategy, all with the same n."""
+    n = draw(batch_sizes)
+    return [draw(st.lists(e, min_size=n, max_size=n)) for e in elements]
+
+
+def same_rows(float_fn, array_fn, *args, broadcast=()):
+    """array_fn over the stacked rows equals float_fn row by row, bit for
+    bit. Arguments whose index is in `broadcast` are one row, shared."""
+    want = array_fn(*(np.array(a, dtype=np.float64) for a in args))
+    n = max(len(a) for i, a in enumerate(args) if i not in broadcast)
+    assert len(want) == n
+    for r in range(n):
+        got = float_fn(*(a if i in broadcast else a[r] for i, a in enumerate(args)))
+        assert bits(got) == bits(want[r]), (r, got, want[r])
+
+
+def cross_twin(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+nonzero_quats = quats.filter(lambda q: sum(c * c for c in q) > 1e-6)
+
+
+@fixed(60)
+@given(batches(vec3s, vec3s))
+def test_batched_vec_norm_and_cross(ab):
+    a, b = ab
+    same_rows(m3.vec_norm_f, m3.vec_norm, a)
+    same_rows(cross_twin, m3.vec_cross, a, b)
+    same_rows(cross_twin, m3.vec_cross, a[0], b, broadcast=(0,))
+
+
+@fixed(60)
+@given(batches(nonzero_quats, nonzero_quats))
+def test_batched_quat_normalize_and_mul(ab):
+    a, b = ab
+    same_rows(m3.quat_normalize_f, m3.quat_normalize, a)
+    same_rows(m3.quat_mul_f, m3.quat_mul, a, b)
+    same_rows(m3.quat_mul_f, m3.quat_mul, a[0], b, broadcast=(0,))
+    same_rows(m3.quat_mul_f, m3.quat_mul, a, b[0], broadcast=(1,))
+
+
+@fixed(60)
+@given(batches(vec3s))
+@example([[[0.3, -1.0, 2.0], [0.0, 0.0, 0.0], [1e-9, -2e-9, 0.0]]])  # series rows among others
+def test_batched_quat_from_rotvec(rv):
+    same_rows(m3.quat_from_rotvec_f, m3.quat_from_rotvec, rv[0])
+
+
+@fixed(60)
+@given(batches(unit_quats(), vec3s))
+def test_batched_quat_rotate(qv):
+    q, v = qv
+    same_rows(m3.quat_rotate_f, m3.quat_rotate, q, v)
+    same_rows(m3.quat_rotate_inv_f, m3.quat_rotate_inv, q, v)
+    same_rows(m3.quat_rotate_inv_f, m3.quat_rotate_inv, q[0], v, broadcast=(0,))
+
+
+@fixed(60)
+@given(batches(unit_quats(), unit_quats()))
+@example([  # a zero error (the 2/w limit) among nonzero ones, and a w < 0 product
+    [[0.5, 0.5, -0.5, 0.5], [1.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.9, 0.1]],
+    [[0.5, 0.5, -0.5, 0.5], [-0.5, 0.5, 0.5, 0.5], [0.9, 0.1, 0.3, -0.2]],
+])
+def test_batched_quat_error(gc):
+    goal, current = gc
+    same_rows(m3.quat_error_f, m3.quat_error, goal, current)
+    same_rows(m3.quat_error_f, m3.quat_error, goal[0], current, broadcast=(0,))
+
+
 # ----------------------------------------------------------- clamp
 
 
@@ -213,6 +294,28 @@ def test_step_f_matches_step_arrays(pos, att, lv, av, force, torque, mass, inert
     for g, w in zip(got, want):
         assert all(type(c) is float for c in g)
         assert bits(g) == bits(w)
+
+
+@st.composite
+def state_batches(draw):
+    """step_arrays' per-row arguments as n rows each, then the shared masks and dt."""
+    rows = draw(batches(
+        vec3s, unit_quats(), vec3s, vec3s, vec3s, vec3s, positive,
+        st.lists(positive, min_size=3, max_size=3),
+        st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+    ))
+    return rows, draw(masks), draw(masks), draw(st.floats(1e-4, 0.5))
+
+
+@fixed(40)
+@given(state_batches())
+def test_step_arrays_rows_match_step_f(batch):
+    rows, tm, rm, dt = batch
+    want = step_arrays(*(np.array(a, dtype=np.float64) for a in rows + [tm, rm]), dt)
+    for r in range(len(rows[0])):
+        got = step_f(*(a[r] for a in rows), tm, rm, dt)
+        for g, w in zip(got, want):
+            assert bits(g) == bits(w[r])
 
 
 def test_step_f_raises_on_divergence():

@@ -371,6 +371,139 @@ def test_ppo_update_deterministic_and_in_place():
         np.testing.assert_array_equal(a, b)
 
 
+# The minibatch path as it was written before ppo_update reused buffers:
+# fresh arrays everywhere, both forward passes before either backward pass.
+# ppo_update must match it byte for byte; a stale or aliased workspace
+# array shows up here even when two runs of the new code agree.
+
+
+def _oracle_forward(params, x):
+    cache = [x]
+    h = x
+    n_layers = len(params.weights)
+    for k in range(n_layers):
+        z = h @ params.weights[k] + params.biases[k]
+        h = np.tanh(z) if k < n_layers - 1 else z
+        cache.append(h)
+    return h, cache
+
+
+def _oracle_backward(params, cache, dy):
+    n_layers = len(params.weights)
+    dws, dbs = [None] * n_layers, [None] * n_layers
+    grad = dy
+    for k in range(n_layers - 1, -1, -1):
+        if k < n_layers - 1:
+            grad = grad * (1.0 - cache[k + 1] ** 2)
+        dws[k] = cache[k].T @ grad
+        dbs[k] = grad.sum(axis=0)
+        if k > 0:
+            grad = grad @ params.weights[k].T
+    return dws, dbs
+
+
+def _oracle_grads(net, obs, actions, old_log_probs, adv, returns, cfg):
+    b = obs.shape[0]
+    xn = obs / net.obs_scales
+    mean, actor_cache = _oracle_forward(net.actor, xn)
+    v_raw, critic_cache = _oracle_forward(net.critic, xn)
+    v = v_raw[:, 0]
+    log_std = clamped_log_std(net)
+    std = np.exp(log_std)
+    new_log_probs = gaussian_log_prob(mean, log_std, actions)
+    ratio = np.exp(new_log_probs - old_log_probs)
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
+    pg_loss = float(np.mean(-np.minimum(surr1, surr2)))
+    v_err = v - returns
+    value_loss = float(np.mean(v_err**2))
+    entropy = gaussian_entropy(log_std)
+    loss = pg_loss + cfg.value_coef * value_loss - cfg.entropy_coef * entropy
+    active = (surr1 <= surr2).astype(np.float64)
+    dlogp = -(ratio * adv * active) / b
+    z = (actions - mean) / std
+    dmean = dlogp[:, None] * z / std
+    dlog_std = np.sum(dlogp[:, None] * (z * z - 1.0), axis=0) - cfg.entropy_coef
+    dlog_std = np.where(
+        (net.log_std < LOG_STD_MIN) | (net.log_std > LOG_STD_MAX), 0.0, dlog_std
+    )
+    dv = (2.0 * cfg.value_coef / b) * v_err
+    actor_dw, actor_db = _oracle_backward(net.actor, actor_cache, dmean)
+    critic_dw, critic_db = _oracle_backward(net.critic, critic_cache, dv[:, None])
+    grads = []
+    for dw, db in zip(actor_dw, actor_db):
+        grads.extend([dw, db])
+    grads.append(dlog_std)
+    for dw, db in zip(critic_dw, critic_db):
+        grads.extend([dw, db])
+    stats = {
+        "loss": loss,
+        "policy_loss": pg_loss,
+        "value_loss": value_loss,
+        "entropy": entropy,
+        "approx_kl": float(np.mean(old_log_probs - new_log_probs)),
+        "clip_fraction": float(np.mean((np.abs(ratio - 1.0) > cfg.clip_eps).astype(np.float64))),
+    }
+    return grads, stats
+
+
+def _oracle_adam(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    state.t += 1
+    t = state.t
+    for a, g, m, v in zip(arrays, grads, state.m, state.v):
+        m[...] = beta1 * m + (1.0 - beta1) * g
+        v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        a -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _oracle_ppo_update(net, buffer, cfg, adam_state, rng):
+    adv2d, ret2d = gae(buffer.rewards, buffer.values, buffer.dones, buffer.bootstrap_values,
+                       cfg.gamma, cfg.lam)
+    obs, actions, old_logp, adv, returns = (
+        buffer.flat(a) for a in (buffer.obs, buffer.actions, buffer.log_probs, adv2d, ret2d)
+    )
+    n = obs.shape[0]
+    mb = min(cfg.minibatch_size, n)
+    agg, count = {}, 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, mb):
+            idx = order[start : start + mb]
+            grads, stats = _oracle_grads(
+                net, obs[idx], actions[idx], old_logp[idx], normalize_advantages(adv[idx]),
+                returns[idx], cfg,
+            )
+            grads, stats["grad_norm"] = clip_grads(grads, cfg.max_grad_norm)
+            _oracle_adam(param_list(net), grads, adam_state, cfg.lr)
+            for k, val in stats.items():
+                agg[k] = agg.get(k, 0.0) + val
+            count += 1
+    return {k: v / count for k, v in agg.items()}
+
+
+def test_ppo_update_matches_unbuffered_oracle_bitwise():
+    # 128 samples in minibatches of 48: shapes 48, 48, 32 in each of two
+    # epochs, so the workspace is reused across calls and across shapes
+    cfg = PpoConfig(n_envs=4, horizon=32, minibatch_size=48, epochs=2, entropy_coef=0.01)
+    runs = []
+    for update in (ppo_update, _oracle_ppo_update):
+        net = policy_init(np.random.default_rng(23))
+        adam = adam_init(param_list(net))
+        stats = update(net, make_buffer(net), cfg, adam, np.random.default_rng(8))
+        runs.append((net, adam, stats))
+    (net, adam, stats), (ref_net, ref_adam, ref_stats) = runs
+    assert adam.t == ref_adam.t == 6
+    for got, want in zip(
+        param_list(net) + adam.m + adam.v, param_list(ref_net) + ref_adam.m + ref_adam.v
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert stats.keys() == ref_stats.keys()
+    for k in stats:
+        assert struct.pack("<d", stats[k]) == struct.pack("<d", ref_stats[k]), k
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ppo_update_diverged_raises():
     cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=32)
