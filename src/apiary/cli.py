@@ -79,23 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        workers = flag
-    else:
-        text = os.environ.get("APIARY_WORKERS", "").strip()
-        if text:
-            try:
-                workers = int(text)
-            except ValueError:
-                raise CliError(f"APIARY_WORKERS must be an integer, got {text!r}")
-        else:
-            workers = 1
-    if workers < 1:
-        raise CliError("worker count must be >= 1")
-    return workers
-
-
 def _snapshot(out_dir, cfg, argv: list[str]) -> None:
     cmd = "apiary " + " ".join(shlex.quote(t) for t in argv)
     write_snapshot(
@@ -166,8 +149,9 @@ def cmd_eval(args, argv: list[str]) -> int:
     cfg = set_value(cfg, "env", "scenario", args.scenario)
     if args.episodes < 1:
         raise CliError("--episodes must be >= 1")
+    if args.workers < 1:
+        raise CliError("worker count must be >= 1")
     net = _load_checkpoint(args.ckpt, cfg.env)
-    workers = _resolve_workers(args.workers)
     seed = args.seed if args.seed is not None else cfg.seed
     log_sink = None
     if args.logs is not None:
@@ -178,7 +162,9 @@ def cmd_eval(args, argv: list[str]) -> int:
                 os.path.join(args.logs, f"episode_{k:04d}.csv")
             )
 
-    result = evaluate_policy(net, cfg.env, cfg.reward, args.episodes, seed, workers, log_sink)
+    result = evaluate_policy(
+        net, cfg.env, cfg.reward, args.episodes, seed, args.workers, log_sink
+    )
     print(",".join(SUMMARY_FIELDS))
     print(",".join(str(result.summary[k]) for k in SUMMARY_FIELDS))
     if args.out is not None:
@@ -298,7 +284,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--logs", default=None, help="directory for per-episode trajectories")
     p.add_argument("--out", default=None, help="directory for summary/episodes CSVs")
-    p.add_argument("--workers", type=int, default=None, help="process cap (or APIARY_WORKERS)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="run one maneuver under policy and PD baseline")
@@ -341,9 +327,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -49,10 +49,6 @@ class BodyParams:
         if ix + iy < iz or iy + iz < ix or iz + ix < iy:
             raise ValueError("inertia violates triangle inequality")
 
-    def scaled(self, factor: float) -> "BodyParams":
-        """Uniform-density mass scaling: inertia scales with mass."""
-        return BodyParams(self.mass * factor, self.inertia_diag * factor, self.com_offset.copy())
-
 
 @dataclass(frozen=True)
 class DofMask:
@@ -186,9 +182,3 @@ def step_f(
         raise SimulationDivergedError("state went non-finite during step")
     return new_pos, new_att, new_lv, new_av
 
-
-def momentum(state: RigidState, params: BodyParams) -> tuple[np.ndarray, np.ndarray]:
-    """(linear momentum, world-frame angular momentum about the COM)."""
-    p = params.mass * state.lin_vel
-    l_world = m3.quat_rotate(state.attitude, params.inertia_diag * state.ang_vel)
-    return p, l_world

@@ -1,8 +1,9 @@
 """Episodic move-to-pose task with domain randomization.
 
-An episode starts at the origin at rest. Reset samples a goal pose
-(uniform per-axis position offset and per-axis rotation-vector angle) and
-a body mass factor. The observation is the 12-vector
+An episode starts at the origin at rest. `BatchEnv.reset_env`, the one
+place an episode is drawn, samples a goal pose (uniform per-axis position
+offset and per-axis rotation-vector angle) and a body mass factor. The
+observation is the 12-vector
 
     [pos_err(3), ori_err(3), lin_vel(3), ang_vel(3)]
 
@@ -39,7 +40,6 @@ from .dynamics import (
     FULL_6DOF,
     BodyParams,
     DofMask,
-    RigidState,
     SimulationDivergedError,
     step_arrays,
 )
@@ -48,8 +48,6 @@ OBS_DIM = 12
 ACT_DIM = 6
 POS_ERR = slice(0, 3)
 ORI_ERR = slice(3, 6)
-LIN_VEL = slice(6, 9)
-ANG_VEL = slice(9, 12)
 
 
 @dataclass
@@ -122,28 +120,6 @@ class EnvConfig:
             raise ValueError("hold_steps and oob_radius must be positive")
         if not 0.0 < self.dt <= 0.5:
             raise ValueError(f"dt must be in (0, 0.5], got {self.dt}")
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def reset(config: EnvConfig, seed) -> tuple[RigidState, EpisodeGoal, BodyParams]:
-    """Sample a fresh episode. `seed` is an int or a Generator.
-
-    The start pose is always origin/identity/rest; goal components on
-    masked DOFs are zeroed so constrained scenarios stay reachable.
-    """
-    rng = _as_rng(seed)
-    tmask = config.mask.translation_floats()
-    rmask = config.mask.rotation_floats()
-    goal_pos = rng.uniform(-config.goal_pos_range, config.goal_pos_range) * tmask
-    goal_rotvec = rng.uniform(-config.goal_ang_range, config.goal_ang_range) * rmask
-    mass_factor = rng.uniform(config.mass_range[0], config.mass_range[1])
-    goal = EpisodeGoal(goal_pos, m3.quat_from_rotvec(goal_rotvec))
-    return RigidState(), goal, config.body.scaled(mass_factor)
 
 
 def observe_arrays(
@@ -273,15 +249,25 @@ class BatchEnv:
             self.reset_env(i)
 
     def reset_env(self, i: int) -> None:
-        state, goal, params = reset(self.config, self.rngs[i])
-        self.pos[i] = state.position
-        self.att[i] = state.attitude
-        self.linvel[i] = state.lin_vel
-        self.angvel[i] = state.ang_vel
-        self.goal_pos[i] = goal.position
-        self.goal_att[i] = goal.attitude
-        self.mass[i] = params.mass
-        self.inertia[i] = params.inertia_diag
+        """Start a fresh episode in row i from the row's RNG stream.
+
+        The start pose is always origin/identity/rest. The draw is a goal
+        position, a goal rotation vector and a mass factor, in that order;
+        goal components on masked DOFs are zeroed so constrained scenarios
+        stay reachable, and inertia scales with mass (uniform density).
+        """
+        cfg, rng = self.config, self.rngs[i]
+        goal_pos = rng.uniform(-cfg.goal_pos_range, cfg.goal_pos_range) * self._tmask
+        goal_rotvec = rng.uniform(-cfg.goal_ang_range, cfg.goal_ang_range) * self._rmask
+        f = rng.uniform(cfg.mass_range[0], cfg.mass_range[1])
+        self.pos[i] = 0.0
+        self.att[i] = m3.quat_identity()
+        self.linvel[i] = 0.0
+        self.angvel[i] = 0.0
+        self.goal_pos[i] = goal_pos
+        self.goal_att[i] = m3.quat_from_rotvec(goal_rotvec)
+        self.mass[i] = cfg.body.mass * f
+        self.inertia[i] = cfg.body.inertia_diag * f
         self.hold[i] = 0
         self.steps[i] = 0
         self.frozen[i] = False
@@ -413,39 +399,22 @@ class RolloutBuffer:
     episode_returns: list[float]
     episode_successes: list[bool]
 
-    @property
-    def n_envs(self) -> int:
-        return self.obs.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.obs.shape[1]
-
     def flat(self, arr: np.ndarray) -> np.ndarray:
         """(n_envs, horizon, ...) -> (n_envs*horizon, ...) keeping env-major order."""
         return arr.reshape(arr.shape[0] * arr.shape[1], *arr.shape[2:])
 
 
-def batch_rollout(
-    policy,
-    n_envs: int,
-    horizon: int,
-    config: EnvConfig,
-    weights: RewardWeights,
-    seed: int = 0,
-    batch_env: BatchEnv | None = None,
-) -> RolloutBuffer:
-    """Collect horizon steps from n_envs auto-resetting environments.
+def batch_rollout(policy, benv: BatchEnv, horizon: int) -> RolloutBuffer:
+    """Collect horizon steps from benv's auto-resetting environments,
+    continuing their episodes and RNG streams where the last call left them.
 
     `policy` provides sample(obs_batch, rngs) -> (actions, log_probs) and
     value(obs_batch) -> values; exploration noise for env i comes from the
-    env's own RNG stream. Pass batch_env to continue an existing stream
-    across successive rollouts (training does this); otherwise a fresh
-    BatchEnv is created from seed.
+    env's own RNG stream.
     """
-    if n_envs < 1 or horizon < 1:
-        raise ValueError("n_envs and horizon must be >= 1")
-    benv = batch_env if batch_env is not None else BatchEnv(n_envs, config, weights, seed)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n_envs = benv.n
     obs_buf = np.zeros((n_envs, horizon, OBS_DIM))
     act_buf = np.zeros((n_envs, horizon, ACT_DIM))
     logp_buf = np.zeros((n_envs, horizon))

@@ -13,19 +13,23 @@ Layout (all integers u32 LE, floats f64 LE):
     (end of file; trailing bytes are an error)
 
 Loading rebuilds the exact PolicyNet: save -> load -> save is
-byte-identical. The env hash lets callers detect a checkpoint replayed
-under a different environment configuration without blocking it.
+byte-identical. It refuses a file whose nets do not map OBS_DIM
+observations to ACT_DIM actions and 1 value, with a width below 1, an
+obs scale that is not positive and finite, or a non-finite parameter.
+The env hash lets callers detect a checkpoint replayed under a different
+environment configuration without blocking it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import struct
 
 import numpy as np
 
-from ..env import EnvConfig
+from ..env import ACT_DIM, OBS_DIM, EnvConfig
 from .nets import LOG_STD_MAX, LOG_STD_MIN, MlpParams, PolicyNet, param_list
 
 MAGIC = b"APRY"
@@ -36,32 +40,43 @@ class CheckpointError(ValueError):
     """Malformed, truncated or wrong-format checkpoint data."""
 
 
+# the hash's spelling of the nested fields whose names it shortens
+_HASH_NAMES = {
+    "free_translation": "tmask",
+    "free_rotation": "rmask",
+    "inertia_diag": "inertia",
+    "com_offset": "com",
+}
+
+
+def _hash_value(v) -> str:
+    if isinstance(v, (tuple, np.ndarray)):
+        return ",".join(_hash_value(x) for x in v)
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return f"{v:.17g}"
+
+
+def _hash_lines(obj) -> list[str]:
+    """`name=value` per leaf field, in declaration order, recursing into
+    nested dataclasses (the DOF mask, the body and the actuation limits)."""
+    lines = []
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if dataclasses.is_dataclass(v):
+            lines.extend(_hash_lines(v))
+        else:
+            lines.append(f"{_HASH_NAMES.get(f.name, f.name)}={_hash_value(v)}")
+    return lines
+
+
 def env_config_hash(config: EnvConfig) -> bytes:
-    """sha256 over a canonical text form of every env field that shapes the task."""
-    parts = [
-        "goal_pos_range=" + ",".join(f"{v:.17g}" for v in config.goal_pos_range),
-        "goal_ang_range=" + ",".join(f"{v:.17g}" for v in config.goal_ang_range),
-        f"mass_range={config.mass_range[0]:.17g},{config.mass_range[1]:.17g}",
-        f"episode_len={config.episode_len}",
-        f"success_pos_tol={config.success_pos_tol:.17g}",
-        f"success_ori_tol={config.success_ori_tol:.17g}",
-        f"success_vel_tol={config.success_vel_tol:.17g}",
-        f"success_angvel_tol={config.success_angvel_tol:.17g}",
-        f"hold_steps={config.hold_steps}",
-        f"oob_radius={config.oob_radius:.17g}",
-        f"dt={config.dt:.17g}",
-        "tmask=" + ",".join(str(int(v)) for v in config.mask.free_translation),
-        "rmask=" + ",".join(str(int(v)) for v in config.mask.free_rotation),
-        f"mass={config.body.mass:.17g}",
-        "inertia=" + ",".join(f"{v:.17g}" for v in config.body.inertia_diag),
-        "com=" + ",".join(f"{v:.17g}" for v in config.body.com_offset),
-        f"f_max={config.limits.f_max:.17g}",
-        f"tau_max={config.limits.tau_max:.17g}",
-        f"force_rate={config.limits.force_rate:.17g}",
-        f"torque_rate={config.limits.torque_rate:.17g}",
-        f"body_frame_obs={int(config.body_frame_obs)}",
-    ]
-    return hashlib.sha256("\n".join(parts).encode("ascii")).digest()
+    """sha256 over a canonical text form of every `EnvConfig` field, nested
+    ones included: bools as 0/1, ints in decimal, floats as .17g, and
+    sequences comma-joined."""
+    return hashlib.sha256("\n".join(_hash_lines(config)).encode("ascii")).digest()
 
 
 def _pack_u32_list(values: list[int]) -> bytes:
@@ -140,10 +155,26 @@ def _decode_policy(data: bytes) -> tuple[PolicyNet, dict]:
     if not (2 <= n <= 64):
         raise CheckpointError(f"implausible critic layer count {n}")
     critic_sizes = [r.u32() for _ in range(n)]
+    if (actor_sizes[0], actor_sizes[-1]) != (OBS_DIM, ACT_DIM):
+        raise CheckpointError(
+            f"actor maps {actor_sizes[0]} inputs to {actor_sizes[-1]} outputs; "
+            f"a policy maps {OBS_DIM} observations to {ACT_DIM} actions"
+        )
+    if (critic_sizes[0], critic_sizes[-1]) != (OBS_DIM, 1):
+        raise CheckpointError(
+            f"critic maps {critic_sizes[0]} inputs to {critic_sizes[-1]} outputs; "
+            f"a value function maps {OBS_DIM} observations to 1 output"
+        )
+    if min(actor_sizes + critic_sizes) < 1:
+        raise CheckpointError(
+            f"layer widths must be >= 1, got actor {actor_sizes}, critic {critic_sizes}"
+        )
     obs_dim = r.u32()
-    if obs_dim != actor_sizes[0] or obs_dim != critic_sizes[0]:
+    if obs_dim != OBS_DIM:
         raise CheckpointError("obs_scales length disagrees with network input size")
     obs_scales = r.f64_array((obs_dim,))
+    if not np.all((0.0 < obs_scales) & (obs_scales < np.inf)):
+        raise CheckpointError(f"obs scales must be positive and finite: {obs_scales.tolist()}")
     log_std_min = r.f64()
     log_std_max = r.f64()
     if (log_std_min, log_std_max) != (LOG_STD_MIN, LOG_STD_MAX):
@@ -161,11 +192,12 @@ def _decode_policy(data: bytes) -> tuple[PolicyNet, dict]:
     actor = read_mlp(actor_sizes)
     log_std = r.f64_array((actor_sizes[-1],))
     critic = read_mlp(critic_sizes)
-    if critic_sizes[-1] != 1:
-        raise CheckpointError("critic output size must be 1")
     if r.pos != len(data):
         raise CheckpointError(f"{len(data) - r.pos} trailing bytes after parameters")
     net = PolicyNet(actor, log_std, critic, obs_scales)
+    for k, arr in enumerate(param_list(net)):
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite value in parameter array {k} (param_list order)")
     meta = {
         "version": version,
         "actor_sizes": actor_sizes,

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..env import ACT_DIM, OBS_DIM
+
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
 
@@ -145,18 +147,12 @@ class PolicyNet:
 
 def policy_init(
     rng: np.random.Generator,
-    obs_dim: int = 12,
-    act_dim: int = 6,
     hidden: tuple[int, ...] = (64, 64),
     log_std_init: float = -0.5,
-    obs_scales: np.ndarray | None = None,
 ) -> PolicyNet:
-    actor = mlp_init([obs_dim, *hidden, act_dim], rng, out_scale=0.01)
-    critic = mlp_init([obs_dim, *hidden, 1], rng)
-    scales = DEFAULT_OBS_SCALES.copy() if obs_scales is None else np.asarray(obs_scales, dtype=np.float64)
-    if scales.shape != (obs_dim,) or np.any(scales <= 0.0) or not np.all(np.isfinite(scales)):
-        raise ValueError("obs_scales must be positive finite with one entry per obs component")
-    return PolicyNet(actor, np.full(act_dim, float(log_std_init)), critic, scales)
+    actor = mlp_init([OBS_DIM, *hidden, ACT_DIM], rng, out_scale=0.01)
+    critic = mlp_init([OBS_DIM, *hidden, 1], rng)
+    return PolicyNet(actor, np.full(ACT_DIM, float(log_std_init)), critic)
 
 
 def clamped_log_std(net: PolicyNet) -> np.ndarray:
@@ -220,17 +216,6 @@ def param_list(net: PolicyNet) -> list[np.ndarray]:
     for w, b in zip(net.critic.weights, net.critic.biases):
         out.extend([w, b])
     return out
-
-
-def set_params(net: PolicyNet, arrays: list[np.ndarray]) -> None:
-    """Write a param_list-ordered array list back into the net, in place."""
-    ref = param_list(net)
-    if len(ref) != len(arrays):
-        raise ValueError("parameter count mismatch")
-    for dst, src in zip(ref, arrays):
-        if dst.shape != src.shape:
-            raise ValueError(f"parameter shape mismatch: {dst.shape} vs {src.shape}")
-        dst[...] = src
 
 
 @dataclass

@@ -9,7 +9,7 @@ value loss and an entropy bonus, backpropagates by hand through both
 MLPs, clips the global gradient norm and applies one Adam step.
 
 All gradient math lives in `_minibatch_grads`; a finite-difference check
-in the tests pins it against the loss function alone.
+in the tests pins its gradients against the loss it reports.
 
 `ppo_update` owns one workspace (see `nets`) for the whole update. Every
 minibatch runs the actor's forward and backward pass and then the
@@ -176,20 +176,6 @@ def _minibatch_grads(
         "clip_fraction": clip_frac,
     }
     return grads, stats
-
-
-def minibatch_loss(
-    net: PolicyNet,
-    obs: np.ndarray,
-    actions: np.ndarray,
-    old_log_probs: np.ndarray,
-    adv: np.ndarray,
-    returns: np.ndarray,
-    cfg: PpoConfig,
-) -> float:
-    """Scalar loss only; the finite-difference gradient check drives this."""
-    _, stats = _minibatch_grads(net, obs, actions, old_log_probs, adv, returns, cfg)
-    return stats["loss"]
 
 
 def ppo_update(

@@ -263,14 +263,7 @@ def train(
 
     try:
         for it in range(iterations):
-            buf = batch_rollout(
-                policy,
-                ppo_cfg.n_envs,
-                ppo_cfg.horizon,
-                config,
-                weights,
-                batch_env=benv,
-            )
+            buf = batch_rollout(policy, benv, ppo_cfg.horizon)
             stats = ppo_update(net, buf, ppo_cfg, adam_state, shuffle_rng)
             last_good = copy.deepcopy(net)
             result.env_steps += steps_per_iter

@@ -34,10 +34,6 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
     return np.array([x, y, z], dtype=np.float64)
 
 
-def quat(w: float, x: float, y: float, z: float) -> np.ndarray:
-    return np.array([w, x, y, z], dtype=np.float64)
-
-
 def quat_identity() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0])
 

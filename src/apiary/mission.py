@@ -172,12 +172,11 @@ class TrajectoryLog:
 
     The numeric columns live in one float64 array grown by doubling."""
 
-    def __init__(self, meta: dict | None = None):
+    def __init__(self):
         self._num = np.empty((0, 32))
         self._n = 0
         self._modes: list[str] = []
         self._maneuvers: list[int] = []
-        self.meta = dict(meta) if meta else {}
 
     def __len__(self) -> int:
         return self._n
@@ -607,9 +606,15 @@ class MetricReport:
 
 
 def metrics_from_log(
-    log: TrajectoryLog, pos_tol: float, ori_tol: float, dt: float
+    log: TrajectoryLog,
+    entry_pos: np.ndarray,
+    goal_pos: np.ndarray,
+    pos_tol: float,
+    ori_tol: float,
+    dt: float,
 ) -> ManeuverMetrics:
-    """Scalar maneuver metrics from one log.
+    """Scalar maneuver metrics from one log of a maneuver commanded from
+    entry_pos to goal_pos.
 
     Settle time is measured from the log's first row to the start of the
     suffix where position and orientation errors stay within tolerance.
@@ -639,15 +644,8 @@ def metrics_from_log(
             idx -= 1
         settle = float(t[idx] - t[0])
 
-    entry = log.meta.get("entry_pos")
-    goal = log.meta.get("goal_pos")
-    entry = pos[0] if entry is None else np.asarray(entry, dtype=np.float64)
-    if goal is None:
-        # without meta, take the commanded displacement to end at the last position
-        goal = pos[-1]
-    else:
-        goal = np.asarray(goal, dtype=np.float64)
-    disp = goal - entry
+    entry = np.asarray(entry_pos, dtype=np.float64)
+    disp = np.asarray(goal_pos, dtype=np.float64) - entry
     dn = float(m3.vec_norm(disp))
     rel = pos - entry
     if dn > 1e-9:
@@ -672,26 +670,6 @@ def metrics_from_log(
     )
 
 
-def compare_metrics(
-    log_rl: TrajectoryLog,
-    log_baseline: TrajectoryLog,
-    pos_tol: float,
-    ori_tol: float,
-    dt: float,
-) -> MetricReport:
-    """Side-by-side metrics for two logs of the same maneuver."""
-    for key in ("kind", "axis", "magnitude"):
-        a, b = log_rl.meta.get(key), log_baseline.meta.get(key)
-        if a is not None and b is not None and a != b:
-            raise ValueError(f"logs describe different maneuvers ({key}: {a!r} vs {b!r})")
-    rl = metrics_from_log(log_rl, pos_tol, ori_tol, dt)
-    base = metrics_from_log(log_baseline, pos_tol, ori_tol, dt)
-    diff = {
-        name: getattr(rl, name) - getattr(base, name) for name in ManeuverMetrics.SCALARS
-    }
-    return MetricReport(rl, base, diff)
-
-
 def run_compare(
     maneuver: Maneuver,
     mc: MissionConfig,
@@ -700,25 +678,18 @@ def run_compare(
 ) -> tuple[TrajectoryLog, TrajectoryLog, MetricReport]:
     """Run one maneuver twice from the same entry state: policy vs PD."""
     entry = start_state.copy() if start_state is not None else RigidState()
-    goal = goal_for_maneuver(
-        maneuver,
-        EpisodeGoal(entry.position.copy(), entry.attitude.copy()),
-        EpisodeGoal(entry.position.copy(), entry.attitude.copy()),
-    )
-    meta = {
-        "kind": maneuver.kind,
-        "axis": -1 if maneuver.axis is None else maneuver.axis,
-        "magnitude": maneuver.magnitude,
-        "entry_pos": entry.position.copy(),
-        "goal_pos": goal.position.copy(),
-    }
-    log_rl = TrajectoryLog(meta)
-    log_pd = TrajectoryLog(meta)
+    here = EpisodeGoal(entry.position.copy(), entry.attitude.copy())
+    goal = goal_for_maneuver(maneuver, here, here)
+    log_rl = TrajectoryLog()
+    log_pd = TrajectoryLog()
     run_maneuver(entry.copy(), maneuver, ControlMode.RL_POLICY, mc, net=net, log=log_rl)
     run_maneuver(entry.copy(), maneuver, ControlMode.BASELINE, mc, log=log_pd)
     env = mc.env
-    report = compare_metrics(log_rl, log_pd, env.success_pos_tol, env.success_ori_tol, env.dt)
-    return log_rl, log_pd, report
+    tols = (env.success_pos_tol, env.success_ori_tol, env.dt)
+    rl = metrics_from_log(log_rl, entry.position, goal.position, *tols)
+    base = metrics_from_log(log_pd, entry.position, goal.position, *tols)
+    diff = {name: getattr(rl, name) - getattr(base, name) for name in ManeuverMetrics.SCALARS}
+    return log_rl, log_pd, MetricReport(rl, base, diff)
 
 
 def _parse_error(path, line_no: int, msg: str) -> ValueError:
@@ -817,19 +788,3 @@ def parse_faults_file(path) -> list[FaultSpec]:
             except ValueError as e:
                 raise _parse_error(path, line_no, f"bad fault values: {e}")
     return faults
-
-
-def stock_sequence() -> list[Maneuver]:
-    """The shipped eight-maneuver demo: undock, two Z rotations, a second
-    leg out, then two approach-and-dock attempts back at the entry pose."""
-    ang = float(np.deg2rad(20.0))
-    return [
-        Maneuver("translate", 0, 0.5, 30.0),
-        Maneuver("rotate", 2, -ang, 20.0),
-        Maneuver("rotate", 2, ang, 20.0),
-        Maneuver("translate", 0, 0.5, 30.0),
-        Maneuver("dock_approach", timeout=30.0),
-        Maneuver("dock", timeout=30.0),
-        Maneuver("dock_approach", timeout=30.0, resume=True),
-        Maneuver("dock", timeout=30.0, note="loss_of_signal"),
-    ]

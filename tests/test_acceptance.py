@@ -20,14 +20,13 @@ from apiary.dynamics import (
     GRANITE_3DOF,
     BodyParams,
     RigidState,
-    momentum,
     step_f,
 )
 from apiary.env import EnvConfig, RewardWeights
 from apiary.learn import PpoConfig, evaluate_policy, train
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import param_list, policy_init
-from apiary.learn.ppo import _minibatch_grads, gae, minibatch_loss
+from apiary.learn.ppo import _minibatch_grads, gae
 from apiary.mission import (
     ControlMode,
     Maneuver,
@@ -37,9 +36,8 @@ from apiary.mission import (
     parse_sequence_file,
     run_maneuver,
     run_sequence,
-    stock_sequence,
 )
-from float_state import as_state, body_args, lists
+from float_state import as_state, body_args, lists, momentum
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -185,9 +183,9 @@ def test_backprop_matches_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = minibatch_loss(net, *batch, cfg)
+            up = _minibatch_grads(net, *batch, cfg)[1]["loss"]
             flat[j] = orig - h
-            dn = minibatch_loss(net, *batch, cfg)
+            dn = _minibatch_grads(net, *batch, cfg)[1]["loss"]
             flat[j] = orig
             fd = (up - dn) / (2 * h)
             scale = max(abs(fd), abs(gflat[j]), 1e-6)
@@ -338,7 +336,6 @@ def test_stock_sequence_replay_and_fault_recovery():
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     net, _ = load_policy(ASSETS / "reference_policy.ckpt")
     seq = parse_sequence_file(ASSETS / "stock_sequence.txt")
-    assert seq == stock_sequence()  # the shipped file is the stock eight
 
     clean = run_sequence(seq, ControlMode.RL_POLICY, mc, net=net)
     clean_ok = all(o.outcome == "success" for o in clean.outcomes)

@@ -9,8 +9,8 @@ import pytest
 from apiary.cli import main
 from apiary.config import load_config, set_value
 from apiary.env import ORI_ERR, POS_ERR, BatchEnv
-from apiary.learn.checkpoint import load_policy
-from apiary.learn.nets import policy_mean
+from apiary.learn.checkpoint import load_policy, save_policy
+from apiary.learn.nets import PolicyNet, mlp_init, policy_mean
 from apiary.mission import ControlMode, TrajectoryLog
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
@@ -212,22 +212,6 @@ def test_eval_env_mismatch_warns(workspace, capsys):
     assert "different environment" in capsys.readouterr().err
 
 
-def test_eval_workers_from_environment(workspace, monkeypatch, capsys):
-    monkeypatch.setenv("APIARY_WORKERS", "2")
-    rc = main(
-        ["eval", "--config", str(workspace["config"]), "--ckpt", str(workspace["ckpt"]),
-         "--scenario", "iss6dof", "--episodes", "2", "--seed", "1"]
-    )
-    assert rc == 0
-    monkeypatch.setenv("APIARY_WORKERS", "many")
-    rc = main(
-        ["eval", "--config", str(workspace["config"]), "--ckpt", str(workspace["ckpt"]),
-         "--scenario", "iss6dof", "--episodes", "2", "--seed", "1"]
-    )
-    assert rc == 1
-    assert "APIARY_WORKERS" in capsys.readouterr().err
-
-
 def test_eval_rejects_bad_worker_count(workspace, capsys):
     rc = main(
         ["eval", "--config", str(workspace["config"]), "--ckpt", str(workspace["ckpt"]),
@@ -261,6 +245,46 @@ def test_eval_truncated_checkpoint_names_path(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {bad}: truncated checkpoint: needed 96 bytes at offset 52, file has 100" in err
+
+
+def _flawed_checkpoint(path, flaw):
+    """Write a checkpoint the decoder must refuse: an actor with 4 outputs
+    or 5 inputs, or the reference policy with a zero obs scale or one NaN
+    weight."""
+    rng = np.random.default_rng(7)
+    if flaw == "four_actions":
+        net = PolicyNet(mlp_init([12, 64, 64, 4], rng), np.full(4, -0.5),
+                        mlp_init([12, 64, 64, 1], rng))
+    elif flaw == "five_inputs":
+        net = PolicyNet(mlp_init([5, 64, 64, 6], rng), np.full(6, -0.5),
+                        mlp_init([5, 64, 64, 1], rng), np.ones(5))
+    else:
+        net, _ = load_policy(REFERENCE_CKPT)
+        if flaw == "zero_obs_scale":
+            net.obs_scales[0] = 0.0
+        else:
+            net.actor.weights[0][3, 7] = np.nan
+    save_policy(path, net, load_config(RECIPE).env)
+
+
+@pytest.mark.parametrize("flaw", ["four_actions", "five_inputs", "zero_obs_scale", "nan_weight"])
+@pytest.mark.parametrize("command", ["eval", "compare", "replay"])
+def test_flawed_checkpoint_exits_1_naming_the_file(tmp_path, capsys, command, flaw):
+    ckpt = tmp_path / "flawed.ckpt"
+    _flawed_checkpoint(ckpt, flaw)
+    out = tmp_path / "out"
+    args = {
+        "eval": ["--config", str(RECIPE), "--scenario", "iss6dof", "--episodes", "2",
+                 "--logs", str(out / "logs"), "--out", str(out)],
+        "compare": ["--config", str(RECIPE), "--maneuver", "translate:x:0.5:2", "--out", str(out)],
+        "replay": ["--config", str(RECIPE), "--sequence", str(ASSETS / "stock_sequence.txt"),
+                   "--out", str(out)],
+    }[command]
+    assert main([command, "--ckpt", str(ckpt)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {ckpt}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_compare_writes_metrics(workspace, capsys):

@@ -16,11 +16,10 @@ from apiary.dynamics import (
     BodyParams,
     RigidState,
     SimulationDivergedError,
-    momentum,
     step_arrays,
     step_f,
 )
-from float_state import as_state, body_args, lists
+from float_state import as_state, body_args, lists, momentum
 
 ZERO = [0.0, 0.0, 0.0]
 
@@ -223,6 +222,3 @@ def test_body_params_validation():
         BodyParams(inertia_diag=m3.vec3(0.1, -0.1, 0.1))
     with pytest.raises(ValueError):
         BodyParams(inertia_diag=m3.vec3(1.0, 0.1, 0.1))  # triangle inequality
-    scaled = BodyParams().scaled(1.25)
-    assert scaled.mass == 9.5 * 1.25
-    np.testing.assert_array_equal(scaled.inertia_diag, BodyParams().inertia_diag * 1.25)

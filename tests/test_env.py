@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from apiary import math3d as m3
-from apiary.dynamics import GRANITE_3DOF, RigidState
+from apiary.config import SCENARIOS, load_config, set_value
+from apiary.dynamics import GRANITE_3DOF, BodyParams, RigidState
 from apiary.env import (
-    ANG_VEL,
-    LIN_VEL,
     ORI_ERR,
     POS_ERR,
     BatchEnv,
@@ -19,10 +18,13 @@ from apiary.env import (
     batch_rollout,
     obs_norms,
     observe_arrays,
-    reset,
     reward_arrays,
     success_flags,
 )
+
+# the observation's velocity slices, after env's POS_ERR and ORI_ERR
+LIN_VEL = slice(6, 9)
+ANG_VEL = slice(9, 12)
 
 
 def quick_config(**kw):
@@ -241,33 +243,70 @@ def test_env_step_oob_terminates():
     assert rewards[-1] < -w.penalty_oob + 1.0
 
 
+def reset_oracle(config, rng):
+    """The episode draw as the free function `env.reset` made it before it
+    was folded into `BatchEnv.reset_env`."""
+    tmask, rmask = config.mask.translation_floats(), config.mask.rotation_floats()
+    goal_pos = rng.uniform(-config.goal_pos_range, config.goal_pos_range) * tmask
+    goal_rotvec = rng.uniform(-config.goal_ang_range, config.goal_ang_range) * rmask
+    f = rng.uniform(config.mass_range[0], config.mass_range[1])
+    goal = EpisodeGoal(goal_pos, m3.quat_from_rotvec(goal_rotvec))
+    body = config.body
+    return RigidState(), goal, BodyParams(body.mass * f, body.inertia_diag * f, body.com_offset)
+
+
+def assert_row_is_draw(benv, i, draw):
+    state, goal, params = draw
+    obs = observe_arrays(state.position, state.attitude, state.lin_vel, state.ang_vel,
+                         goal.position, goal.attitude)
+    got = [benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i], benv.goal_pos[i],
+           benv.goal_att[i], benv.mass[i], benv.inertia[i], benv.obs[i]]
+    want = [state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position,
+            goal.attitude, np.float64(params.mass), params.inertia_diag, obs]
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (i, k)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_batch_env_draw_matches_reset_oracle(scenario):
+    # BatchEnv rows equal the old reset bit for bit, on a fresh env and on
+    # the next draw from the same stream
+    cfg = set_value(load_config(), "env", "scenario", scenario).env
+    seeds = [[5, k] for k in range(50)]
+    benv = BatchEnv(50, cfg, RewardWeights(), auto_reset=False, episode_seeds=seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    for i in range(50):
+        assert_row_is_draw(benv, i, reset_oracle(cfg, rngs[i]))
+        benv.reset_env(i)
+        assert_row_is_draw(benv, i, reset_oracle(cfg, rngs[i]))
+
+
 def test_reset_respects_ranges_and_mask():
     cfg = EnvConfig(mask=GRANITE_3DOF)
-    rng = np.random.default_rng(33)
-    for _ in range(50):
-        state, goal, params = reset(cfg, rng)
-        np.testing.assert_array_equal(state.position, np.zeros(3))
-        np.testing.assert_array_equal(state.attitude, m3.quat_identity())
-        assert np.all(np.abs(goal.position[:2]) <= cfg.goal_pos_range[:2])
-        assert goal.position[2] == 0.0
-        rv = m3.quat_to_rotvec(goal.attitude)
+    benv = BatchEnv(50, cfg, RewardWeights(), seed=33)
+    for i in range(50):
+        np.testing.assert_array_equal(benv.pos[i], np.zeros(3))
+        np.testing.assert_array_equal(benv.att[i], m3.quat_identity())
+        assert np.all(np.abs(benv.goal_pos[i, :2]) <= cfg.goal_pos_range[:2])
+        assert benv.goal_pos[i, 2] == 0.0
+        rv = m3.quat_to_rotvec(benv.goal_att[i])
         assert rv[0] == 0.0 and rv[1] == 0.0
-        assert 0.75 * 9.5 <= params.mass <= 1.25 * 9.5
+        assert 0.75 * 9.5 <= benv.mass[i] <= 1.25 * 9.5
         # inertia scales with the drawn mass (uniform density assumption)
         np.testing.assert_allclose(
-            params.inertia_diag / cfg.body.inertia_diag,
-            np.full(3, params.mass / cfg.body.mass),
+            benv.inertia[i] / cfg.body.inertia_diag,
+            np.full(3, benv.mass[i] / cfg.body.mass),
             rtol=1e-12,
         )
 
 
 def test_reset_deterministic_per_seed():
     cfg = EnvConfig()
-    s1, g1, p1 = reset(cfg, 42)
-    s2, g2, p2 = reset(cfg, 42)
-    np.testing.assert_array_equal(g1.position, g2.position)
-    np.testing.assert_array_equal(g1.attitude, g2.attitude)
-    assert p1.mass == p2.mass
+    a, b = (BatchEnv(1, cfg, RewardWeights(), episode_seeds=[42]) for _ in range(2))
+    np.testing.assert_array_equal(a.goal_pos, b.goal_pos)
+    np.testing.assert_array_equal(a.goal_att, b.goal_att)
+    np.testing.assert_array_equal(a.mass, b.mass)
+    np.testing.assert_array_equal(a.obs, b.obs)
 
 
 def test_batch_env_matches_scalar_env_bitwise():
@@ -383,7 +422,7 @@ def test_batch_rollout_buffer_layout():
         def value(self, obs):
             return np.zeros(obs.shape[0])
 
-    buf = batch_rollout(ZeroPolicy(), 4, 30, cfg, w, seed=2)
+    buf = batch_rollout(ZeroPolicy(), BatchEnv(4, cfg, w, seed=2), 30)
     assert buf.obs.shape == (4, 30, 12)
     assert buf.actions.shape == (4, 30, 6)
     assert buf.rewards.shape == (4, 30)
@@ -393,3 +432,9 @@ def test_batch_rollout_buffer_layout():
     assert len(buf.episode_returns) == int(np.sum(buf.dones))
     flat = buf.flat(buf.obs)
     np.testing.assert_array_equal(flat[31], buf.obs[1, 1])
+    # successive rollouts continue the same envs: two of 15 steps are one of 30
+    benv = BatchEnv(4, cfg, w, seed=2)
+    halves = [batch_rollout(ZeroPolicy(), benv, 15) for _ in range(2)]
+    for name in ("obs", "rewards", "dones"):
+        joined = np.concatenate([getattr(h, name) for h in halves], axis=1)
+        np.testing.assert_array_equal(joined, getattr(buf, name))

@@ -6,13 +6,21 @@ discounted-sum reference for the advantage estimator.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from apiary.env import EnvConfig, RewardWeights, batch_rollout
+from apiary.actuation import ActuationLimits
+from apiary.config import load_config
+from apiary.dynamics import GRANITE_3DOF, BodyParams, DofMask
+
+from apiary.env import BatchEnv, EnvConfig, RewardWeights, batch_rollout
 from apiary.learn import PpoConfig, evaluate_policy, train
 from apiary.learn.checkpoint import (
     CheckpointError,
@@ -24,6 +32,8 @@ from apiary.learn.nets import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     AdamState,
+    MlpParams,
+    PolicyNet,
     RolloutPolicy,
     adam_init,
     adam_step,
@@ -37,18 +47,18 @@ from apiary.learn.nets import (
     param_list,
     policy_init,
     policy_mean,
-    set_params,
     value,
 )
 from apiary.learn.ppo import (
     UpdateDivergedError,
     _minibatch_grads,
     gae,
-    minibatch_loss,
     normalize_advantages,
     ppo_update,
 )
 from apiary.learn.train import EVAL_CHUNK
+
+ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
 
 def quick_env():
@@ -89,10 +99,7 @@ def test_policy_init_shapes_and_scales():
     assert net.actor.sizes == [12, 64, 64, 6]
     assert net.critic.sizes == [12, 64, 64, 1]
     assert net.log_std.shape == (6,)
-    with pytest.raises(ValueError):
-        policy_init(rng, obs_scales=np.zeros(12))
-    with pytest.raises(ValueError):
-        policy_init(rng, obs_scales=np.ones(5))
+    np.testing.assert_array_equal(net.obs_scales, [1.0] * 3 + [np.pi] * 3 + [0.5] * 6)
 
 
 def test_gaussian_log_prob_closed_form():
@@ -136,21 +143,6 @@ def test_clamped_log_std():
     np.testing.assert_array_equal(
         clamped_log_std(net), [LOG_STD_MIN, -5.0, 0.0, 1.0, LOG_STD_MAX, -0.5]
     )
-
-
-def test_param_list_set_params_round_trip():
-    rng = np.random.default_rng(6)
-    net = policy_init(rng)
-    arrays = [a.copy() + 1.0 for a in param_list(net)]
-    set_params(net, arrays)
-    for a, b in zip(param_list(net), arrays):
-        np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        set_params(net, arrays[:-1])
-    bad = [a.copy() for a in arrays]
-    bad[0] = bad[0][:, :2]
-    with pytest.raises(ValueError):
-        set_params(net, bad)
 
 
 def test_adam_matches_reference():
@@ -290,6 +282,11 @@ def fd_batch(net, rng, b=16):
     return obs, actions, old_logp, adv, returns
 
 
+def minibatch_loss(net, batch, cfg):
+    """The loss `_minibatch_grads` reports alongside its gradients."""
+    return _minibatch_grads(net, *batch, cfg)[1]["loss"]
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(14)
     net = policy_init(rng)
@@ -305,9 +302,9 @@ def test_gradients_match_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = minibatch_loss(net, *batch, cfg)
+            up = minibatch_loss(net, batch, cfg)
             flat[j] = orig - h
-            dn = minibatch_loss(net, *batch, cfg)
+            dn = minibatch_loss(net, batch, cfg)
             flat[j] = orig
             fd = (up - dn) / (2 * h)
             scale = max(abs(fd), abs(gflat[j]), 1e-6)
@@ -326,9 +323,9 @@ def test_clamped_log_std_has_zero_gradient():
     assert log_std_grad[0] == 0.0 and log_std_grad[1] == 0.0
     # and the loss really is flat there
     net.log_std[0] = -6.5
-    moved = minibatch_loss(net, *batch, cfg)
+    moved = minibatch_loss(net, batch, cfg)
     net.log_std[0] = -6.0
-    assert moved == minibatch_loss(net, *batch, cfg)
+    assert moved == minibatch_loss(net, batch, cfg)
 
 
 def test_huge_clip_equals_vanilla_pg():
@@ -349,7 +346,8 @@ def test_huge_clip_equals_vanilla_pg():
 
 
 def make_buffer(net, n_envs=4, horizon=32, seed=21):
-    return batch_rollout(RolloutPolicy(net), n_envs, horizon, quick_env(), RewardWeights(), seed)
+    benv = BatchEnv(n_envs, quick_env(), RewardWeights(), seed)
+    return batch_rollout(RolloutPolicy(net), benv, horizon)
 
 
 def test_ppo_update_deterministic_and_in_place():
@@ -576,6 +574,57 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_policy(bad)
 
 
+def bad_policy(defect):
+    """A PolicyNet with one defect that a checkpoint must not carry."""
+    rng = np.random.default_rng(34)
+
+    def mlp(*sizes):
+        return mlp_init(list(sizes), rng)
+
+    if defect == "actor_outputs":
+        return PolicyNet(mlp(12, 8, 4), np.zeros(4), mlp(12, 8, 1))
+    if defect == "obs_inputs":
+        return PolicyNet(mlp(5, 8, 6), np.zeros(6), mlp(5, 8, 1), np.ones(5))
+    if defect == "critic_outputs":
+        return PolicyNet(mlp(12, 8, 6), np.zeros(6), mlp(12, 8, 2))
+    if defect == "zero_width":
+        empty = MlpParams([np.zeros((12, 0)), np.zeros((0, 6))], [np.zeros(0), np.zeros(6)])
+        return PolicyNet(empty, np.zeros(6), mlp(12, 8, 1))
+    net = policy_init(rng, hidden=(8,))
+    if defect.startswith("obs_scale_"):
+        net.obs_scales[3] = {"obs_scale_zero": 0.0, "obs_scale_negative": -1.0,
+                             "obs_scale_inf": np.inf, "obs_scale_nan": np.nan}[defect]
+    elif defect == "nan_weight":
+        net.critic.weights[1][2, 0] = np.nan
+    elif defect == "inf_log_std":
+        net.log_std[5] = -np.inf
+    return net
+
+
+BAD_POLICIES = {
+    "actor_outputs": "actor maps 12 inputs to 4 outputs; a policy maps 12 observations to 6",
+    "obs_inputs": "actor maps 5 inputs to 6 outputs",
+    "critic_outputs": "critic maps 12 inputs to 2 outputs",
+    "zero_width": "layer widths must be >= 1",
+    "obs_scale_zero": "obs scales must be positive and finite",
+    "obs_scale_negative": "obs scales must be positive and finite",
+    "obs_scale_inf": "obs scales must be positive and finite",
+    "obs_scale_nan": "obs scales must be positive and finite",
+    "nan_weight": "non-finite value in parameter array 7",
+    "inf_log_std": "non-finite value in parameter array 4",
+}
+
+
+@pytest.mark.parametrize("defect", BAD_POLICIES)
+def test_checkpoint_rejects_what_no_policy_can_be(tmp_path, defect):
+    path = tmp_path / "bad.ckpt"
+    save_policy(path, bad_policy(defect), quick_env())
+    with pytest.raises(CheckpointError) as err:
+        load_policy(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert BAD_POLICIES[defect] in str(err.value)
+
+
 def test_checkpoint_rejects_other_clamp_bounds(tmp_path):
     net = policy_init(np.random.default_rng(33))
     path = tmp_path / "d.ckpt"
@@ -595,6 +644,120 @@ def test_checkpoint_rejects_other_clamp_bounds(tmp_path):
     # the test's own tmp path holds the word "clamp", so match more of the message
     with pytest.raises(CheckpointError, match="different log-std clamp bounds"):
         load_policy(path)
+
+
+def hand_listed_env_hash(config):
+    """`env_config_hash` as it was written before it walked the fields: each
+    of the 21 fields listed by hand, each in its own spelling."""
+    parts = [
+        "goal_pos_range=" + ",".join(f"{v:.17g}" for v in config.goal_pos_range),
+        "goal_ang_range=" + ",".join(f"{v:.17g}" for v in config.goal_ang_range),
+        f"mass_range={config.mass_range[0]:.17g},{config.mass_range[1]:.17g}",
+        f"episode_len={config.episode_len}",
+        f"success_pos_tol={config.success_pos_tol:.17g}",
+        f"success_ori_tol={config.success_ori_tol:.17g}",
+        f"success_vel_tol={config.success_vel_tol:.17g}",
+        f"success_angvel_tol={config.success_angvel_tol:.17g}",
+        f"hold_steps={config.hold_steps}",
+        f"oob_radius={config.oob_radius:.17g}",
+        f"dt={config.dt:.17g}",
+        "tmask=" + ",".join(str(int(v)) for v in config.mask.free_translation),
+        "rmask=" + ",".join(str(int(v)) for v in config.mask.free_rotation),
+        f"mass={config.body.mass:.17g}",
+        "inertia=" + ",".join(f"{v:.17g}" for v in config.body.inertia_diag),
+        "com=" + ",".join(f"{v:.17g}" for v in config.body.com_offset),
+        f"f_max={config.limits.f_max:.17g}",
+        f"tau_max={config.limits.tau_max:.17g}",
+        f"force_rate={config.limits.force_rate:.17g}",
+        f"torque_rate={config.limits.torque_rate:.17g}",
+        f"body_frame_obs={int(config.body_frame_obs)}",
+    ]
+    return hashlib.sha256("\n".join(parts).encode("ascii")).digest()
+
+
+positive = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+anyfloat = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# ints up to 17 digits are spelled the same by str and by .17g
+small_int = st.integers(1, 10**17 - 1)
+
+
+@st.composite
+def env_configs(draw):
+    lo = draw(st.one_of(positive, small_int))
+    # moments in [1, 1.9] always satisfy the triangle inequality
+    inertia = np.array(draw(st.lists(st.floats(1.0, 1.9), min_size=3, max_size=3)))
+    return EnvConfig(
+        goal_pos_range=np.array(draw(st.lists(anyfloat, min_size=3, max_size=3))),
+        goal_ang_range=np.array(draw(st.lists(anyfloat, min_size=3, max_size=3))),
+        mass_range=(lo, draw(st.sampled_from([lo, lo * 2, lo + 1]))),
+        episode_len=draw(st.one_of(st.integers(1, 10**6), st.just(10**18))),
+        success_pos_tol=draw(positive),
+        success_ori_tol=draw(positive),
+        success_vel_tol=draw(positive),
+        success_angvel_tol=draw(positive),
+        hold_steps=draw(st.integers(1, 1000)),
+        oob_radius=draw(positive),
+        dt=draw(st.floats(1e-6, 0.5)),
+        mask=DofMask(*(tuple(draw(st.lists(st.booleans(), min_size=3, max_size=3)))
+                       for _ in range(2))),
+        body=BodyParams(draw(positive), inertia * draw(st.floats(1e-3, 1e3)),
+                        np.array(draw(st.lists(anyfloat, min_size=3, max_size=3)))),
+        limits=ActuationLimits(draw(positive), draw(positive),
+                               draw(st.one_of(st.just(0.0), positive)),
+                               draw(st.one_of(st.just(0.0), positive))),
+        body_frame_obs=draw(st.booleans()),
+    )
+
+
+@seed(20241019)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(env_configs())
+def test_env_hash_matches_hand_listed_oracle(cfg):
+    assert env_config_hash(cfg) == hand_listed_env_hash(cfg)
+
+
+def test_env_hash_matches_oracle_on_known_configs():
+    recipe = load_config(ASSETS / "reference_training_config.ini")
+    granite = EnvConfig(
+        mask=GRANITE_3DOF, body=BodyParams(12, np.array([0.2, 0.15, 0.3]), np.array([0.01, 0, 0])),
+        limits=ActuationLimits(force_rate=0.5, torque_rate=0.25), body_frame_obs=True,
+        episode_len=10**18, mass_range=(1, 2),
+    )
+    for cfg in (EnvConfig(), load_config().env, recipe.env, granite):
+        assert env_config_hash(cfg) == hand_listed_env_hash(cfg)
+
+
+def _bump(v):
+    if isinstance(v, (bool, np.bool_)):
+        return not v
+    return v + 1 if isinstance(v, int) else v + 0.01
+
+
+def leaf_perturbations(obj, prefix=""):
+    """(name, copy of obj with that one scalar leaf changed) for every leaf
+    of a dataclass, recursing into nested dataclasses and sequences."""
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if dataclasses.is_dataclass(v):
+            for name, sub in leaf_perturbations(v, f"{prefix}{f.name}."):
+                yield name, dataclasses.replace(obj, **{f.name: sub})
+        elif isinstance(v, (tuple, np.ndarray)):
+            for k in range(len(v)):
+                seq = list(v)
+                seq[k] = _bump(seq[k])
+                new = tuple(seq) if isinstance(v, tuple) else np.array(seq)
+                yield f"{prefix}{f.name}[{k}]", dataclasses.replace(obj, **{f.name: new})
+        else:
+            yield prefix + f.name, dataclasses.replace(obj, **{f.name: _bump(v)})
+
+
+def test_env_hash_changes_with_every_leaf_field():
+    base = EnvConfig()
+    changed = dict(leaf_perturbations(base))
+    # 15 EnvConfig fields, three of them dataclasses, 34 scalars in all
+    assert len(changed) == 34
+    for name, cfg in changed.items():
+        assert env_config_hash(cfg) != env_config_hash(base), name
 
 
 def test_env_hash_tracks_task_changes():
