@@ -13,9 +13,9 @@ Every default lives in the dataclass the section builds. `[actuation]`,
 read from `dataclasses.fields`, and each is built as `cls(**section)`.
 `[body]` and `[env]` list their keys by hand, because they split
 `BodyParams`/`EnvConfig` vectors into `_x/_y/_z` keys, `mass_range` into
-`mass_min`/`mass_max`, and pick the DOF mask by `scenario`; their scalar
-keys still take the class's default, and only the vector keys, whose
-fields default through a factory, hold literals here.
+`mass_min`/`mass_max`, and pick the DOF mask by `scenario`; every one of
+their keys but `scenario` takes its default from a default-built
+`BodyParams()` or `EnvConfig()`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .mission import SafetyThresholds
 _SCENARIO_MASKS = {"iss6dof": FULL_6DOF, "granite3dof": GRANITE_3DOF}
 SCENARIOS = tuple(_SCENARIO_MASKS)
 
-_DEG30 = float(np.deg2rad(30.0))
 # [env] keys passed to EnvConfig under their own names
 _ENV_SCALARS = (
     "episode_len",
@@ -65,32 +64,29 @@ def _fields_of(cls) -> dict[str, tuple[str, object]]:
     return {f.name: _entry(f.default) for f in fields(cls)}
 
 
+def _xyz(prefix: str, vec: np.ndarray) -> dict[str, tuple[str, object]]:
+    """The `prefix_x/_y/_z` keys of a 3-vector field, defaulting to `vec`."""
+    return {f"{prefix}_{a}": _entry(v) for a, v in zip("xyz", vec.tolist())}
+
+
+_BODY, _ENV = BodyParams(), EnvConfig()
 # section -> key -> (kind, default). Five sections mirror a dataclass and
 # read their keys from it; [body] and [env] split vectors and tuples into
-# scalar keys, whose defaults are literals only where the field's default
-# comes from a factory.
+# scalar keys and read their defaults from default-built instances.
 _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "body": {
-        "mass": _entry(BodyParams.mass),
-        "inertia_x": _entry(0.15),
-        "inertia_y": _entry(0.14),
-        "inertia_z": _entry(0.16),
-        "com_x": _entry(0.0),
-        "com_y": _entry(0.0),
-        "com_z": _entry(0.0),
+        "mass": _entry(_BODY.mass),
+        **_xyz("inertia", _BODY.inertia_diag),
+        **_xyz("com", _BODY.com_offset),
     },
     "actuation": _fields_of(ActuationLimits),
     "env": {
         "scenario": ("str", SCENARIOS[0]),
-        "goal_pos_range_x": _entry(0.5),
-        "goal_pos_range_y": _entry(0.5),
-        "goal_pos_range_z": _entry(0.5),
-        "goal_ang_range_x": _entry(_DEG30),
-        "goal_ang_range_y": _entry(_DEG30),
-        "goal_ang_range_z": _entry(_DEG30),
-        "mass_min": _entry(EnvConfig.mass_range[0]),
-        "mass_max": _entry(EnvConfig.mass_range[1]),
-        **{key: _entry(getattr(EnvConfig, key)) for key in _ENV_SCALARS},
+        **_xyz("goal_pos_range", _ENV.goal_pos_range),
+        **_xyz("goal_ang_range", _ENV.goal_ang_range),
+        "mass_min": _entry(_ENV.mass_range[0]),
+        "mass_max": _entry(_ENV.mass_range[1]),
+        **{key: _entry(getattr(_ENV, key)) for key in _ENV_SCALARS},
     },
     "reward": _fields_of(RewardWeights),
     "ppo": _fields_of(PpoConfig),
@@ -219,13 +215,10 @@ def set_value(cfg: RunConfig, section: str, key: str, value) -> RunConfig:
     return build_config(values)
 
 
-def write_snapshot(path, cfg: RunConfig, header_lines: list[str] | None = None) -> None:
-    """Write the resolved configuration; reloading it rebuilds cfg exactly."""
-    lines = []
-    for note in header_lines or []:
-        lines.append(f"# {note}")
-    if header_lines:
-        lines.append("")
+def write_snapshot(path, cfg: RunConfig, header_lines: list[str]) -> None:
+    """Write the resolved configuration under `# ` comment lines, then a
+    blank line; reloading it rebuilds cfg exactly."""
+    lines = [f"# {note}" for note in header_lines] + [""]
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         for key, (kind, _default) in keys.items():

@@ -90,19 +90,6 @@ class RigidState:
         self.lin_vel = np.asarray(self.lin_vel, dtype=np.float64)
         self.ang_vel = np.asarray(self.ang_vel, dtype=np.float64)
 
-    def copy(self) -> "RigidState":
-        return RigidState(
-            self.position.copy(), self.attitude.copy(), self.lin_vel.copy(), self.ang_vel.copy()
-        )
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.position).all()
-            and np.isfinite(self.attitude).all()
-            and np.isfinite(self.lin_vel).all()
-            and np.isfinite(self.ang_vel).all()
-        )
-
 
 def step_arrays(
     position: np.ndarray,

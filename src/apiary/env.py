@@ -129,7 +129,7 @@ def observe_arrays(
     ang_vel: np.ndarray,
     goal_pos: np.ndarray,
     goal_att: np.ndarray,
-    body_frame: bool = False,
+    body_frame: bool,
 ) -> np.ndarray:
     """(..., 12) observation; all-zero exactly when the state sits at the goal."""
     pos_err = goal_pos - position
@@ -372,7 +372,6 @@ class BatchEnv:
                     "success": bool(done_success[i]),
                     "steps": int(self.steps[i]),
                     "episode_return": float(self.episode_return[i]),
-                    "final_obs": self.obs[i].copy(),
                 }
             )
             if self.auto_reset:

@@ -10,26 +10,36 @@ Parameters travel as a flat list of arrays in a fixed declaration order
 (actor W/b pairs, log_std, critic W/b pairs); the optimizer, the gradient
 check and the checkpoint format all rely on that order.
 
-`mlp_forward` and `mlp_backward` take an optional workspace: a dict of
-scratch arrays keyed by (name, shape), filled on first use. Its owner is
-whoever creates it: `ppo.ppo_update` makes one per update and passes it
-to every minibatch. With a workspace, `mlp_forward`'s output and cache
-live in it and are overwritten by the next call that uses the same
-workspace, so a caller must finish with one pass before starting the
-next. Without one (rollouts, evaluation) every call allocates fresh
-arrays. The arithmetic is the same either way.
+`mlp_forward` takes an optional workspace, and `mlp_backward` a required
+one: a dict of scratch arrays keyed by (name, shape), filled on first
+use. Its owner is whoever creates it: `ppo.ppo_update` makes one per
+update and passes it to every minibatch. With a workspace,
+`mlp_forward`'s output and cache live in it and are overwritten by the
+next call that uses the same workspace, so a caller must finish with one
+pass before starting the next. Without one (rollouts, evaluation) every
+forward pass allocates fresh arrays. The arithmetic is the same either
+way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..env import ACT_DIM, OBS_DIM
 
+if TYPE_CHECKING:
+    from .ppo import PpoConfig
+
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
+
+# Adam's moment decay rates and the denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 # obs components are divided by these before the actor/critic see them:
 # position error in m, rotation error in rad (full scale pi), velocities
@@ -103,13 +113,13 @@ def mlp_forward(
 
 
 def mlp_backward(
-    params: MlpParams, cache: list[np.ndarray], dy: np.ndarray, ws: dict | None = None
+    params: MlpParams, cache: list[np.ndarray], dy: np.ndarray, ws: dict
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of sum(dy * output) w.r.t. weights and biases.
 
     dy is (B, out); returns (dweights, dbiases) matching params' shapes.
-    With a workspace, the backpropagated signal alternates between two of
-    its arrays; the returned gradients are always fresh.
+    The backpropagated signal alternates between two of the workspace's
+    arrays; the returned gradients are always fresh.
     """
     n_layers = len(params.weights)
     dws = [None] * n_layers
@@ -121,15 +131,14 @@ def mlp_backward(
         # grad * (1 - h**2), one operation at a time
         if k < n_layers - 1:
             h = cache[k + 1]
-            d = np.multiply(h, h, out=None if ws is None else _scratch(ws, "dtanh", h.shape))
+            d = np.multiply(h, h, out=_scratch(ws, "dtanh", h.shape))
             np.subtract(1.0, d, out=d)
             grad = np.multiply(grad, d, out=d)
         dws[k] = h_in.T @ grad
         dbs[k] = grad.sum(axis=0)
         if k > 0:
             w = params.weights[k]
-            out = None if ws is None else _scratch(ws, "grad", (grad.shape[0], w.shape[0]))
-            grad = np.matmul(grad, w.T, out=out)
+            grad = np.matmul(grad, w.T, out=_scratch(ws, "grad", (grad.shape[0], w.shape[0])))
     return dws, dbs
 
 
@@ -145,14 +154,12 @@ class PolicyNet:
         self.obs_scales = np.asarray(self.obs_scales, dtype=np.float64)
 
 
-def policy_init(
-    rng: np.random.Generator,
-    hidden: tuple[int, ...] = (64, 64),
-    log_std_init: float = -0.5,
-) -> PolicyNet:
+def policy_init(rng: np.random.Generator, ppo_cfg: PpoConfig) -> PolicyNet:
+    """A fresh net of `ppo_cfg.hidden` widths and log-std `ppo_cfg.log_std_init`."""
+    hidden = ppo_cfg.hidden
     actor = mlp_init([OBS_DIM, *hidden, ACT_DIM], rng, out_scale=0.01)
     critic = mlp_init([OBS_DIM, *hidden, 1], rng)
-    return PolicyNet(actor, np.full(ACT_DIM, float(log_std_init)), critic)
+    return PolicyNet(actor, np.full(ACT_DIM, float(ppo_cfg.log_std_init)), critic)
 
 
 def clamped_log_std(net: PolicyNet) -> np.ndarray:
@@ -234,24 +241,21 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, applied to the arrays in place."""
     state.t += 1
     t = state.t
     # a -= lr * (m / c1) / (sqrt(v / c2) + eps), updating in place where
     # the operation order allows
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         den = np.sqrt(v / c2)
-        den += eps
+        den += ADAM_EPS
         step = m / c1
         step *= lr
         step /= den

@@ -108,7 +108,7 @@ def _minibatch_grads(
     adv: np.ndarray,
     returns: np.ndarray,
     cfg: PpoConfig,
-    ws: dict | None = None,
+    ws: dict,
 ) -> tuple[list[np.ndarray], dict]:
     """Loss gradients for one minibatch, ordered like nets.param_list.
 
@@ -117,7 +117,7 @@ def _minibatch_grads(
                - entropy_coef*H(pi).
 
     The actor's forward and backward pass finish before the critic's
-    start, so with a workspace both nets run in the same hidden arrays.
+    start, so both nets run in the same hidden arrays of the workspace.
     """
     b = obs.shape[0]
     xn = nets.normalize_obs(net, obs)

@@ -35,7 +35,6 @@ from ..env import (
     EnvConfig,
     RewardWeights,
     batch_rollout,
-    obs_norms,
 )
 from . import nets
 from .checkpoint import save_policy
@@ -105,7 +104,8 @@ def _eval_chunk(
         _, _, _, finished = benv.step(actions)
         for rec in finished:
             i = rec["env"]
-            pe, oe, lv, av = obs_norms(rec["final_obs"]).tolist()
+            # a finished row is frozen, so its norms are those of its final obs
+            pe, oe, lv, av = benv.norms[i].tolist()
             success = rec["success"]
             settle = (
                 (rec["steps"] - config.hold_steps + 1) * config.dt if success else float("nan")
@@ -201,21 +201,20 @@ def train(
     config: EnvConfig,
     weights: RewardWeights,
     ppo_cfg: PpoConfig,
-    seed: int = 0,
-    out_dir=None,
-    log_fn=None,
+    seed: int,
+    out_dir,
+    log_fn,
 ) -> TrainResult:
     """Train a policy from scratch; deterministic for a given seed.
 
-    Writes best.ckpt, final.ckpt and curve.csv into out_dir when given.
-    On a non-finite rollout or update, saves the last finite parameters
-    (and the curve so far) before re-raising.
+    Writes best.ckpt, final.ckpt and curve.csv into out_dir, and passes a
+    progress line to log_fn (unless None) at every eval point. On a
+    non-finite rollout or update, saves the last finite parameters (and
+    the curve so far) before re-raising.
     """
     init_rng = np.random.default_rng([seed, 1])
     shuffle_rng = np.random.default_rng([seed, 2])
-    net = nets.policy_init(
-        init_rng, hidden=ppo_cfg.hidden, log_std_init=ppo_cfg.log_std_init
-    )
+    net = nets.policy_init(init_rng, ppo_cfg)
     adam_state = nets.adam_init(nets.param_list(net))
     benv = BatchEnv(ppo_cfg.n_envs, config, weights, seed=seed)
     policy = RolloutPolicy(net)
@@ -273,20 +272,15 @@ def train(
             if (it + 1) % ppo_cfg.eval_every == 0 or it == iterations - 1:
                 _emit_eval(result.env_steps)
     except (RuntimeError, FloatingPointError):
-        if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            save_policy(os.path.join(out_dir, "final.ckpt"), last_good, config)
-            best = result.best_net if result.best_success_rate >= 0.0 else last_good
-            save_policy(os.path.join(out_dir, "best.ckpt"), best, config)
-            write_curve_csv(os.path.join(out_dir, "curve.csv"), result.curve)
+        os.makedirs(out_dir, exist_ok=True)
+        save_policy(os.path.join(out_dir, "final.ckpt"), last_good, config)
+        best = result.best_net if result.best_success_rate >= 0.0 else last_good
+        save_policy(os.path.join(out_dir, "best.ckpt"), best, config)
+        write_curve_csv(os.path.join(out_dir, "curve.csv"), result.curve)
         raise
 
-    if result.best_success_rate < 0.0:
-        result.best_net = copy.deepcopy(net)
-        result.best_success_rate = 0.0
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        save_policy(os.path.join(out_dir, "final.ckpt"), net, config)
-        save_policy(os.path.join(out_dir, "best.ckpt"), result.best_net, config)
-        write_curve_csv(os.path.join(out_dir, "curve.csv"), result.curve)
+    os.makedirs(out_dir, exist_ok=True)
+    save_policy(os.path.join(out_dir, "final.ckpt"), net, config)
+    save_policy(os.path.join(out_dir, "best.ckpt"), result.best_net, config)
+    write_curve_csv(os.path.join(out_dir, "curve.csv"), result.curve)
     return result

@@ -15,6 +15,13 @@ the log, the monitor and the streak keep the world-frame errors.
 Running to timeout (instead of stopping at first tolerance entry) lets
 controllers settle fully, so final errors reflect steady state.
 
+`run_sequence` is the one flight entry. `replay` flies a sequence file
+through it, and `run_compare` flies its maneuver through it twice as a
+one-maneuver sequence, under the policy and under the PD baseline, so a
+compared maneuver logs the same bytes as the replay of that one line.
+Every flight starts at rest at the origin with identity attitude;
+`run_maneuver` flies one maneuver of a sequence.
+
 `MissionConfig` bundles what a flight reads: the `EnvConfig` the policy
 was trained in, the safety thresholds and the PD gains. The flight takes
 its vehicle, actuation limits, control period, DOF mask, success test
@@ -274,7 +281,6 @@ class ManeuverOutcome:
 class MissionResult:
     outcomes: list[ManeuverOutcome]
     log: TrajectoryLog
-    final_state: RigidState
 
 
 def safety_check(
@@ -352,14 +358,15 @@ def run_maneuver(
     maneuver: Maneuver,
     mode: ControlMode,
     mc: MissionConfig,
-    net: PolicyNet | None = None,
-    log: TrajectoryLog | None = None,
-    maneuver_index: int = 0,
-    fault: FaultSpec | None = None,
-    dock_pose: EpisodeGoal | None = None,
-    t0_tick: int = 0,
+    net: PolicyNet | None,
+    log: TrajectoryLog,
+    maneuver_index: int,
+    fault: FaultSpec | None,
+    dock_pose: EpisodeGoal,
+    t0_tick: int,
 ) -> tuple[RigidState, ManeuverOutcome]:
-    """Run one maneuver for its full timeout at the control rate.
+    """Run one maneuver of a sequence for its full timeout at the control
+    rate, appending its ticks to `log` from tick `t0_tick` on.
 
     Outcome is success when the maneuver's tolerance condition is true for
     the final hold_steps ticks, fallback_triggered if the safety monitor
@@ -371,13 +378,9 @@ def run_maneuver(
         raise ValueError("run_maneuver starts in RL_POLICY or BASELINE mode")
     if mode is ControlMode.RL_POLICY and net is None:
         raise ValueError("RL_POLICY mode needs a loaded policy")
-    if not state.is_finite():
-        raise ValueError("non-finite entry state")
     env = mc.env
     dt = env.dt
     n_ticks = _maneuver_ticks(maneuver, maneuver_index, dt)
-    if log is None:
-        log = TrajectoryLog()
 
     # the true state, as Python floats until the maneuver ends
     pos, att = state.position.tolist(), state.attitude.tolist()
@@ -388,8 +391,6 @@ def run_maneuver(
 
     entry_pos = [pos[i] + offset[i] for i in range(3)] if fault_tick <= 0 else pos
     entry = EpisodeGoal(np.array(entry_pos), state.attitude.copy())
-    if dock_pose is None:
-        dock_pose = entry
     goal = goal_for_maneuver(maneuver, entry, dock_pose)
     goal_pos, goal_att = goal.position.tolist(), goal.attitude.tolist()
 
@@ -528,11 +529,11 @@ def run_sequence(
     mc: MissionConfig,
     net: PolicyNet | None = None,
     faults: list[FaultSpec] | None = None,
-    start_state: RigidState | None = None,
 ) -> MissionResult:
     """Execute maneuvers in order with pause-on-fallback semantics.
 
-    The dock pose is the sequence entry pose. After a fallback_triggered
+    The sequence starts at rest at the origin with identity attitude, and
+    that entry pose is the dock pose. After a fallback_triggered
     outcome the sequence runs the next entry only if it carries the resume
     flag; otherwise that entry and everything after it is skipped.
     Raises ValueError, before anything runs, for a maneuver that runs 0
@@ -544,7 +545,7 @@ def run_sequence(
         raise ValueError("sequence must not be empty")
     for i, man in enumerate(sequence):
         _maneuver_ticks(man, i, mc.env.dt)
-    state = start_state.copy() if start_state is not None else RigidState()
+    state = RigidState()
     dock_pose = EpisodeGoal(state.position.copy(), state.attitude.copy())
     log = TrajectoryLog()
     fault_by_index = _faults_by_maneuver(sequence, faults or [], mc.env.dt)
@@ -566,14 +567,13 @@ def run_sequence(
         paused = False
         state, out = run_maneuver(
             state, man, mode, mc,
-            net=net, log=log, maneuver_index=i,
-            fault=fault_by_index.get(i), dock_pose=dock_pose, t0_tick=tick,
+            net, log, i, fault_by_index.get(i), dock_pose, tick,
         )
         tick += out.ticks
         outcomes.append(out)
         if out.outcome == "fallback_triggered":
             paused = True
-    return MissionResult(outcomes, log, state)
+    return MissionResult(outcomes, log)
 
 
 @dataclass
@@ -671,19 +671,13 @@ def metrics_from_log(
 
 
 def run_compare(
-    maneuver: Maneuver,
-    mc: MissionConfig,
-    net: PolicyNet,
-    start_state: RigidState | None = None,
+    maneuver: Maneuver, mc: MissionConfig, net: PolicyNet
 ) -> tuple[TrajectoryLog, TrajectoryLog, MetricReport]:
-    """Run one maneuver twice from the same entry state: policy vs PD."""
-    entry = start_state.copy() if start_state is not None else RigidState()
-    here = EpisodeGoal(entry.position.copy(), entry.attitude.copy())
-    goal = goal_for_maneuver(maneuver, here, here)
-    log_rl = TrajectoryLog()
-    log_pd = TrajectoryLog()
-    run_maneuver(entry.copy(), maneuver, ControlMode.RL_POLICY, mc, net=net, log=log_rl)
-    run_maneuver(entry.copy(), maneuver, ControlMode.BASELINE, mc, log=log_pd)
+    """Fly one maneuver as a one-maneuver sequence twice, policy vs PD."""
+    log_rl = run_sequence([maneuver], ControlMode.RL_POLICY, mc, net).log
+    log_pd = run_sequence([maneuver], ControlMode.BASELINE, mc).log
+    entry = EpisodeGoal(np.zeros(3), m3.quat_identity())
+    goal = goal_for_maneuver(maneuver, entry, entry)
     env = mc.env
     tols = (env.success_pos_tol, env.success_ori_tol, env.dt)
     rl = metrics_from_log(log_rl, entry.position, goal.position, *tols)
@@ -703,7 +697,7 @@ _MANEUVER_ARGS = {
 }
 
 
-def parse_maneuver_tokens(tokens: list[str], path="<spec>", line_no: int = 0) -> Maneuver:
+def parse_maneuver_tokens(tokens: list[str], path, line_no: int) -> Maneuver:
     """Parse one maneuver from tokens: kind [args] [timeout] [resume] [los].
 
     translate/rotate take an axis letter and a magnitude (meters, or

@@ -31,10 +31,8 @@ from apiary.mission import (
     ControlMode,
     Maneuver,
     MissionConfig,
-    TrajectoryLog,
     parse_faults_file,
     parse_sequence_file,
-    run_maneuver,
     run_sequence,
 )
 from float_state import as_state, body_args, lists, momentum
@@ -159,7 +157,7 @@ def test_backprop_matches_finite_differences():
     # see a smooth loss
     t0 = time.monotonic()
     rng = np.random.default_rng(14)
-    net = policy_init(rng)
+    net = policy_init(rng, PpoConfig())
     cfg = PpoConfig(entropy_coef=0.01)
     from apiary.learn.nets import clamped_log_std, gaussian_log_prob, policy_mean
 
@@ -173,7 +171,7 @@ def test_backprop_matches_finite_differences():
     returns = rng.standard_normal(b)
     batch = (obs, actions, old_logp, adv, returns)
 
-    grads, _ = _minibatch_grads(net, *batch, cfg)
+    grads, _ = _minibatch_grads(net, *batch, cfg, {})
     h = 1e-5
     worst = 0.0
     n_params = 0
@@ -183,9 +181,9 @@ def test_backprop_matches_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = _minibatch_grads(net, *batch, cfg)[1]["loss"]
+            up = _minibatch_grads(net, *batch, cfg, {})[1]["loss"]
             flat[j] = orig - h
-            dn = _minibatch_grads(net, *batch, cfg)[1]["loss"]
+            dn = _minibatch_grads(net, *batch, cfg, {})[1]["loss"]
             flat[j] = orig
             fd = (up - dn) / (2 * h)
             scale = max(abs(fd), abs(gflat[j]), 1e-6)
@@ -246,10 +244,9 @@ def test_gae_matches_discounted_sums():
 def test_pd_completes_undock_translation():
     cfg = load_config()
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
-    log = TrajectoryLog()
-    state = RigidState()
     man = Maneuver("translate", 0, 0.5, 30.0)
-    _, outcome = run_maneuver(state, man, ControlMode.BASELINE, mc, log=log)
+    res = run_sequence([man], ControlMode.BASELINE, mc)
+    log, (outcome,) = res.log, res.outcomes
     cross = float(np.max(np.hypot(log.column("py"), log.column("pz"))))
     ori_deg = np.rad2deg(outcome.final_ori_err)
     ok = (
@@ -272,19 +269,21 @@ def test_pd_completes_undock_translation():
 
 
 @pytest.fixture(scope="module")
-def default_training():
+def default_training(tmp_path_factory):
     cfg = load_config()
+    out_dir = tmp_path_factory.mktemp("default_training")
     t0 = time.monotonic()
-    res = train(cfg.env, cfg.reward, cfg.ppo, seed=cfg.seed)
+    res = train(cfg.env, cfg.reward, cfg.ppo, seed=cfg.seed, out_dir=out_dir, log_fn=None)
     wall = time.monotonic() - t0
     return cfg, res, wall
 
 
 @pytest.fixture(scope="module")
-def norand_training():
+def norand_training(tmp_path_factory):
     cfg = load_config()
     env = EnvConfig(mass_range=(1.0, 1.0))
-    res = train(env, cfg.reward, cfg.ppo, seed=1)
+    out_dir = tmp_path_factory.mktemp("norand_training")
+    res = train(env, cfg.reward, cfg.ppo, seed=1, out_dir=out_dir, log_fn=None)
     return res
 
 

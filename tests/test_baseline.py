@@ -8,7 +8,8 @@ from apiary import math3d as m3
 from apiary.actuation import ActuationLimits, clamp_axes
 from apiary.baseline import PdGains, pd_wrench_f
 from apiary.dynamics import RigidState
-from apiary.mission import ControlMode, Maneuver, MissionConfig, TrajectoryLog, run_maneuver
+from apiary.mission import ControlMode, Maneuver, MissionConfig, TrajectoryLog
+from flight import fly
 
 DT = 0.016
 ZERO = [0.0, 0.0, 0.0]
@@ -84,7 +85,7 @@ def test_limits_clamp_magnitude():
 def fly_baseline(start, maneuver):
     """Fly one maneuver under the PD baseline; (final state, outcome, log)."""
     log = TrajectoryLog()
-    state, out = run_maneuver(start, maneuver, ControlMode.BASELINE, MissionConfig(), log=log)
+    state, out = fly(start, maneuver, ControlMode.BASELINE, MissionConfig(), log=log)
     return state, out, log
 
 
@@ -114,7 +115,7 @@ def test_hold_pose_captures_drift():
 def test_hold_pose_arrests_rotation():
     start = RigidState(ang_vel=m3.vec3(0.0, 0.0, 0.2))
     # int(15 s / DT) = 937 ticks; a 15.0 s timeout would round to 938
-    state, _, _ = fly_baseline(start.copy(), Maneuver("dock", timeout=937 * DT))
+    state, _, _ = fly_baseline(start, Maneuver("dock", timeout=937 * DT))
     assert m3.vec_norm(state.ang_vel) < 0.01
     err = m3.quat_error(start.attitude, state.attitude)
     assert m3.vec_norm(err) < 0.05

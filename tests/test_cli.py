@@ -362,6 +362,21 @@ def test_compare_readme_quick_start_default_timeout(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "too_many").exists()
 
 
+def test_compare_flies_what_replay_flies(tmp_path, capsys):
+    # compare's policy flight is the replay of a one-line sequence: the
+    # dock standoff is taken from the same entry pose, tick for tick
+    seq = tmp_path / "seq.txt"
+    seq.write_text("dock_approach 10\n")
+    for argv in (
+        ["compare", "--maneuver", "dock_approach:10", "--out", str(tmp_path / "compare")],
+        ["replay", "--sequence", str(seq), "--out", str(tmp_path / "replay")],
+    ):
+        assert main(argv + ["--ckpt", str(REFERENCE_CKPT)]) == 0, capsys.readouterr().err
+    compared = (tmp_path / "compare" / "rl_trajectory.csv").read_bytes()
+    assert compared == (tmp_path / "replay" / "trajectory.csv").read_bytes()
+    assert len(compared.splitlines()) == 1 + int(round(10.0 / 0.016))
+
+
 def test_replay_sequence(workspace, capsys, tmp_path):
     seq = tmp_path / "seq.txt"
     seq.write_text("translate x 0.0 2\ndock 2\n")

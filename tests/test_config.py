@@ -152,7 +152,7 @@ def test_snapshot_round_trip(tmp_path):
     )
     cfg = load_config(src)
     snap = tmp_path / "snapshot.ini"
-    write_snapshot(snap, cfg, header_lines=["resolved run configuration"])
+    write_snapshot(snap, cfg, ["resolved run configuration"])
     text = snap.read_text()
     assert text.startswith("# resolved run configuration")
     cfg2 = load_config(snap)
@@ -164,5 +164,5 @@ def test_snapshot_round_trip(tmp_path):
 def test_snapshot_of_defaults_reloads(tmp_path):
     cfg = load_config()
     snap = tmp_path / "defaults.ini"
-    write_snapshot(snap, cfg)
+    write_snapshot(snap, cfg, ["defaults"])
     assert load_config(snap).raw == cfg.raw

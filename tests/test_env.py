@@ -76,7 +76,8 @@ def test_observation_zero_at_goal():
     goal = EpisodeGoal(m3.vec3(0.2, -0.1, 0.3), m3.quat_from_rotvec(m3.vec3(0.1, 0.2, -0.1)))
     state = RigidState(position=goal.position.copy(), attitude=goal.attitude.copy())
     obs = observe_arrays(
-        state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position, goal.attitude
+        state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position, goal.attitude,
+        False,
     )
     np.testing.assert_array_equal(obs, np.zeros(12))
 
@@ -93,7 +94,7 @@ def test_observation_components():
         goal = EpisodeGoal(rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3)))
         obs = observe_arrays(
             state.position, state.attitude, state.lin_vel, state.ang_vel,
-            goal.position, goal.attitude,
+            goal.position, goal.attitude, False,
         )
         np.testing.assert_array_equal(obs[POS_ERR], goal.position - state.position)
         np.testing.assert_array_equal(obs[ORI_ERR], m3.quat_error(goal.attitude, state.attitude))
@@ -258,7 +259,7 @@ def reset_oracle(config, rng):
 def assert_row_is_draw(benv, i, draw):
     state, goal, params = draw
     obs = observe_arrays(state.position, state.attitude, state.lin_vel, state.ang_vel,
-                         goal.position, goal.attitude)
+                         goal.position, goal.attitude, benv.config.body_frame_obs)
     got = [benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i], benv.goal_pos[i],
            benv.goal_att[i], benv.mass[i], benv.inertia[i], benv.obs[i]]
     want = [state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position,
@@ -370,7 +371,7 @@ def test_batch_env_frozen_row_leaves_live_rows_bitwise_unchanged():
         # obs follows the new state, and norms (next tick's previous
         # norms) follow obs
         want = observe_arrays(live.pos, live.att, live.linvel, live.angvel, live.goal_pos,
-                              live.goal_att)
+                              live.goal_att, cfg.body_frame_obs)
         assert obs_a.tobytes() == want.tobytes()
         assert live.norms.tobytes() == obs_norms(want).tobytes()
         assert obs_a[:3].tobytes() == obs_b[:3].tobytes()

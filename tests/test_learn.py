@@ -95,7 +95,7 @@ def test_mlp_init_validation():
 
 def test_policy_init_shapes_and_scales():
     rng = np.random.default_rng(1)
-    net = policy_init(rng)
+    net = policy_init(rng, PpoConfig())
     assert net.actor.sizes == [12, 64, 64, 6]
     assert net.critic.sizes == [12, 64, 64, 1]
     assert net.log_std.shape == (6,)
@@ -138,7 +138,7 @@ def test_gaussian_entropy_closed_form():
 
 def test_clamped_log_std():
     rng = np.random.default_rng(5)
-    net = policy_init(rng)
+    net = policy_init(rng, PpoConfig())
     net.log_std[:] = [-10.0, -5.0, 0.0, 1.0, 3.0, -0.5]
     np.testing.assert_array_equal(
         clamped_log_std(net), [LOG_STD_MIN, -5.0, 0.0, 1.0, LOG_STD_MAX, -0.5]
@@ -176,7 +176,7 @@ def test_clip_grads():
 
 
 def test_policy_sample_deterministic_per_seed():
-    net = policy_init(np.random.default_rng(8))
+    net = policy_init(np.random.default_rng(8), PpoConfig())
     obs = np.random.default_rng(9).standard_normal((1, 12))
     pol = RolloutPolicy(net)
     a1, lp1 = pol.sample(obs, [np.random.default_rng(42)])
@@ -190,7 +190,7 @@ def test_policy_sample_deterministic_per_seed():
 
 def test_rollout_policy_per_env_streams():
     # env i's action depends only on stream i, not on how many envs run
-    net = policy_init(np.random.default_rng(10))
+    net = policy_init(np.random.default_rng(10), PpoConfig())
     obs = np.random.default_rng(11).standard_normal((5, 12))
     pol = RolloutPolicy(net)
     rngs3 = [np.random.default_rng([99, i]) for i in range(3)]
@@ -284,15 +284,15 @@ def fd_batch(net, rng, b=16):
 
 def minibatch_loss(net, batch, cfg):
     """The loss `_minibatch_grads` reports alongside its gradients."""
-    return _minibatch_grads(net, *batch, cfg)[1]["loss"]
+    return _minibatch_grads(net, *batch, cfg, {})[1]["loss"]
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(14)
-    net = policy_init(rng)
+    net = policy_init(rng, PpoConfig())
     cfg = PpoConfig(entropy_coef=0.01)
     batch = fd_batch(net, rng)
-    grads, _ = _minibatch_grads(net, *batch, cfg)
+    grads, _ = _minibatch_grads(net, *batch, cfg, {})
     params = param_list(net)
     h = 1e-5
     worst = 0.0
@@ -314,11 +314,11 @@ def test_gradients_match_finite_differences():
 
 def test_clamped_log_std_has_zero_gradient():
     rng = np.random.default_rng(15)
-    net = policy_init(rng)
+    net = policy_init(rng, PpoConfig())
     net.log_std[:] = [-6.0, 2.0, -0.5, -0.5, -0.5, -0.5]  # two channels clamped
     cfg = PpoConfig()
     batch = fd_batch(net, rng)
-    grads, _ = _minibatch_grads(net, *batch, cfg)
+    grads, _ = _minibatch_grads(net, *batch, cfg, {})
     log_std_grad = grads[len(net.actor.weights) * 2]
     assert log_std_grad[0] == 0.0 and log_std_grad[1] == 0.0
     # and the loss really is flat there
@@ -331,10 +331,10 @@ def test_clamped_log_std_has_zero_gradient():
 def test_huge_clip_equals_vanilla_pg():
     # with the clip disabled the surrogate is plain -mean(ratio * adv)
     rng = np.random.default_rng(16)
-    net = policy_init(rng)
+    net = policy_init(rng, PpoConfig())
     cfg = PpoConfig(clip_eps=1e9, value_coef=0.5)
     obs, actions, old_logp, adv, returns = fd_batch(net, rng)
-    _, stats = _minibatch_grads(net, obs, actions, old_logp, adv, returns, cfg)
+    _, stats = _minibatch_grads(net, obs, actions, old_logp, adv, returns, cfg, {})
     mean = policy_mean(net, obs)
     ratio = np.exp(gaussian_log_prob(mean, clamped_log_std(net), actions) - old_logp)
     assert stats["policy_loss"] == pytest.approx(float(-np.mean(ratio * adv)), rel=1e-12)
@@ -354,7 +354,7 @@ def test_ppo_update_deterministic_and_in_place():
     cfg = PpoConfig(n_envs=4, horizon=32, minibatch_size=64, epochs=2)
     nets_pair = []
     for _ in range(2):
-        net = policy_init(np.random.default_rng(20))
+        net = policy_init(np.random.default_rng(20), PpoConfig())
         buf = make_buffer(net)
         before = [a.copy() for a in param_list(net)]
         stats = ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(7))
@@ -487,7 +487,7 @@ def test_ppo_update_matches_unbuffered_oracle_bitwise():
     cfg = PpoConfig(n_envs=4, horizon=32, minibatch_size=48, epochs=2, entropy_coef=0.01)
     runs = []
     for update in (ppo_update, _oracle_ppo_update):
-        net = policy_init(np.random.default_rng(23))
+        net = policy_init(np.random.default_rng(23), PpoConfig())
         adam = adam_init(param_list(net))
         stats = update(net, make_buffer(net), cfg, adam, np.random.default_rng(8))
         runs.append((net, adam, stats))
@@ -505,7 +505,7 @@ def test_ppo_update_matches_unbuffered_oracle_bitwise():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ppo_update_diverged_raises():
     cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=32)
-    net = policy_init(np.random.default_rng(22))
+    net = policy_init(np.random.default_rng(22), PpoConfig())
     buf = make_buffer(net, n_envs=2, horizon=16)
     buf.rewards[0, 3] = np.inf
     with pytest.raises(UpdateDivergedError, match="epoch 0, minibatch 0"):
@@ -532,7 +532,7 @@ def test_ppo_config_validation():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    net = policy_init(np.random.default_rng(30), log_std_init=-0.3)
+    net = policy_init(np.random.default_rng(30), PpoConfig(log_std_init=-0.3))
     cfg = quick_env()
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
@@ -550,7 +550,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    net = policy_init(np.random.default_rng(32))
+    net = policy_init(np.random.default_rng(32), PpoConfig())
     path = tmp_path / "c.ckpt"
     save_policy(path, net, quick_env())
     good = path.read_bytes()
@@ -590,7 +590,7 @@ def bad_policy(defect):
     if defect == "zero_width":
         empty = MlpParams([np.zeros((12, 0)), np.zeros((0, 6))], [np.zeros(0), np.zeros(6)])
         return PolicyNet(empty, np.zeros(6), mlp(12, 8, 1))
-    net = policy_init(rng, hidden=(8,))
+    net = policy_init(rng, PpoConfig(hidden=(8,)))
     if defect.startswith("obs_scale_"):
         net.obs_scales[3] = {"obs_scale_zero": 0.0, "obs_scale_negative": -1.0,
                              "obs_scale_inf": np.inf, "obs_scale_nan": np.nan}[defect]
@@ -626,7 +626,7 @@ def test_checkpoint_rejects_what_no_policy_can_be(tmp_path, defect):
 
 
 def test_checkpoint_rejects_other_clamp_bounds(tmp_path):
-    net = policy_init(np.random.default_rng(33))
+    net = policy_init(np.random.default_rng(33), PpoConfig())
     path = tmp_path / "d.ckpt"
     save_policy(path, net, quick_env())
     data = bytearray(path.read_bytes())
@@ -773,7 +773,7 @@ def test_env_hash_tracks_task_changes():
 
 
 def test_evaluate_policy_worker_count_invariance():
-    net = policy_init(np.random.default_rng(40))
+    net = policy_init(np.random.default_rng(40), PpoConfig())
     cfg = quick_env()
     w = RewardWeights()
     episodes = EVAL_CHUNK * 2 + 5  # forces multiple uneven chunks
@@ -785,7 +785,7 @@ def test_evaluate_policy_worker_count_invariance():
 
 def test_evaluate_policy_episode_count_invariance():
     # episode k is seeded independently, so a longer run extends the list
-    net = policy_init(np.random.default_rng(41))
+    net = policy_init(np.random.default_rng(41), PpoConfig())
     cfg = quick_env()
     w = RewardWeights()
     r_small = evaluate_policy(net, cfg, w, 10, seed=556)
@@ -794,7 +794,7 @@ def test_evaluate_policy_episode_count_invariance():
 
 
 def test_evaluate_policy_validation_and_logs():
-    net = policy_init(np.random.default_rng(42))
+    net = policy_init(np.random.default_rng(42), PpoConfig())
     cfg = quick_env()
     with pytest.raises(ValueError):
         evaluate_policy(net, cfg, RewardWeights(), 0, seed=1)
@@ -822,7 +822,7 @@ def test_evaluate_policy_streams_logs_chunk_by_chunk(monkeypatch):
 
     monkeypatch.setattr(train_module, "_eval_chunk", counted)
     monkeypatch.setattr(train_module, "EVAL_CHUNK", 2)
-    net = policy_init(np.random.default_rng(42))
+    net = policy_init(np.random.default_rng(42), PpoConfig())
     evaluate_policy(
         net, quick_env(), RewardWeights(), 5, seed=1,
         log_sink=lambda k, rows: events.append(("log", k)),
@@ -854,7 +854,7 @@ def smoke_ppo(**kw):
 
 
 def test_train_smoke_writes_artifacts(tmp_path):
-    res = train(quick_env(), RewardWeights(), smoke_ppo(), seed=5, out_dir=tmp_path)
+    res = train(quick_env(), RewardWeights(), smoke_ppo(), seed=5, out_dir=tmp_path, log_fn=None)
     assert res.env_steps == 128 and res.iterations == 2
     assert (tmp_path / "best.ckpt").exists()
     assert (tmp_path / "final.ckpt").exists()
@@ -871,16 +871,19 @@ def test_train_smoke_writes_artifacts(tmp_path):
 def test_train_deterministic(tmp_path):
     (tmp_path / "r1").mkdir()
     (tmp_path / "r2").mkdir()
-    train(quick_env(), RewardWeights(), smoke_ppo(), seed=9, out_dir=tmp_path / "r1")
-    train(quick_env(), RewardWeights(), smoke_ppo(), seed=9, out_dir=tmp_path / "r2")
+    train(quick_env(), RewardWeights(), smoke_ppo(), seed=9, out_dir=tmp_path / "r1",
+          log_fn=None)
+    train(quick_env(), RewardWeights(), smoke_ppo(), seed=9, out_dir=tmp_path / "r2",
+          log_fn=None)
     assert (tmp_path / "r1/final.ckpt").read_bytes() == (tmp_path / "r2/final.ckpt").read_bytes()
     assert (tmp_path / "r1/best.ckpt").read_bytes() == (tmp_path / "r2/best.ckpt").read_bytes()
     assert (tmp_path / "r1/curve.csv").read_text() == (tmp_path / "r2/curve.csv").read_text()
 
 
-def test_train_insufficient_steps():
+def test_train_insufficient_steps(tmp_path):
     with pytest.raises(ValueError, match="insufficient steps"):
-        train(quick_env(), RewardWeights(), smoke_ppo(total_env_steps=32), seed=0)
+        train(quick_env(), RewardWeights(), smoke_ppo(total_env_steps=32), seed=0,
+              out_dir=tmp_path, log_fn=None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -894,6 +897,7 @@ def test_train_crash_still_saves(tmp_path):
             smoke_ppo(lr=1e200),
             seed=3,
             out_dir=tmp_path,
+            log_fn=None,
         )
     assert (tmp_path / "final.ckpt").exists()
     assert (tmp_path / "best.ckpt").exists()

@@ -13,6 +13,7 @@ from apiary.dynamics import RigidState, SimulationDivergedError, step_arrays
 from apiary.env import ORI_ERR, POS_ERR, EnvConfig, EpisodeGoal, obs_norms, observe_arrays
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init, policy_mean
+from apiary.learn.ppo import PpoConfig
 from apiary.mission import (
     DOCK_POS_TOL,
     DOCK_STANDOFF,
@@ -31,10 +32,10 @@ from apiary.mission import (
     parse_maneuver_tokens,
     parse_sequence_file,
     run_compare,
-    run_maneuver,
     run_sequence,
     safety_check,
 )
+from flight import fly
 
 DT = 0.016
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
@@ -44,7 +45,7 @@ STOCK_SEQUENCE = ASSETS / "stock_sequence.txt"
 
 def tiny_net():
     # out_scale 0.01 keeps the random policy's wrench near zero
-    return policy_init(np.random.default_rng(1234))
+    return policy_init(np.random.default_rng(1234), PpoConfig())
 
 
 def origin_goal():
@@ -353,31 +354,28 @@ def test_log_csv_rejects_other_header(tmp_path):
 def test_run_maneuver_validation():
     mc = MissionConfig()
     with pytest.raises(ValueError, match="RL_POLICY or BASELINE"):
-        run_maneuver(RigidState(), Maneuver("dock"), ControlMode.HOLD_FALLBACK, mc)
+        fly(RigidState(), Maneuver("dock"), ControlMode.HOLD_FALLBACK, mc)
     with pytest.raises(ValueError, match="policy"):
-        run_maneuver(RigidState(), Maneuver("dock"), ControlMode.RL_POLICY, mc)
-    bad = RigidState(position=m3.vec3(np.nan, 0, 0))
-    with pytest.raises(ValueError, match="finite"):
-        run_maneuver(bad, Maneuver("dock"), ControlMode.BASELINE, mc)
+        fly(RigidState(), Maneuver("dock"), ControlMode.RL_POLICY, mc)
     # a timeout under half a tick runs no ticks: rejected before anything is logged
     log = TrajectoryLog()
     with pytest.raises(ValueError, match=r"maneuver index 3: timeout 0.001 s .* dt 0.016 s"):
-        run_maneuver(RigidState(), Maneuver("translate", 0, 0.5, timeout=0.001),
+        fly(RigidState(), Maneuver("translate", 0, 0.5, timeout=0.001),
                      ControlMode.BASELINE, mc, log=log, maneuver_index=3)
     assert len(log) == 0
-    assert run_maneuver(RigidState(), Maneuver("dock", timeout=0.01), ControlMode.BASELINE,
+    assert fly(RigidState(), Maneuver("dock", timeout=0.01), ControlMode.BASELINE,
                         mc)[1].ticks == 1
     # a state that overflows during propagation stops the flight
     fast = RigidState(position=m3.vec3(1.79e308, 0, 0), lin_vel=m3.vec3(1e308, 0, 0))
     with pytest.raises(SimulationDivergedError):
-        run_maneuver(fast, Maneuver("dock"), ControlMode.BASELINE, mc)
+        fly(fast, Maneuver("dock"), ControlMode.BASELINE, mc)
 
 
 def test_pd_translate_full_timeout_and_log_consistency():
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.5, timeout=30.0)
     log = TrajectoryLog()
-    state, out = run_maneuver(RigidState(), man, ControlMode.BASELINE, mc, log=log)
+    state, out = fly(RigidState(), man, ControlMode.BASELINE, mc, log=log)
     assert out.outcome == "success"
     assert out.ticks == int(round(30.0 / DT)) == len(log)
     assert out.final_pos_err < 0.01
@@ -402,7 +400,7 @@ def test_fault_trips_monitor_on_exact_tick():
     man = Maneuver("translate", 0, 0.0, timeout=5.0)
     fault = FaultSpec(0, 10, m3.vec3(0.5, 0.0, 0.0))
     log = TrajectoryLog()
-    state, out = run_maneuver(
+    state, out = fly(
         RigidState(), man, ControlMode.RL_POLICY, mc,
         net=tiny_net(), log=log, fault=fault,
     )
@@ -422,7 +420,7 @@ def test_fault_ignored_by_baseline_mode():
     man = Maneuver("translate", 0, 0.0, timeout=5.0)
     fault = FaultSpec(0, 10, m3.vec3(0.5, 0.0, 0.0))
     log = TrajectoryLog()
-    _, out = run_maneuver(
+    _, out = fly(
         RigidState(), man, ControlMode.BASELINE, mc, log=log, fault=fault
     )
     assert out.outcome != "fallback_triggered"
@@ -435,7 +433,7 @@ def test_monitor_stays_disarmed_outside_envelope():
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.5, timeout=2.0)
     log = TrajectoryLog()
-    _, out = run_maneuver(
+    _, out = fly(
         RigidState(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log=log
     )
     assert out.outcome == "timeout"
@@ -462,7 +460,7 @@ def test_flight_tick_computes_orientation_error_once(monkeypatch):
     man = parse_sequence_file(STOCK_SEQUENCE)[0]
     assert man.kind == "translate"
     log = TrajectoryLog()
-    _, out = run_maneuver(RigidState(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log=log)
+    _, out = fly(RigidState(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log=log)
     assert out.outcome == "success" and len(log) == out.ticks
     assert len(calls) <= out.ticks + 2
 
@@ -541,19 +539,25 @@ def test_maneuver_tick_bound():
     with pytest.raises(ValueError, match=message):
         run_sequence([short, too_long], ControlMode.BASELINE, mc)
     with pytest.raises(ValueError, match="maneuver index 0: .* more than the 250000"):
-        run_maneuver(RigidState(), too_long, ControlMode.BASELINE, mc)
+        fly(RigidState(), too_long, ControlMode.BASELINE, mc)
 
 
 def test_run_sequence_dock_targets_entry_pose():
+    # the dock maneuver enters 0.2 m from the sequence entry (the origin)
+    # and flies back to it, not to its own entry pose
     mc = MissionConfig()
     seq = [
         Maneuver("translate", 0, 0.2, timeout=20.0),
         Maneuver("dock", timeout=20.0),
     ]
-    start = RigidState(position=m3.vec3(1.0, -2.0, 0.5))
-    res = run_sequence(seq, ControlMode.BASELINE, mc, start_state=start)
+    res = run_sequence(seq, ControlMode.BASELINE, mc)
     assert [o.outcome for o in res.outcomes] == ["success", "success"]
-    np.testing.assert_allclose(res.final_state.position, start.position, atol=DOCK_POS_TOL)
+    dock = res.log.column("maneuver") == 1
+    pos = res.log.columns(["px", "py", "pz"])[dock]
+    goal = pos + res.log.columns(["epx", "epy", "epz"])[dock]
+    np.testing.assert_allclose(pos[0], [0.2, 0.0, 0.0], atol=0.01)
+    np.testing.assert_allclose(goal, 0.0, atol=1e-12)
+    np.testing.assert_allclose(pos[-1], np.zeros(3), atol=DOCK_POS_TOL)
 
 
 def test_run_sequence_rejects_empty():
@@ -619,15 +623,14 @@ def test_metrics_empty_log_raises():
 
 def test_compare_identical_logs_zero_diff():
     # a policy whose mean is exactly zero and a PD law with zero gains both
-    # command no wrench, so both flights coast alike from a drifting entry
+    # command no wrench, so both flights stay at the entry, 0.2 m short
     net = tiny_net()
     net.actor.weights[-1][:] = 0.0
     net.actor.biases[-1][:] = 0.0
     mc = MissionConfig(gains=PdGains(0.0, 0.0, 0.0, 0.0))
-    start = RigidState(lin_vel=m3.vec3(0.01, -0.02, 0.0), ang_vel=m3.vec3(0.0, 0.0, 0.05))
-    log_rl, log_pd, report = run_compare(Maneuver("translate", 1, 0.2, 2.0), mc, net, start)
+    log_rl, log_pd, report = run_compare(Maneuver("translate", 1, 0.2, 2.0), mc, net)
     np.testing.assert_array_equal(log_rl.numeric(), log_pd.numeric())
-    assert report.rl.max_cross_axis_excursion > 0.0
+    assert report.rl.final_pos_err == report.baseline.final_pos_err == 0.2
     for name, v in report.diff.items():
         assert v == 0.0 or (np.isnan(v) and name == "settle_time"), name
 
@@ -706,7 +709,7 @@ def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
     fault = FaultSpec(0, 1000, m3.vec3(0.5, 0.0, 0.0))
     net, _ = load_policy(REFERENCE_CKPT)
     log = TrajectoryLog()
-    state, out = run_maneuver(RigidState(), man, mode, mc, net=net, log=log, fault=fault)
+    state, out = fly(RigidState(), man, mode, mc, net=net, log=log, fault=fault)
     want_state, want_log = _array_flight(RigidState(), man, mode, mc, net=net, fault=fault)
 
     log.write_csv(tmp_path / "flight.csv")
@@ -735,7 +738,7 @@ def test_body_frame_policy_reads_body_frame_observation():
     for body_frame in (False, True):
         log = TrajectoryLog()
         mc = MissionConfig(EnvConfig(body_frame_obs=body_frame))
-        run_maneuver(start.copy(), man, ControlMode.RL_POLICY, mc, net=net, log=log)
+        fly(start, man, ControlMode.RL_POLICY, mc, net=net, log=log)
         first_cmd[body_frame] = log.columns(["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
         want = policy_mean(net, obs_of(start, goal, body_frame=body_frame)) * scale
         assert first_cmd[body_frame].tobytes() == want.tobytes()
@@ -769,29 +772,29 @@ def test_run_compare_same_entry_both_logs():
 
 
 def test_parse_translate_tokens():
-    man = parse_maneuver_tokens(["translate", "x", "0.5", "30"])
+    man = parse_maneuver_tokens(["translate", "x", "0.5", "30"], "seq.txt", 1)
     assert (man.kind, man.axis, man.magnitude, man.timeout) == ("translate", 0, 0.5, 30.0)
     assert not man.resume and man.note == ""
 
 
 def test_parse_rotate_degrees_to_radians():
-    man = parse_maneuver_tokens(["rotate", "z", "-20", "20"])
+    man = parse_maneuver_tokens(["rotate", "z", "-20", "20"], "seq.txt", 1)
     assert man.axis == 2
     assert man.magnitude == pytest.approx(np.deg2rad(-20.0))
 
 
 def test_parse_flags():
-    man = parse_maneuver_tokens(["dock_approach", "30", "resume"])
+    man = parse_maneuver_tokens(["dock_approach", "30", "resume"], "seq.txt", 1)
     assert man.resume
-    man = parse_maneuver_tokens(["dock", "30", "los"])
+    man = parse_maneuver_tokens(["dock", "30", "los"], "seq.txt", 1)
     assert man.note == "loss_of_signal"
-    man = parse_maneuver_tokens(["dock", "30", "resume", "los"])
+    man = parse_maneuver_tokens(["dock", "30", "resume", "los"], "seq.txt", 1)
     assert man.resume and man.note == "loss_of_signal"
 
 
 def test_parse_goto_pose():
     man = parse_maneuver_tokens(
-        ["goto_pose", "1", "2", "3", "1", "0", "0", "0", "25"]
+        ["goto_pose", "1", "2", "3", "1", "0", "0", "0", "25"], "seq.txt", 1
     )
     assert man.pose == (1.0, 2.0, 3.0, 1.0, 0.0, 0.0, 0.0)
     assert man.timeout == 25.0
@@ -807,8 +810,8 @@ def test_parse_timeout_is_optional():
         (["dock_approach", "los"], ["dock_approach", "30", "los"]),
     ]
     for short, full in cases:
-        man = parse_maneuver_tokens(short)
-        assert man == parse_maneuver_tokens(full)
+        man = parse_maneuver_tokens(short, "seq.txt", 1)
+        assert man == parse_maneuver_tokens(full, "seq.txt", 2)
         assert man.timeout == Maneuver("dock").timeout == 30.0
 
 
@@ -818,17 +821,17 @@ def test_parse_errors_name_location():
     with pytest.raises(ValueError, match=r"seq\.txt:4: translate needs"):
         parse_maneuver_tokens(["translate", "x"], "seq.txt", 4)
     with pytest.raises(ValueError, match=r"dock needs: \[timeout\]"):
-        parse_maneuver_tokens(["dock", "30", "40"])
+        parse_maneuver_tokens(["dock", "30", "40"], "seq.txt", 1)
     with pytest.raises(ValueError, match="goto_pose needs: px py pz qw qx qy qz"):
-        parse_maneuver_tokens(["goto_pose", "1", "2", "3"])
+        parse_maneuver_tokens(["goto_pose", "1", "2", "3"], "seq.txt", 1)
     with pytest.raises(ValueError, match="axis must be x, y or z"):
-        parse_maneuver_tokens(["translate", "q", "0.5", "30"])
+        parse_maneuver_tokens(["translate", "q", "0.5", "30"], "seq.txt", 1)
     with pytest.raises(ValueError, match="unknown maneuver kind"):
-        parse_maneuver_tokens(["slide", "x", "0.5", "30"])
+        parse_maneuver_tokens(["slide", "x", "0.5", "30"], "seq.txt", 1)
     with pytest.raises(ValueError, match="bad number"):
-        parse_maneuver_tokens(["translate", "x", "fast", "30"])
+        parse_maneuver_tokens(["translate", "x", "fast", "30"], "seq.txt", 1)
     with pytest.raises(ValueError, match="empty"):
-        parse_maneuver_tokens([])
+        parse_maneuver_tokens([], "seq.txt", 1)
 
 
 def test_parse_maneuver_spec_colon_form():

@@ -1,16 +1,27 @@
-"""Every top-level name in `src/apiary` is used somewhere in `src/`.
+"""Every top-level name in `src/apiary` is used somewhere in `src/`, and
+every parameter default in it is both used and overridden by some caller.
 
 A function, class or constant that only tests reach is API no command
 runs; it has to be kept working and read past, and the next change to the
-code around it has to carry it along. This check fails naming each
+code around it has to carry it along. The name check fails naming each
 top-level definition or assignment that no `Name` or `Attribute` node in
 `src/` reads. Dunder names (`__version__`, ...) are exempt.
+
+A default is the same kind of API one level down. If every caller passes
+the parameter, the default (and any branch it selects) is reached only by
+tests; if no caller passes it, the parameter is a constant. The default
+check reads every call in `src/` and `perfbench/` (the benchmark calls the
+program and is frozen, so it counts as a caller) and fails naming
+`module.py:function:parameter` for each default that no call leaves in
+place or no call overrides.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "apiary"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "apiary"
+CALLERS = (ROOT / "src", ROOT / "perfbench")
 
 
 def _defined_names(tree: ast.Module) -> list[str]:
@@ -57,3 +68,111 @@ def test_check_sees_an_unused_name(tmp_path):
     )
     (tmp_path / "b.py").write_text("from . import a\n\nprint(a.helper())\n")
     assert unreferenced_names(tmp_path) == ["a.py:Spare", "a.py:x"]
+
+
+def _defaulted_functions(tree: ast.Module) -> list[tuple[str, str, list[str], list[str]]]:
+    """(qualified name, name it is called by, positional parameters,
+    defaulted parameters) of each function or method with a default. A
+    method's positional parameters leave out self/cls; `__init__` is
+    called by its class's name."""
+    found = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if defaulted:
+                    called_as = cls if node.name == "__init__" else node.name
+                    name = node.name if cls is None else f"{cls}.{node.name}"
+                    found.append((name, called_as, positional, defaulted))
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return found
+
+
+def _calls(roots) -> dict[str, list[tuple[int, set[str], bool]]]:
+    """Called name -> (positional argument count, keyword names, whether
+    `*`/`**` unpacking makes the bound parameters unknowable) per call."""
+    calls: dict[str, list] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                )
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                calls.setdefault(name, []).append((len(node.args), keywords, unpacked))
+    return calls
+
+
+def misused_defaults(src: Path = SRC, callers=CALLERS) -> list[str]:
+    """`module.py:function:parameter (why)` for each default in `src` that
+    no call in `callers` leaves in place, or that none overrides."""
+    calls = _calls(callers)
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, called_as, positional, defaulted in _defaulted_functions(tree):
+            sites = calls.get(called_as, [])
+            for param in defaulted:
+                # per call: (passes param, may pass it or not)
+                binds = [
+                    (param in positional[:n_args] or param in keywords, unpacked)
+                    for n_args, keywords, unpacked in sites
+                ]
+                if all(passed and not unknown for passed, unknown in binds):
+                    found.append(f"{module}:{name}:{param} (every call sets it)")
+                if not any(passed or unknown for passed, unknown in binds):
+                    found.append(f"{module}:{name}:{param} (no call sets it)")
+    return found
+
+
+def test_every_default_is_used_and_overridden():
+    misused = misused_defaults()
+    assert not misused, f"defaults that only tests reach: {', '.join(misused)}"
+
+
+def test_check_sees_a_default_no_caller_needs(tmp_path):
+    src, bench = tmp_path / "pkg", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "def fly(seq, mode=0, net=None, *, log=None, spare=1):\n    return seq\n\n\n"
+        "class Env:\n    def __init__(self, n, seed=0):\n        self.n = n\n\n"
+        "    def step(self, actions, clip=True):\n        return actions\n"
+    )
+    (src / "b.py").write_text(
+        "from .a import Env, fly\n\n"
+        "fly([1], 2, log=3)\nfly([1], net=4, log=5)\n"
+        "Env(4).step([0], clip=False)\nEnv(4, seed=1).step([1], False)\n"
+    )
+    # the benchmark's calls count: it is the only one leaving log in place
+    (bench / "run.py").write_text("from pkg.a import fly\n\nfly([1], 2, 3)\n")
+    assert misused_defaults(src, (src, bench)) == [
+        "a.py:fly:spare (no call sets it)",
+        "a.py:Env.step:clip (every call sets it)",
+    ]
+    assert misused_defaults(src, (src,)) == [
+        "a.py:fly:log (every call sets it)",
+        "a.py:fly:spare (no call sets it)",
+        "a.py:Env.step:clip (every call sets it)",
+    ]
+    # an unpacked call may bind any parameter, so it both sets and leaves each
+    (bench / "run.py").write_text("from pkg.a import fly\n\nfly(*([1], 2, 3))\n")
+    assert misused_defaults(src, (src, bench)) == ["a.py:Env.step:clip (every call sets it)"]
