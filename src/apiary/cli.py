@@ -153,17 +153,10 @@ def cmd_eval(args, argv: list[str]) -> int:
         raise CliError("worker count must be >= 1")
     net = _load_checkpoint(args.ckpt, cfg.env)
     seed = args.seed if args.seed is not None else cfg.seed
-    log_sink = None
     if args.logs is not None:
         os.makedirs(args.logs, exist_ok=True)
-
-        def log_sink(k, rows):
-            TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, k).write_csv(
-                os.path.join(args.logs, f"episode_{k:04d}.csv")
-            )
-
     result = evaluate_policy(
-        net, cfg.env, cfg.reward, args.episodes, seed, args.workers, log_sink
+        net, cfg.env, cfg.reward, args.episodes, seed, args.workers, args.logs
     )
     print(",".join(SUMMARY_FIELDS))
     print(",".join(str(result.summary[k]) for k in SUMMARY_FIELDS))

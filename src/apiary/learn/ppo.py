@@ -59,6 +59,8 @@ class PpoConfig:
             raise ValueError("clip_eps and lr must be positive")
         if min(self.epochs, self.minibatch_size, self.n_envs, self.horizon) < 1:
             raise ValueError("epochs, minibatch_size, n_envs, horizon must be >= 1")
+        if min(self.eval_every, self.eval_episodes) < 1:
+            raise ValueError("eval_every and eval_episodes must be >= 1")
         if min(self.hidden, default=1) < 1:
             raise ValueError(f"hidden layer widths must be >= 1, got {self.hidden}")
 

@@ -10,18 +10,23 @@ re-raises, so a crashed run still leaves a usable checkpoint.
 
 Evaluation runs episodes in fixed-size chunks of EVAL_CHUNK regardless of
 worker count; `workers` only spreads whole chunks across processes, so
-summaries are byte-identical for any worker count. Episode k is seeded
-(seed, k), but its result also depends on the size of the chunk that
-holds it (EVAL_CHUNK, or the remainder for the last chunk): the policy
-runs on all of a chunk's rows at once, and BLAS may round a row
-differently for another number of rows. So `episodes=1` and
-`episodes=2` can give episode 0 returns that differ in the last digits.
+summaries are byte-identical for any worker count. The process that runs
+a chunk also writes its trajectory logs, one row per live episode per
+tick, in `mission`'s log format; only episode records come back to the
+parent. Episode k is seeded (seed, k), but its result also depends on the
+size of the chunk that holds it (EVAL_CHUNK, or the remainder for the
+last chunk): the policy runs on all of a chunk's rows at once, and BLAS
+may round a row differently for another number of rows. So `episodes=1`
+and `episodes=2` can give episode 0 returns that differ in the last
+digits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
+import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -36,6 +41,7 @@ from ..env import (
     RewardWeights,
     batch_rollout,
 )
+from ..mission import LOG_HEADER, ControlMode, log_line
 from . import nets
 from .checkpoint import save_policy
 from .nets import PolicyNet, RolloutPolicy
@@ -71,77 +77,85 @@ class TrainResult:
     iterations: int = 0
 
 
+def _log_path(logs_dir, k: int) -> str:
+    return os.path.join(logs_dir, f"episode_{k:04d}.csv")
+
+
 def _eval_chunk(
     net: PolicyNet,
     config: EnvConfig,
     weights: RewardWeights,
     seeds: list,
-    collect_logs: bool,
-) -> tuple[list[dict], list[np.ndarray] | None]:
-    """Run one chunk of episodes to completion with the deterministic policy."""
+    logs_dir,
+) -> list[dict]:
+    """Run one chunk of episodes to completion with the deterministic policy.
+
+    With a `logs_dir`, episode k's rows go to its `episode_kkkk.csv` there
+    on the tick they are made, and the file is closed when the episode
+    finishes. If the chunk raises, its unfinished files are deleted, so
+    every log file left behind holds a whole episode.
+    """
     n = len(seeds)
     benv = BatchEnv(n, config, weights, auto_reset=False, episode_seeds=seeds)
     records: list[dict | None] = [None] * n
-    # without auto-reset a live env's row index is the tick; rows of
-    # frozen envs past their episode end are never read
-    buf = np.empty((n, config.episode_len, 32)) if collect_logs else None
+    mode = ControlMode.RL_POLICY.value
+    # env row -> the open log file of its running episode
+    files = {}
     scale = np.concatenate(
         [np.full(3, config.limits.f_max), np.full(3, config.limits.tau_max)]
     )
-    for t in range(config.episode_len):
-        if benv.all_frozen():
-            break
-        obs = benv.obs.copy()
-        actions = nets.policy_mean(net, obs)
-        if collect_logs:
-            np.concatenate(
-                [np.full((n, 1), t * config.dt), benv.pos, benv.att, benv.linvel, benv.angvel,
-                 actions * scale, np.clip(actions, -1.0, 1.0) * scale,
-                 obs[:, POS_ERR], obs[:, ORI_ERR]],
-                axis=1,
-                out=buf[:, t],
-            )
-        _, _, _, finished = benv.step(actions)
-        for rec in finished:
-            i = rec["env"]
-            # a finished row is frozen, so its norms are those of its final obs
-            pe, oe, lv, av = benv.norms[i].tolist()
-            success = rec["success"]
-            settle = (
-                (rec["steps"] - config.hold_steps + 1) * config.dt if success else float("nan")
-            )
-            records[i] = {
-                "success": success,
-                "reason": rec["reason"],
-                "steps": rec["steps"],
-                "episode_return": rec["episode_return"],
-                "final_pos_err": pe,
-                "final_ori_err": oe,
-                "final_lin_vel": lv,
-                "final_ang_vel": av,
-                "settle_time": settle,
-            }
-    logs = None
-    if collect_logs:
-        logs = [buf[i, : r["steps"]] for i, r in enumerate(records) if r is not None]
-    return [r for r in records if r is not None], logs
+    try:
+        if logs_dir is not None:
+            for i, (_, k) in enumerate(seeds):
+                files[i] = open(_log_path(logs_dir, k), "w", newline="")
+                files[i].write(LOG_HEADER)
+        for t in range(config.episode_len):
+            if benv.all_frozen():
+                break
+            obs = benv.obs.copy()
+            actions = nets.policy_mean(net, obs)
+            if files:
+                table = np.concatenate(
+                    [np.full((n, 1), t * config.dt), benv.pos, benv.att, benv.linvel,
+                     benv.angvel, actions * scale, np.clip(actions, -1.0, 1.0) * scale,
+                     obs[:, POS_ERR], obs[:, ORI_ERR]],
+                    axis=1,
+                ).tolist()
+                for i, f in files.items():
+                    f.write(log_line(table[i], mode, seeds[i][1]))
+            _, _, _, finished = benv.step(actions)
+            for rec in finished:
+                i = rec["env"]
+                if files:
+                    files[i].close()
+                    del files[i]
+                # a finished row is frozen, so its norms are those of its final obs
+                pe, oe, lv, av = benv.norms[i].tolist()
+                success = rec["success"]
+                settle = (
+                    (rec["steps"] - config.hold_steps + 1) * config.dt if success else float("nan")
+                )
+                records[i] = {
+                    "success": success,
+                    "reason": rec["reason"],
+                    "steps": rec["steps"],
+                    "episode_return": rec["episode_return"],
+                    "final_pos_err": pe,
+                    "final_ori_err": oe,
+                    "final_lin_vel": lv,
+                    "final_ang_vel": av,
+                    "settle_time": settle,
+                }
+    except BaseException:
+        for f in files.values():
+            f.close()
+            os.remove(f.name)
+        raise
+    return [r for r in records if r is not None]
 
 
 def _eval_chunk_star(payload):
     return _eval_chunk(*payload)
-
-
-def _merge_chunks(results, log_sink) -> list[dict]:
-    """Chunk records in order; each chunk's logs go to log_sink as it arrives."""
-    records: list[dict] = []
-    for recs, chunk_logs in results:
-        if log_sink is not None:
-            for k, rows in enumerate(chunk_logs, start=len(records)):
-                log_sink(k, rows)
-        records.extend(recs)
-        # drop this chunk's logs before the next chunk is computed
-        chunk_logs = rows = None
-    return records
 
 
 def evaluate_policy(
@@ -151,7 +165,7 @@ def evaluate_policy(
     episodes: int,
     seed: int,
     workers: int = 1,
-    log_sink=None,
+    logs_dir=None,
 ) -> EvalResult:
     """Deterministic evaluation over `episodes` seeded episodes.
 
@@ -160,20 +174,38 @@ def evaluate_policy(
     are merged back in order, so the output is identical for any worker
     count. It is not always identical for another `episodes`: the last
     chunk's size changes with it, and a policy row may round differently
-    in a batch of another size. With a `log_sink`, each episode's (steps, 32) trajectory rows
-    are passed to log_sink(k, rows) in episode order as soon as its chunk
-    finishes, so at most a chunk or two of logs is held in memory.
+    in a batch of another size. With a `logs_dir` (an existing directory),
+    the process that runs a chunk streams each of its episodes to
+    `episode_kkkk.csv` there, tick by tick, so no trajectory is held in
+    memory or sent between processes. If a chunk fails, the files left are
+    the whole episodes that finished before the failure, the same for any
+    worker count.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     seeds = [[seed, k] for k in range(episodes)]
     chunks = [seeds[i : i + EVAL_CHUNK] for i in range(0, episodes, EVAL_CHUNK)]
-    payloads = [(net, config, weights, chunk, log_sink is not None) for chunk in chunks]
+    payloads = [(net, config, weights, chunk, logs_dir) for chunk in chunks]
+    records: list[dict] = []
     if workers > 1 and len(chunks) > 1:
-        with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
-            records = _merge_chunks(pool.imap(_eval_chunk_star, payloads), log_sink)
+        merged = 0
+        try:
+            with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
+                for recs in pool.imap(_eval_chunk_star, payloads):
+                    records.extend(recs)
+                    merged += 1
+        except BaseException:
+            # the failed chunk deleted its own unfinished files, and leaving
+            # the pool stopped the workers; a single process never starts
+            # the chunks after the failed one, so delete what workers wrote
+            if logs_dir is not None:
+                for _, k in itertools.chain.from_iterable(chunks[merged + 1 :]):
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(_log_path(logs_dir, k))
+            raise
     else:
-        records = _merge_chunks(map(_eval_chunk_star, payloads), log_sink)
+        for payload in payloads:
+            records.extend(_eval_chunk(*payload))
     succ = np.array([r["success"] for r in records], dtype=np.float64)
     settle = np.array([r["settle_time"] for r in records])
     settled = settle[np.isfinite(settle)]

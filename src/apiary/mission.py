@@ -87,6 +87,15 @@ LOG_COLUMNS = [
     "erx", "ery", "erz",
     "mode", "maneuver",
 ]
+LOG_HEADER = ",".join(LOG_COLUMNS) + "\r\n"
+
+
+def log_line(row: list[float], mode: str, maneuver: int) -> str:
+    """One trajectory CSV row in the bytes csv.writer wrote: the 32 numeric
+    columns as repr, then mode and maneuver, CRLF, no quoting (no field
+    holds a comma, quote or newline). Every log file is `LOG_HEADER` and
+    then one such line per tick."""
+    return ",".join(map(repr, row)) + f",{mode},{maneuver}\r\n"
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 # dock and dock_approach succeed inside these tolerances; the approach
@@ -203,26 +212,6 @@ class TrajectoryLog:
         self._modes.append(mode.value)
         self._maneuvers.append(int(maneuver))
 
-    @classmethod
-    def from_array(cls, numeric: np.ndarray, mode: ControlMode, maneuver: int) -> "TrajectoryLog":
-        """Log over (n_rows, 32) numeric rows in schema order, all in one mode
-        and maneuver. A float64 array is taken without copying."""
-        n = len(numeric)
-        return cls._from_columns(numeric, [mode.value] * n, [int(maneuver)] * n)
-
-    @classmethod
-    def _from_columns(cls, numeric, modes: list[str], maneuvers: list[int]) -> "TrajectoryLog":
-        log = cls()
-        log._num = np.asarray(numeric, dtype=np.float64)
-        log._n, log._modes, log._maneuvers = len(modes), modes, maneuvers
-        if log._num.shape != (log._n, 32):
-            raise ValueError(f"log rows must have shape (n, 32), got {log._num.shape}")
-        t = log._num[:, 0]
-        k = np.flatnonzero(~(np.diff(t) > 0))
-        if k.size:
-            raise ValueError(f"log time must strictly increase: {t[k[0] + 1]} after {t[k[0]]}")
-        return log
-
     def numeric(self) -> np.ndarray:
         """Read-only (n_rows, 32) view of the numeric columns in schema order."""
         view = self._num[: self._n]
@@ -240,28 +229,34 @@ class TrajectoryLog:
         return self.numeric()[:, [LOG_COLUMNS.index(n) for n in names]]
 
     def write_csv(self, path) -> None:
-        """Same bytes as csv.writer: CRLF, no quoting (no field holds a comma,
-        quote or newline), floats as repr; rows are converted one at a time."""
+        """`LOG_HEADER`, then a `log_line` per row; rows are converted one at a time."""
         with open(path, "w", newline="") as f:
-            f.write(",".join(LOG_COLUMNS) + "\r\n")
+            f.write(LOG_HEADER)
             f.writelines(
-                ",".join(map(repr, row.tolist())) + f",{mode},{man}\r\n"
+                log_line(row.tolist(), mode, man)
                 for row, mode, man in zip(self.numeric(), self._modes, self._maneuvers)
             )
 
     @classmethod
     def read_csv(cls, path) -> "TrajectoryLog":
+        """Read what `write_csv` wrote; rejects another header, an unknown
+        mode and a time that does not strictly increase."""
         with open(path, newline="") as f:
             r = csv.reader(f)
             header = next(r)
             if header != LOG_COLUMNS:
                 raise ValueError("unexpected trajectory log header")
             lines = list(r)
-        return cls._from_columns(
-            np.array([[float(v) for v in line[:32]] for line in lines]).reshape(-1, 32),
-            [ControlMode(line[32]).value for line in lines],
-            [int(line[33]) for line in lines],
-        )
+        log = cls()
+        log._num = np.array([[float(v) for v in line[:32]] for line in lines]).reshape(-1, 32)
+        log._n = len(lines)
+        log._modes = [ControlMode(line[32]).value for line in lines]
+        log._maneuvers = [int(line[33]) for line in lines]
+        t = log._num[:, 0]
+        k = np.flatnonzero(~(np.diff(t) > 0))
+        if k.size:
+            raise ValueError(f"log time must strictly increase: {t[k[0] + 1]} after {t[k[0]]}")
+        return log
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """End-to-end command-line tests, including exit-code contracts."""
 
+import csv
+import importlib
 import time
 from pathlib import Path
 
@@ -12,6 +14,9 @@ from apiary.env import ORI_ERR, POS_ERR, BatchEnv
 from apiary.learn.checkpoint import load_policy, save_policy
 from apiary.learn.nets import PolicyNet, mlp_init, policy_mean
 from apiary.mission import ControlMode, TrajectoryLog
+
+# the package's `train` name is the function; this is its module
+train_module = importlib.import_module("apiary.learn.train")
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 REFERENCE_CKPT = ASSETS / "reference_policy.ckpt"
@@ -92,6 +97,18 @@ def test_train_bad_config_exits_1(tmp_path, capsys):
     cfg.write_text("[engine]\nthrust = 11\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "unknown section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["eval_every", "eval_episodes"])
+def test_train_rejects_zero_eval_setting(tmp_path, capsys, key):
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(TINY_CONFIG.replace(f"{key} = 1", f"{key} = 0"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: eval_every and eval_episodes must be >= 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_divergence_exits_2(tmp_path, capsys):
@@ -200,6 +217,46 @@ def test_eval_logs_match_row_by_row_oracle(tmp_path):
         want = tmp_path / f"oracle_{i}.csv"
         log.write_csv(want)
         assert (logs / f"episode_{i:04d}.csv").read_bytes() == want.read_bytes(), i
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatch, workers):
+    # 3 chunks of 3 episodes; the second goes non-finite after one of its
+    # episodes has finished and while another is still running
+    monkeypatch.setattr(train_module, "EVAL_CHUNK", 3)
+    args = ["eval", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT),
+            "--scenario", "iss6dof", "--episodes", "9", "--seed", "2", "--workers", workers]
+    clean = tmp_path / "clean"
+    assert main(args + ["--logs", str(clean / "logs"), "--out", str(clean)]) == 0
+    with open(clean / "episodes.csv", newline="") as f:
+        steps = [int(row["steps"]) for row in csv.DictReader(f)]
+    fail_tick = sorted(steps[3:6])[1]
+    assert max(steps[3:6]) > fail_tick
+
+    class DivergingEnv(BatchEnv):
+        def __init__(self, *args, episode_seeds, **kwargs):
+            super().__init__(*args, episode_seeds=episode_seeds, **kwargs)
+            self.fails, self.tick = episode_seeds[0][1] == 3, 0
+
+        def step(self, actions):
+            if self.fails and self.tick == fail_tick:
+                self.linvel[np.flatnonzero(~self.frozen)[0]] = np.inf
+            self.tick += 1
+            return super().step(actions)
+
+    monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
+    logs = tmp_path / "logs"
+    with np.errstate(all="ignore"):
+        rc = main(args + ["--logs", str(logs)])
+    assert rc == 2
+    assert "numerical failure" in capsys.readouterr().err
+    # the first chunk and the episodes of the second that finished in time
+    kept = [k for k in range(6) if k < 3 or steps[k] <= fail_tick]
+    assert sorted(p.name for p in logs.iterdir()) == [f"episode_{k:04d}.csv" for k in kept]
+    for k in kept:
+        path = logs / f"episode_{k:04d}.csv"
+        assert len(TrajectoryLog.read_csv(path)) == steps[k]
+        assert path.read_bytes() == (clean / "logs" / path.name).read_bytes()
 
 
 def test_eval_env_mismatch_warns(workspace, capsys):

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import importlib
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,10 @@ from apiary.learn.ppo import (
     ppo_update,
 )
 from apiary.learn.train import EVAL_CHUNK
+from apiary.mission import TrajectoryLog
+
+# the package's `train` name is the function; this is its module
+train_module = importlib.import_module("apiary.learn.train")
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
@@ -793,45 +798,66 @@ def test_evaluate_policy_episode_count_invariance():
     assert r_big.episodes[:10] == r_small.episodes
 
 
-def test_evaluate_policy_validation_and_logs():
+def test_evaluate_policy_validation_and_logs(tmp_path):
     net = policy_init(np.random.default_rng(42), PpoConfig())
     cfg = quick_env()
     with pytest.raises(ValueError):
         evaluate_policy(net, cfg, RewardWeights(), 0, seed=1)
-    logs = []
-    r = evaluate_policy(
-        net, cfg, RewardWeights(), 3, seed=1, log_sink=lambda k, rows: logs.append((k, rows))
-    )
-    assert [k for k, _ in logs] == [0, 1, 2]
-    for (_, log), rec in zip(logs, r.episodes):
-        assert log.shape == (rec["steps"], 32)
-        assert log[0, 0] == 0.0
+    r = evaluate_policy(net, cfg, RewardWeights(), 3, seed=1, logs_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"episode_{k:04d}.csv" for k in range(3)]
+    for k, rec in enumerate(r.episodes):
+        log = TrajectoryLog.read_csv(tmp_path / f"episode_{k:04d}.csv")
+        assert len(log) == rec["steps"]
+        assert log.column("t")[0] == 0.0
+        np.testing.assert_array_equal(log.column("mode"), ["rl_policy"] * len(log))
+        np.testing.assert_array_equal(log.column("maneuver"), [k] * len(log))
 
 
-def test_evaluate_policy_streams_logs_chunk_by_chunk(monkeypatch):
-    # each chunk's logs reach the sink before the next chunk runs, so an
-    # eval with logs holds one chunk of them at a time
-    # the package's `train` name is the function; this is its module
-    train_module = importlib.import_module("apiary.learn.train")
-    events = []
-    eval_chunk = train_module._eval_chunk
+def _eval_peak_bytes(net, episode_len: int, logs_dir) -> int:
+    """tracemalloc peak of a logged eval whose 16 episodes all time out."""
+    # no episode can hold the goal for 801 ticks or leave a 1 km sphere
+    cfg = EnvConfig(episode_len=episode_len, hold_steps=801, oob_radius=1000.0)
+    tracemalloc.start()
+    try:
+        r = evaluate_policy(net, cfg, RewardWeights(), 16, seed=3, logs_dir=logs_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e["reason"] for e in r.episodes] == ["timeout"] * 16
+    assert [e["steps"] for e in r.episodes] == [episode_len] * 16
+    return peak
 
-    def counted(net, config, weights, seeds, collect_logs):
-        events.append(("chunk", seeds[0][1]))
-        return eval_chunk(net, config, weights, seeds, collect_logs)
 
-    monkeypatch.setattr(train_module, "_eval_chunk", counted)
-    monkeypatch.setattr(train_module, "EVAL_CHUNK", 2)
+def test_evaluate_policy_log_memory_independent_of_episode_len(tmp_path):
+    # logs stream to their files as the rows are made, so four times the
+    # episode length holds no more memory; a (16, episode_len, 32) float64
+    # buffer would add 2.5 MB between the two
     net = policy_init(np.random.default_rng(42), PpoConfig())
-    evaluate_policy(
-        net, quick_env(), RewardWeights(), 5, seed=1,
-        log_sink=lambda k, rows: events.append(("log", k)),
-    )
-    assert events == [
-        ("chunk", 0), ("log", 0), ("log", 1),
-        ("chunk", 2), ("log", 2), ("log", 3),
-        ("chunk", 4), ("log", 4),
-    ]
+    (tmp_path / "short").mkdir()
+    (tmp_path / "long").mkdir()
+    short = _eval_peak_bytes(net, 200, tmp_path / "short")
+    long = _eval_peak_bytes(net, 800, tmp_path / "long")
+    assert abs(long - short) < 1_000_000, (short, long)
+    assert len(TrajectoryLog.read_csv(tmp_path / "long" / "episode_0015.csv")) == 800
+
+
+def test_evaluate_policy_logs_span_chunks_and_workers(tmp_path, monkeypatch):
+    # 6 chunks of 2 on 2 workers, so a worker runs several chunks in turn
+    monkeypatch.setattr(train_module, "EVAL_CHUNK", 2)
+    net = policy_init(np.random.default_rng(43), PpoConfig())
+    dirs = {w: tmp_path / f"w{w}" for w in (1, 2)}
+    results = {}
+    for w, d in dirs.items():
+        d.mkdir()
+        results[w] = evaluate_policy(
+            net, quick_env(), RewardWeights(), 11, seed=5, workers=w, logs_dir=d
+        )
+    assert results[1].episodes == results[2].episodes
+    names = [f"episode_{k:04d}.csv" for k in range(11)]
+    for d in dirs.values():
+        assert sorted(p.name for p in d.iterdir()) == names
+    for name in names:
+        assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
 
 
 # ------------------------------------------------- training loop

@@ -18,6 +18,7 @@ from apiary.mission import (
     DOCK_POS_TOL,
     DOCK_STANDOFF,
     LOG_COLUMNS,
+    LOG_HEADER,
     MAX_MANEUVER_TICKS,
     ControlMode,
     FaultSpec,
@@ -26,6 +27,7 @@ from apiary.mission import (
     SafetyThresholds,
     TrajectoryLog,
     goal_for_maneuver,
+    log_line,
     metrics_from_log,
     parse_faults_file,
     parse_maneuver_spec,
@@ -290,10 +292,10 @@ def test_log_csv_bytes_survive_round_trip(tmp_path):
     rows[:, 0] = [0.0, DT, 2 * DT, 3 * DT]
     rows[0, 1], rows[1, 2], rows[2, 3], rows[3, 4] = np.nan, np.inf, -np.inf, -0.0
     rows[1, 31] = 1e-300
-    log = TrajectoryLog.from_array(rows[:2], ControlMode.RL_POLICY, 3)
-    for k, mode in ((2, ControlMode.HOLD_FALLBACK), (3, ControlMode.BASELINE)):
-        r = rows[k]
-        log.append(r.tolist(), mode, k + 4)
+    log = TrajectoryLog()
+    for k, mode, man in ((0, ControlMode.RL_POLICY, 3), (1, ControlMode.RL_POLICY, 3),
+                         (2, ControlMode.HOLD_FALLBACK, 6), (3, ControlMode.BASELINE, 7)):
+        log.append(rows[k].tolist(), mode, man)
     first = tmp_path / "a.csv"
     log.write_csv(first)
     data = first.read_bytes()
@@ -308,28 +310,32 @@ def test_log_csv_bytes_survive_round_trip(tmp_path):
     assert second.read_bytes() == data
 
 
-def test_log_from_array_rejects_non_increasing_time():
+def _write_log_text(path, rows, mode="rl_policy", maneuver=0):
+    """A log file in the shared row format, without `append`'s checks."""
+    path.write_text(
+        LOG_HEADER + "".join(log_line(row, mode, maneuver) for row in rows.tolist()),
+        newline="",
+    )
+    return path
+
+
+def test_log_read_csv_rejects_non_increasing_time(tmp_path):
     rows = np.zeros((3, 32))
-    rows[:, 0] = [0.0, DT, DT]
-    with pytest.raises(ValueError, match="strictly increase"):
-        TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, 0)
-    rows[:, 0] = [0.0, 2 * DT, DT]
-    with pytest.raises(ValueError, match="strictly increase"):
-        TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, 0)
-    rows[:, 0] = [0.0, np.nan, 2 * DT]
-    with pytest.raises(ValueError, match="strictly increase"):
-        TrajectoryLog.from_array(rows, ControlMode.RL_POLICY, 0)
-    with pytest.raises(ValueError, match="shape"):
-        TrajectoryLog.from_array(np.zeros((3, 31)), ControlMode.RL_POLICY, 0)
+    for t in ([0.0, DT, DT], [0.0, 2 * DT, DT], [0.0, np.nan, 2 * DT]):
+        rows[:, 0] = t
+        with pytest.raises(ValueError, match="strictly increase"):
+            TrajectoryLog.read_csv(_write_log_text(tmp_path / "log.csv", rows))
 
 
-def test_log_from_array_reads_and_grows():
+def test_log_read_csv_reads_and_grows(tmp_path):
     rows = np.zeros((2, 32))
     rows[:, 0] = [0.0, DT]
     rows[:, 1] = [0.5, 0.6]
-    log = TrajectoryLog.from_array(rows, ControlMode.BASELINE, 2)
+    log = TrajectoryLog.read_csv(_write_log_text(tmp_path / "log.csv", rows, "baseline", 2))
     assert len(log) == 2
     np.testing.assert_array_equal(log.column("px"), [0.5, 0.6])
+    np.testing.assert_array_equal(log.column("mode"), ["baseline"] * 2)
+    np.testing.assert_array_equal(log.column("maneuver"), [2, 2])
     with pytest.raises(ValueError):
         log.numeric()[0, 0] = 1.0  # views are read-only
     with pytest.raises(ValueError, match="strictly increase"):
