@@ -167,23 +167,18 @@ def cmd_eval(args, argv: list[str]) -> int:
     return 0
 
 
-def _write_metrics_csv(path, report) -> None:
+def _write_metrics_csv(path, rl: ManeuverMetrics, base: ManeuverMetrics) -> None:
+    """One row per metric and per axis of the final position error:
+    name, policy value, baseline value, policy - baseline."""
+    rows = [(name, getattr(rl, name), getattr(base, name)) for name in ManeuverMetrics.SCALARS]
+    rows += [
+        (f"final_pos_err_{label}", rl.final_pos_err_axes[axis], base.final_pos_err_axes[axis])
+        for axis, label in enumerate("xyz")
+    ]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["metric", "rl", "baseline", "diff"])
-        for name in ManeuverMetrics.SCALARS:
-            w.writerow(
-                [
-                    name,
-                    getattr(report.rl, name),
-                    getattr(report.baseline, name),
-                    report.diff[name],
-                ]
-            )
-        for axis, label in enumerate(("x", "y", "z")):
-            rl_v = float(report.rl.final_pos_err_axes[axis])
-            b_v = float(report.baseline.final_pos_err_axes[axis])
-            w.writerow([f"final_pos_err_{label}", rl_v, b_v, rl_v - b_v])
+        w.writerows((name, v_rl, v_base, v_rl - v_base) for name, v_rl, v_base in rows)
 
 
 def _write_error_vs_time(path, log_rl: TrajectoryLog, log_pd: TrajectoryLog) -> None:
@@ -203,21 +198,21 @@ def cmd_compare(args, argv: list[str]) -> int:
     net = _load_checkpoint(args.ckpt, cfg.env)
     maneuver = parse_maneuver_spec(args.maneuver)
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
-    log_rl, log_pd, report = run_compare(maneuver, mc, net)
+    log_rl, log_pd, rl, base = run_compare(maneuver, mc, net)
     os.makedirs(args.out, exist_ok=True)
     _snapshot(args.out, cfg, argv)
     log_rl.write_csv(os.path.join(args.out, "rl_trajectory.csv"))
     log_pd.write_csv(os.path.join(args.out, "baseline_trajectory.csv"))
-    _write_metrics_csv(os.path.join(args.out, "metrics.csv"), report)
+    _write_metrics_csv(os.path.join(args.out, "metrics.csv"), rl, base)
     _write_error_vs_time(os.path.join(args.out, "error_vs_time.csv"), log_rl, log_pd)
-    if report.baseline.final_pos_err < report.rl.final_pos_err:
+    if base.final_pos_err < rl.final_pos_err:
         print("note: baseline ends the maneuver with less position error than the policy")
     else:
         print("note: policy ends the maneuver with less position error than baseline")
     print(
         "cross-axis excursion: "
-        f"rl={report.rl.max_cross_axis_excursion:.6f} m, "
-        f"baseline={report.baseline.max_cross_axis_excursion:.6f} m"
+        f"rl={rl.max_cross_axis_excursion:.6f} m, "
+        f"baseline={base.max_cross_axis_excursion:.6f} m"
     )
     print(f"wrote metrics and trajectories to {args.out}")
     return 0

@@ -75,22 +75,6 @@ FULL_6DOF = DofMask()
 GRANITE_3DOF = DofMask(free_translation=(True, True, False), free_rotation=(False, False, True))
 
 
-@dataclass
-class RigidState:
-    """Pose and twist: position/lin_vel in world frame, ang_vel in body frame."""
-
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    attitude: np.ndarray = field(default_factory=m3.quat_identity)
-    lin_vel: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ang_vel: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=np.float64)
-        self.attitude = np.asarray(self.attitude, dtype=np.float64)
-        self.lin_vel = np.asarray(self.lin_vel, dtype=np.float64)
-        self.ang_vel = np.asarray(self.ang_vel, dtype=np.float64)
-
-
 def step_arrays(
     position: np.ndarray,
     attitude: np.ndarray,
@@ -107,9 +91,13 @@ def step_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One propagation step over raw arrays; broadcasts over leading axes.
 
-    force/torque are body-frame. mass broadcasts as (...,) against (...,3)
-    vectors. Used directly by the vectorized environment; `step_f` is its
-    single-state twin. Pure function of its inputs.
+    The state is position/lin_vel in the world frame, ang_vel in the body
+    frame; force/torque are body-frame. mass broadcasts as (...,) against
+    (...,3) vectors. Used directly by the vectorized environment; `step_f`
+    is its single-state twin. Pure function of its inputs. Raises
+    SimulationDivergedError when the step's rotation goes non-finite under
+    a finite wrench (the angular rate diverged, or its rotation vector's
+    norm overflows); a non-finite wrench or attitude raises ValueError.
     """
     f_world = m3.quat_rotate(attitude, force)
     acc = f_world / np.asarray(mass, dtype=np.float64)[..., None]
@@ -121,7 +109,12 @@ def step_arrays(
     tau = torque - m3.vec_cross(com_offset, force)
     ang_mom = (inertia_diag * ang_vel + dt * tau) * rmask
     omega_mid = ang_mom / inertia_diag
-    dq = m3.quat_from_rotvec(omega_mid * dt)
+    try:
+        dq = m3.quat_from_rotvec(omega_mid * dt)
+    except ValueError:
+        if np.isfinite(force).all() and np.isfinite(torque).all():
+            raise SimulationDivergedError("angular rate went non-finite during step") from None
+        raise
     new_attitude = m3.quat_mul(attitude, dq)
     ang_mom = m3.quat_rotate_inv(dq, ang_mom) * rmask
     new_angvel = ang_mom / inertia_diag
@@ -147,8 +140,8 @@ def step_f(
     The same operations in the same grouping, through the math3d `*_f`
     twins of the kernels `step_arrays` calls, so the result is
     bit-identical and the same errors are raised in the same order. Raises
-    SimulationDivergedError where `step_arrays` would return a non-finite
-    state.
+    SimulationDivergedError where `step_arrays` raises it or would return
+    a non-finite state.
     """
     f_world = m3.quat_rotate_f(att, force)
     new_lv = [(lv[i] + dt * (f_world[i] / mass)) * tm[i] for i in range(3)]
@@ -161,7 +154,12 @@ def step_f(
         com[0] * force[1] - com[1] * force[0],
     )
     ang_mom = [(inertia[i] * av[i] + dt * (torque[i] - cross[i])) * rm[i] for i in range(3)]
-    dq = m3.quat_from_rotvec_f([ang_mom[i] / inertia[i] * dt for i in range(3)])
+    try:
+        dq = m3.quat_from_rotvec_f([ang_mom[i] / inertia[i] * dt for i in range(3)])
+    except ValueError:
+        if all(map(math.isfinite, (*force, *torque))):
+            raise SimulationDivergedError("angular rate went non-finite during step") from None
+        raise
     new_att = m3.quat_mul_f(att, dq)
     ang_mom = m3.quat_rotate_inv_f(dq, ang_mom)
     new_av = [ang_mom[i] * rm[i] / inertia[i] for i in range(3)]

@@ -50,19 +50,6 @@ POS_ERR = slice(0, 3)
 ORI_ERR = slice(3, 6)
 
 
-@dataclass
-class EpisodeGoal:
-    position: np.ndarray
-    attitude: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=np.float64)
-        self.attitude = np.asarray(self.attitude, dtype=np.float64)
-
-    def copy(self) -> "EpisodeGoal":
-        return EpisodeGoal(self.position.copy(), self.attitude.copy())
-
-
 @dataclass(frozen=True)
 class RewardWeights:
     w_pos: float = 10.0
@@ -396,7 +383,6 @@ class RolloutBuffer:
     dones: np.ndarray
     bootstrap_values: np.ndarray
     episode_returns: list[float]
-    episode_successes: list[bool]
 
     def flat(self, arr: np.ndarray) -> np.ndarray:
         """(n_envs, horizon, ...) -> (n_envs*horizon, ...) keeping env-major order."""
@@ -421,7 +407,6 @@ def batch_rollout(policy, benv: BatchEnv, horizon: int) -> RolloutBuffer:
     val_buf = np.zeros((n_envs, horizon))
     done_buf = np.zeros((n_envs, horizon))
     ep_returns: list[float] = []
-    ep_success: list[bool] = []
 
     obs = benv.obs.copy()
     for t in range(horizon):
@@ -434,9 +419,7 @@ def batch_rollout(policy, benv: BatchEnv, horizon: int) -> RolloutBuffer:
         obs, r, done, finished = benv.step(actions)
         rew_buf[:, t] = r
         done_buf[:, t] = done.astype(np.float64)
-        for rec in finished:
-            ep_returns.append(rec["episode_return"])
-            ep_success.append(rec["success"])
+        ep_returns.extend(rec["episode_return"] for rec in finished)
     bootstrap = policy.value(obs)
     return RolloutBuffer(
         obs=obs_buf,
@@ -447,5 +430,4 @@ def batch_rollout(policy, benv: BatchEnv, horizon: int) -> RolloutBuffer:
         dones=done_buf,
         bootstrap_values=bootstrap,
         episode_returns=ep_returns,
-        episode_successes=ep_success,
     )

@@ -118,24 +118,6 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return quat_normalize(out)
 
 
-def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Unit quaternion for a rotation of `angle` rad about `axis`."""
-    axis = np.asarray(axis, dtype=np.float64)
-    n = vec_norm(axis)
-    if np.any(n == 0.0):
-        raise ValueError("rotation axis must be nonzero")
-    angle = np.asarray(angle, dtype=np.float64)
-    half = 0.5 * angle
-    u = axis / n[..., None]
-    s = np.sin(half)
-    return quat_normalize(
-        np.stack(
-            [np.cos(half), u[..., 0] * s, u[..., 1] * s, u[..., 2] * s],
-            axis=-1,
-        )
-    )
-
-
 def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
     """Exponential map: rotation vector (axis*angle) to unit quaternion.
 

@@ -1,19 +1,20 @@
 """Maneuver sequencing, safety supervision, trajectory logging and metrics.
 
 A maneuver is a goal pose derived from the pose at maneuver entry
-(translate/rotate), an absolute pose (goto_pose), or the dock pose
-captured at sequence start (dock, dock_approach = dock plus a standoff
-along the dock frame's +X). Each maneuver runs a fixed-rate closed loop
-for its full timeout: measure -> observe -> safety monitor -> controller
--> clamp -> log -> propagate. The observation errors (those of
-`env.observe_arrays`, the vector the policy was trained on) are computed
-once per tick from the measured state; the policy reads the observation,
-the logged errors are its slices, and the monitor's arming test, its trip
-test and the success streak all read its four channel norms. With
-`body_frame_obs` the policy reads the body-frame observation instead;
-the log, the monitor and the streak keep the world-frame errors.
-Running to timeout (instead of stopping at first tolerance entry) lets
-controllers settle fully, so final errors reflect steady state.
+(translate/rotate), an absolute pose (goto_pose), or the dock, the start
+pose of every flight: the origin at identity attitude (dock;
+dock_approach stands DOCK_STANDOFF off it along +X). Each maneuver runs
+a fixed-rate closed loop for its full timeout: measure -> observe ->
+safety monitor -> controller -> clamp -> log -> propagate. The
+observation errors (those of `env.observe_arrays`, the vector the policy
+was trained on) are computed once per tick from the measured state; the
+policy reads the observation, the logged errors are its slices, and the
+monitor's arming test, its trip test and the success streak all read its
+four channel norms. With `body_frame_obs` the policy reads the
+body-frame observation instead; the log, the monitor and the streak keep
+the world-frame errors. Running to timeout (instead of stopping at first
+tolerance entry) lets controllers settle fully, so final errors reflect
+steady state.
 
 `run_sequence` is the one flight entry. `replay` flies a sequence file
 through it, and `run_compare` flies its maneuver through it twice as a
@@ -30,14 +31,17 @@ simulated. Dock maneuvers succeed inside the fixed `DOCK_POS_TOL`
 (0.02 m) and `DOCK_ORI_TOL` (2 degrees) in place of the env's position
 and attitude tolerances.
 
-The tick holds the true state as four lists of Python floats from
-maneuver entry to exit and runs on the single-state kernels: `math3d`'s
-`*_f` functions, `baseline.pd_wrench_f`, `actuation.clamp_axes` and
-`dynamics.step_f`. `policy_mean` is its only numpy call. Each kernel is
-bit-identical to its array twin, so a flight writes the same bytes as
-stepping arrays through `env.observe_arrays`, `np.clip` and
-`dynamics.step_arrays`, without numpy's per-call overhead on 3- and
-4-element arrays.
+A flight holds its poses as lists of Python floats from the start pose
+to the log: the true state as `dynamics.step_f`'s four lists
+`(pos, att, lv, av)`, carried from maneuver to maneuver, and each goal
+as `(position, attitude)`. `metrics_from_log` reads the entry and the
+commanded displacement back from the log's first row. The tick runs on
+the single-state kernels: `math3d`'s `*_f` functions,
+`baseline.pd_wrench_f`, `actuation.clamp_axes` and `dynamics.step_f`.
+`policy_mean` is its only numpy call. Each kernel is bit-identical to
+its array twin, so a flight writes the same bytes as stepping arrays
+through `env.observe_arrays`, `np.clip` and `dynamics.step_arrays`,
+without numpy's per-call overhead on 3- and 4-element arrays.
 
 Safety supervision guards the RL policy only. The monitor arms once the
 vehicle first enters the safety envelope around the goal (large commanded
@@ -69,8 +73,8 @@ import numpy as np
 from . import math3d as m3
 from .actuation import clamp_axes
 from .baseline import PdGains, pd_wrench_f
-from .dynamics import RigidState, step_f
-from .env import EnvConfig, EpisodeGoal
+from .dynamics import step_f
+from .env import EnvConfig
 from .learn.nets import PolicyNet, policy_mean
 
 LOG_COLUMNS = [
@@ -99,7 +103,7 @@ def log_line(row: list[float], mode: str, maneuver: int) -> str:
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 # dock and dock_approach succeed inside these tolerances; the approach
-# goal stands DOCK_STANDOFF meters off the dock along the dock frame's +X
+# goal stands DOCK_STANDOFF meters off the dock along +X
 DOCK_POS_TOL = 0.02
 DOCK_ORI_TOL = float(np.deg2rad(2.0))
 DOCK_STANDOFF = 0.3
@@ -303,31 +307,31 @@ def safety_check(
 
 
 def goal_for_maneuver(
-    maneuver: Maneuver, entry: EpisodeGoal, dock_pose: EpisodeGoal
-) -> EpisodeGoal:
-    """Resolve a maneuver to an absolute goal pose.
+    maneuver: Maneuver, entry_pos: list[float], entry_att: list[float]
+) -> tuple[list[float], list[float]]:
+    """Resolve a maneuver to an absolute goal (position, attitude).
 
-    translate/rotate are relative to the entry pose; dock kinds target the
-    dock pose (approach offset by DOCK_STANDOFF along the dock frame +X);
-    goto_pose is absolute.
+    translate/rotate are relative to the entry pose; goto_pose is absolute;
+    dock targets the start pose of every flight, the origin at identity
+    attitude, and dock_approach stands DOCK_STANDOFF off it along +X.
     """
     if maneuver.kind == "translate":
-        offset = np.zeros(3)
-        offset[maneuver.axis] = maneuver.magnitude
-        return EpisodeGoal(entry.position + offset, entry.attitude.copy())
+        goal_pos = [p + (maneuver.magnitude if i == maneuver.axis else 0.0)
+                    for i, p in enumerate(entry_pos)]
+        return goal_pos, list(entry_att)
     if maneuver.kind == "rotate":
-        axis = np.zeros(3)
-        axis[maneuver.axis] = 1.0
-        dq = m3.quat_from_axis_angle(axis, maneuver.magnitude)
-        return EpisodeGoal(entry.position.copy(), m3.quat_mul(entry.attitude, dq))
+        half = 0.5 * maneuver.magnitude
+        s = float(np.sin(half))
+        # 0.0 * s, not 0.0: an off-axis component is a signed zero
+        dq = [float(np.cos(half)), 0.0 * s, 0.0 * s, 0.0 * s]
+        dq[1 + maneuver.axis] = s
+        return list(entry_pos), m3.quat_mul_f(entry_att, m3.quat_normalize_f(dq))
     if maneuver.kind == "goto_pose":
-        pose = np.asarray(maneuver.pose, dtype=np.float64)
-        return EpisodeGoal(pose[:3], m3.quat_normalize(pose[3:]))
+        pose = [float(v) for v in maneuver.pose]
+        return pose[:3], m3.quat_normalize_f(pose[3:])
     if maneuver.kind == "dock_approach":
-        standoff = m3.quat_rotate(dock_pose.attitude, m3.vec3(DOCK_STANDOFF, 0.0, 0.0))
-        return EpisodeGoal(dock_pose.position + standoff, dock_pose.attitude.copy())
-    # dock
-    return dock_pose.copy()
+        return [DOCK_STANDOFF, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]
+    return [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]
 
 
 def _maneuver_ticks(maneuver: Maneuver, index: int, dt: float) -> int:
@@ -349,7 +353,7 @@ def _maneuver_ticks(maneuver: Maneuver, index: int, dt: float) -> int:
 
 
 def run_maneuver(
-    state: RigidState,
+    state: tuple[list[float], list[float], list[float], list[float]],
     maneuver: Maneuver,
     mode: ControlMode,
     mc: MissionConfig,
@@ -357,11 +361,11 @@ def run_maneuver(
     log: TrajectoryLog,
     maneuver_index: int,
     fault: FaultSpec | None,
-    dock_pose: EpisodeGoal,
     t0_tick: int,
-) -> tuple[RigidState, ManeuverOutcome]:
+) -> tuple[tuple[list[float], list[float], list[float], list[float]], ManeuverOutcome]:
     """Run one maneuver of a sequence for its full timeout at the control
-    rate, appending its ticks to `log` from tick `t0_tick` on.
+    rate, appending its ticks to `log` from tick `t0_tick` on. `state` is
+    the true state as step_f's four lists (pos, att, lv, av).
 
     Outcome is success when the maneuver's tolerance condition is true for
     the final hold_steps ticks, fallback_triggered if the safety monitor
@@ -377,17 +381,13 @@ def run_maneuver(
     dt = env.dt
     n_ticks = _maneuver_ticks(maneuver, maneuver_index, dt)
 
-    # the true state, as Python floats until the maneuver ends
-    pos, att = state.position.tolist(), state.attitude.tolist()
-    lv, av = state.lin_vel.tolist(), state.ang_vel.tolist()
+    pos, att, lv, av = state
     # the measured position is pos + offset on ticks k >= fault_tick
     fault_tick = fault.start_tick if fault is not None else n_ticks + 1
     offset = fault.pos_offset.tolist() if fault is not None else None
 
     entry_pos = [pos[i] + offset[i] for i in range(3)] if fault_tick <= 0 else pos
-    entry = EpisodeGoal(np.array(entry_pos), state.attitude.copy())
-    goal = goal_for_maneuver(maneuver, entry, dock_pose)
-    goal_pos, goal_att = goal.position.tolist(), goal.attitude.tolist()
+    goal_pos, goal_att = goal_for_maneuver(maneuver, entry_pos, att)
 
     if maneuver.kind in ("dock", "dock_approach"):
         pos_tol, ori_tol = DOCK_POS_TOL, DOCK_ORI_TOL
@@ -489,7 +489,7 @@ def run_maneuver(
         end_mode=cur_mode.value,
         note=maneuver.note,
     )
-    return RigidState(np.array(pos), np.array(att), np.array(lv), np.array(av)), out
+    return (pos, att, lv, av), out
 
 
 def _faults_by_maneuver(
@@ -527,8 +527,8 @@ def run_sequence(
 ) -> MissionResult:
     """Execute maneuvers in order with pause-on-fallback semantics.
 
-    The sequence starts at rest at the origin with identity attitude, and
-    that entry pose is the dock pose. After a fallback_triggered
+    The sequence starts at rest at the origin with identity attitude, the
+    pose the dock maneuvers target. After a fallback_triggered
     outcome the sequence runs the next entry only if it carries the resume
     flag; otherwise that entry and everything after it is skipped.
     Raises ValueError, before anything runs, for a maneuver that runs 0
@@ -540,8 +540,7 @@ def run_sequence(
         raise ValueError("sequence must not be empty")
     for i, man in enumerate(sequence):
         _maneuver_ticks(man, i, mc.env.dt)
-    state = RigidState()
-    dock_pose = EpisodeGoal(state.position.copy(), state.attitude.copy())
+    state = ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     log = TrajectoryLog()
     fault_by_index = _faults_by_maneuver(sequence, faults or [], mc.env.dt)
     outcomes: list[ManeuverOutcome] = []
@@ -562,7 +561,7 @@ def run_sequence(
         paused = False
         state, out = run_maneuver(
             state, man, mode, mc,
-            net, log, i, fault_by_index.get(i), dock_pose, tick,
+            net, log, i, fault_by_index.get(i), tick,
         )
         tick += out.ticks
         outcomes.append(out)
@@ -573,7 +572,7 @@ def run_sequence(
 
 @dataclass
 class ManeuverMetrics:
-    final_pos_err_axes: np.ndarray
+    final_pos_err_axes: list[float]
     final_pos_err: float
     final_ori_err: float
     settle_time: float
@@ -593,23 +592,12 @@ class ManeuverMetrics:
     )
 
 
-@dataclass
-class MetricReport:
-    rl: ManeuverMetrics
-    baseline: ManeuverMetrics
-    diff: dict[str, float]
-
-
 def metrics_from_log(
-    log: TrajectoryLog,
-    entry_pos: np.ndarray,
-    goal_pos: np.ndarray,
-    pos_tol: float,
-    ori_tol: float,
-    dt: float,
+    log: TrajectoryLog, pos_tol: float, ori_tol: float, dt: float
 ) -> ManeuverMetrics:
-    """Scalar maneuver metrics from one log of a maneuver commanded from
-    entry_pos to goal_pos.
+    """Scalar maneuver metrics from the log of one maneuver. Its entry is
+    the first logged position, and its commanded displacement the first
+    logged position error (goal - entry).
 
     Settle time is measured from the log's first row to the start of the
     suffix where position and orientation errors stay within tolerance.
@@ -639,8 +627,8 @@ def metrics_from_log(
             idx -= 1
         settle = float(t[idx] - t[0])
 
-    entry = np.asarray(entry_pos, dtype=np.float64)
-    disp = np.asarray(goal_pos, dtype=np.float64) - entry
+    entry = pos[0]
+    disp = pos_err[0]
     dn = float(m3.vec_norm(disp))
     rel = pos - entry
     if dn > 1e-9:
@@ -654,7 +642,7 @@ def metrics_from_log(
     deltas = np.diff(pos, axis=0)
     path = float(np.sum(m3.vec_norm(deltas))) if len(pos) > 1 else 0.0
     return ManeuverMetrics(
-        final_pos_err_axes=pos_err[-1].copy(),
+        final_pos_err_axes=pos_err[-1].tolist(),
         final_pos_err=float(pe[-1]),
         final_ori_err=float(oe[-1]),
         settle_time=settle,
@@ -667,18 +655,14 @@ def metrics_from_log(
 
 def run_compare(
     maneuver: Maneuver, mc: MissionConfig, net: PolicyNet
-) -> tuple[TrajectoryLog, TrajectoryLog, MetricReport]:
-    """Fly one maneuver as a one-maneuver sequence twice, policy vs PD."""
+) -> tuple[TrajectoryLog, TrajectoryLog, ManeuverMetrics, ManeuverMetrics]:
+    """Fly one maneuver as a one-maneuver sequence twice, policy vs PD:
+    (policy log, PD log, policy metrics, PD metrics)."""
     log_rl = run_sequence([maneuver], ControlMode.RL_POLICY, mc, net).log
     log_pd = run_sequence([maneuver], ControlMode.BASELINE, mc).log
-    entry = EpisodeGoal(np.zeros(3), m3.quat_identity())
-    goal = goal_for_maneuver(maneuver, entry, entry)
     env = mc.env
     tols = (env.success_pos_tol, env.success_ori_tol, env.dt)
-    rl = metrics_from_log(log_rl, entry.position, goal.position, *tols)
-    base = metrics_from_log(log_pd, entry.position, goal.position, *tols)
-    diff = {name: getattr(rl, name) - getattr(base, name) for name in ManeuverMetrics.SCALARS}
-    return log_rl, log_pd, MetricReport(rl, base, diff)
+    return log_rl, log_pd, metrics_from_log(log_rl, *tols), metrics_from_log(log_pd, *tols)
 
 
 def _parse_error(path, line_no: int, msg: str) -> ValueError:

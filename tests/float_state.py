@@ -1,11 +1,17 @@
-"""Adapters between `RigidState` and the argument lists of `dynamics.step_f`,
-shared by the tests that step single states through the flight kernel, and
+"""Single states as the four lists of `dynamics.step_f` and the flight
+loop, `(pos, att, lv, av)`, shared by the tests that step or fly them, and
 the momentum probe of the conservation tests."""
 
 import numpy as np
 
 from apiary import math3d as m3
-from apiary.dynamics import FULL_6DOF, RigidState
+from apiary.dynamics import FULL_6DOF
+
+
+def state(pos=(0.0, 0.0, 0.0), att=(1.0, 0.0, 0.0, 0.0), lv=(0.0, 0.0, 0.0), av=(0.0, 0.0, 0.0)):
+    """(pos, att, lv, av) as lists of floats; at rest at the origin with
+    identity attitude unless given."""
+    return tuple([float(c) for c in v] for v in (pos, att, lv, av))
 
 
 def body_args(params, mask=FULL_6DOF):
@@ -16,19 +22,10 @@ def body_args(params, mask=FULL_6DOF):
     )
 
 
-def lists(state):
-    """A RigidState as step_f's four lists."""
-    return (state.position.tolist(), state.attitude.tolist(), state.lin_vel.tolist(),
-            state.ang_vel.tolist())
-
-
-def as_state(s):
-    """step_f's four lists as a RigidState."""
-    return RigidState(*map(np.array, s))
-
-
-def momentum(state, params):
-    """(linear momentum, world-frame angular momentum about the COM)."""
-    p = params.mass * state.lin_vel
-    l_world = m3.quat_rotate(state.attitude, params.inertia_diag * state.ang_vel)
+def momentum(s, params):
+    """(linear momentum, world-frame angular momentum about the COM) of
+    the state s = (pos, att, lv, av)."""
+    _, att, lv, av = s
+    p = params.mass * np.array(lv)
+    l_world = m3.quat_rotate(np.array(att), params.inertia_diag * np.array(av))
     return p, l_world

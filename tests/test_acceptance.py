@@ -16,12 +16,7 @@ import pytest
 from apiary import math3d as m3
 from apiary.cli import main as cli_main
 from apiary.config import load_config
-from apiary.dynamics import (
-    GRANITE_3DOF,
-    BodyParams,
-    RigidState,
-    step_f,
-)
+from apiary.dynamics import GRANITE_3DOF, BodyParams, step_f
 from apiary.env import EnvConfig, RewardWeights
 from apiary.learn import PpoConfig, evaluate_policy, train
 from apiary.learn.checkpoint import load_policy
@@ -35,7 +30,7 @@ from apiary.mission import (
     parse_sequence_file,
     run_sequence,
 )
-from float_state import as_state, body_args, lists, momentum
+from float_state import body_args, momentum, state
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
 
@@ -55,15 +50,15 @@ ZERO = [0.0, 0.0, 0.0]
 def _translation_rel_err(dt, n_steps):
     params = BodyParams()
     force = np.array([0.3, -0.2, 0.1])
-    s, body = lists(RigidState()), body_args(params)
+    s, body = state(), body_args(params)
     for _ in range(n_steps):
         s = step_f(*s, force.tolist(), ZERO, *body, dt)
-    st = as_state(s)
+    pos, _, lv, _ = map(np.array, s)
     t_total = dt * n_steps
     p_exact = 0.5 * (force / params.mass) * t_total**2
     v_exact = (force / params.mass) * t_total
-    pos_err = np.linalg.norm(st.position - p_exact) / np.linalg.norm(p_exact)
-    vel_err = np.linalg.norm(st.lin_vel - v_exact) / np.linalg.norm(v_exact)
+    pos_err = np.linalg.norm(pos - p_exact) / np.linalg.norm(p_exact)
+    vel_err = np.linalg.norm(lv - v_exact) / np.linalg.norm(v_exact)
     return pos_err, vel_err
 
 
@@ -72,18 +67,18 @@ def _rotation_rel_err(dt, n_steps):
     # momentum stays axis-aligned so the closed form is one-dimensional
     params = BodyParams()
     tau_z = 0.05
-    s, body = lists(RigidState()), body_args(params)
+    s, body = state(), body_args(params)
     for _ in range(n_steps):
         s = step_f(*s, ZERO, [0.0, 0.0, tau_z], *body, dt)
-    st = as_state(s)
+    _, att, _, av = s
     t_total = dt * n_steps
     i_z = params.inertia_diag[2]
     ang_exact = 0.5 * (tau_z / i_z) * t_total**2
     omega_exact = (tau_z / i_z) * t_total
-    assert st.attitude[1] == 0.0 and st.attitude[2] == 0.0  # stays about z
-    ang_sim = 2.0 * np.arctan2(abs(st.attitude[3]), st.attitude[0])
+    assert att[1] == 0.0 and att[2] == 0.0  # stays about z
+    ang_sim = 2.0 * np.arctan2(abs(att[3]), att[0])
     ang_err = abs(ang_sim - ang_exact) / ang_exact
-    om_err = abs(st.ang_vel[2] - omega_exact) / omega_exact
+    om_err = abs(av[2] - omega_exact) / omega_exact
     return ang_err, om_err
 
 
@@ -124,19 +119,19 @@ def test_propagation_matches_closed_form():
 
 def test_zero_wrench_conserves_momentum():
     params = BodyParams()
-    st = RigidState(
-        attitude=m3.quat_normalize(np.array([0.9, 0.3, -0.2, 0.25])),
-        lin_vel=np.array([0.02, -0.01, 0.03]),
-        ang_vel=np.array([0.3, -0.2, 0.4]),
+    s = state(
+        att=m3.quat_normalize(np.array([0.9, 0.3, -0.2, 0.25])),
+        lv=[0.02, -0.01, 0.03],
+        av=[0.3, -0.2, 0.4],
     )
-    lin0, ang0 = momentum(st, params)
+    lin0, ang0 = momentum(s, params)
     ang0_norm = np.linalg.norm(ang0)
     lin_exact = True
     worst = 0.0
-    s, body = lists(st), body_args(params)
+    body = body_args(params)
     for _ in range(10_000):
         s = step_f(*s, ZERO, ZERO, *body, 0.016)
-        lin, ang = momentum(as_state(s), params)
+        lin, ang = momentum(s, params)
         lin_exact = lin_exact and np.array_equal(lin, lin0)
         worst = max(worst, np.linalg.norm(ang - ang0) / ang0_norm)
     ok = lin_exact and worst <= 1e-6
@@ -445,7 +440,7 @@ def test_outputs_bit_reproducible(tmp_path):
 
 def test_granite_mode_zeroes_constrained_axes():
     rng = np.random.default_rng(31)
-    pos, att, lv, av = lists(RigidState())
+    pos, att, lv, av = state()
     body = body_args(BodyParams(), GRANITE_3DOF)
     clean = True
     for _ in range(10_000):

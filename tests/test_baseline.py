@@ -7,9 +7,9 @@ import pytest
 from apiary import math3d as m3
 from apiary.actuation import ActuationLimits, clamp_axes
 from apiary.baseline import PdGains, pd_wrench_f
-from apiary.dynamics import RigidState
 from apiary.mission import ControlMode, Maneuver, MissionConfig, TrajectoryLog
 from flight import fly
+from float_state import state
 
 DT = 0.016
 ZERO = [0.0, 0.0, 0.0]
@@ -85,37 +85,35 @@ def test_limits_clamp_magnitude():
 def fly_baseline(start, maneuver):
     """Fly one maneuver under the PD baseline; (final state, outcome, log)."""
     log = TrajectoryLog()
-    state, out = fly(start, maneuver, ControlMode.BASELINE, MissionConfig(), log=log)
-    return state, out, log
+    final, out = fly(start, maneuver, ControlMode.BASELINE, MissionConfig(), log=log)
+    return final, out, log
 
 
 def test_translation_settles_without_overshoot():
-    state, out, log = fly_baseline(RigidState(), Maneuver("translate", 0, 0.5, timeout=30.0))
+    (pos, _, lv, _), out, log = fly_baseline(state(), Maneuver("translate", 0, 0.5, timeout=30.0))
     assert out.outcome == "success"
-    assert abs(state.position[0] - 0.5) < 0.01
-    assert m3.vec_norm(state.lin_vel) < 0.005
-    max_x = max(float(log.column("px").max()), state.position[0])
+    assert abs(pos[0] - 0.5) < 0.01
+    assert m3.vec_norm_f(lv) < 0.005
+    max_x = max(float(log.column("px").max()), pos[0])
     assert max_x < 0.505, "critically damped loop must not overshoot"
-    np.testing.assert_allclose(state.position[1:], [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(pos[1:], [0.0, 0.0], atol=1e-12)
 
 
-# A dock maneuver flown from a sequence's first tick targets the entry pose,
-# so the baseline runs the hold law on it: regulate to the pose at entry
+# A dock maneuver targets the origin at identity attitude; flown from
+# there, the baseline runs the hold law on it: regulate to the pose at entry
 # with zero velocity targets, whatever twist the body entered with.
 
 
 def test_hold_pose_captures_drift():
     # 5 cm/s drift must be brought under 5 mm/s in 10 s
-    start = RigidState(lin_vel=m3.vec3(0.05, 0.0, 0.0))
-    state, _, _ = fly_baseline(start, Maneuver("dock", timeout=10.0))
-    assert m3.vec_norm(state.lin_vel) < 0.005
-    assert m3.vec_norm(state.position) < 0.1  # stays near the captured pose
+    (pos, _, lv, _), _, _ = fly_baseline(state(lv=[0.05, 0.0, 0.0]), Maneuver("dock", timeout=10.0))
+    assert m3.vec_norm_f(lv) < 0.005
+    assert m3.vec_norm_f(pos) < 0.1  # stays near the captured pose
 
 
 def test_hold_pose_arrests_rotation():
-    start = RigidState(ang_vel=m3.vec3(0.0, 0.0, 0.2))
+    start = state(av=[0.0, 0.0, 0.2])
     # int(15 s / DT) = 937 ticks; a 15.0 s timeout would round to 938
-    state, _, _ = fly_baseline(start, Maneuver("dock", timeout=937 * DT))
-    assert m3.vec_norm(state.ang_vel) < 0.01
-    err = m3.quat_error(start.attitude, state.attitude)
-    assert m3.vec_norm(err) < 0.05
+    (_, att, _, av), _, _ = fly_baseline(start, Maneuver("dock", timeout=937 * DT))
+    assert m3.vec_norm_f(av) < 0.01
+    assert m3.vec_norm_f(m3.quat_error_f(start[1], att)) < 0.05

@@ -259,6 +259,30 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
         assert path.read_bytes() == (clean / "logs" / path.name).read_bytes()
 
 
+@pytest.mark.parametrize("rate", [np.inf, 1e308])
+def test_eval_non_finite_angular_rate_exits_2(tmp_path, capsys, monkeypatch, rate):
+    # a live row's angular rate goes non-finite partway through the chunk;
+    # at 1e308 the rate is finite but its rotation vector's norm overflows
+    class DivergingEnv(BatchEnv):
+        tick = 0
+
+        def step(self, actions):
+            self.tick += 1
+            if self.tick == 10:
+                self.angvel[1] = [rate, 0.0, 0.0]
+            return super().step(actions)
+
+    monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
+    with np.errstate(all="ignore"):
+        rc = main(["eval", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT),
+                   "--scenario", "iss6dof", "--episodes", "3", "--seed", "2",
+                   "--logs", str(tmp_path / "logs")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: angular rate went non-finite during step\n"
+    assert list((tmp_path / "logs").iterdir()) == []
+
+
 def test_eval_env_mismatch_warns(workspace, capsys):
     # default config describes a different task than the tiny checkpoint
     rc = main(

@@ -7,13 +7,12 @@ import pytest
 
 from apiary import math3d as m3
 from apiary.config import SCENARIOS, load_config, set_value
-from apiary.dynamics import GRANITE_3DOF, BodyParams, RigidState
+from apiary.dynamics import GRANITE_3DOF, BodyParams
 from apiary.env import (
     ORI_ERR,
     POS_ERR,
     BatchEnv,
     EnvConfig,
-    EpisodeGoal,
     RewardWeights,
     batch_rollout,
     obs_norms,
@@ -73,45 +72,29 @@ def test_env_config_validation():
 
 
 def test_observation_zero_at_goal():
-    goal = EpisodeGoal(m3.vec3(0.2, -0.1, 0.3), m3.quat_from_rotvec(m3.vec3(0.1, 0.2, -0.1)))
-    state = RigidState(position=goal.position.copy(), attitude=goal.attitude.copy())
-    obs = observe_arrays(
-        state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position, goal.attitude,
-        False,
-    )
+    goal_pos, goal_att = m3.vec3(0.2, -0.1, 0.3), m3.quat_from_rotvec(m3.vec3(0.1, 0.2, -0.1))
+    obs = observe_arrays(goal_pos, goal_att, np.zeros(3), np.zeros(3), goal_pos, goal_att, False)
     np.testing.assert_array_equal(obs, np.zeros(12))
 
 
 def test_observation_components():
     rng = np.random.default_rng(31)
     for _ in range(20):
-        state = RigidState(
-            position=rng.uniform(-1, 1, 3),
-            attitude=m3.quat_from_rotvec(rng.uniform(-1, 1, 3)),
-            lin_vel=rng.uniform(-0.5, 0.5, 3),
-            ang_vel=rng.uniform(-0.5, 0.5, 3),
-        )
-        goal = EpisodeGoal(rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3)))
-        obs = observe_arrays(
-            state.position, state.attitude, state.lin_vel, state.ang_vel,
-            goal.position, goal.attitude, False,
-        )
-        np.testing.assert_array_equal(obs[POS_ERR], goal.position - state.position)
-        np.testing.assert_array_equal(obs[ORI_ERR], m3.quat_error(goal.attitude, state.attitude))
-        np.testing.assert_array_equal(obs[LIN_VEL], state.lin_vel)
-        np.testing.assert_array_equal(obs[ANG_VEL], state.ang_vel)
+        pos, att = rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3))
+        lv, av = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+        goal_pos, goal_att = rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3))
+        obs = observe_arrays(pos, att, lv, av, goal_pos, goal_att, False)
+        np.testing.assert_array_equal(obs[POS_ERR], goal_pos - pos)
+        np.testing.assert_array_equal(obs[ORI_ERR], m3.quat_error(goal_att, att))
+        np.testing.assert_array_equal(obs[LIN_VEL], lv)
+        np.testing.assert_array_equal(obs[ANG_VEL], av)
 
 
 def test_observation_body_frame_option():
-    state = RigidState(
-        position=m3.vec3(0.0, 0.0, 0.0),
-        attitude=m3.quat_from_axis_angle(m3.vec3(0, 0, 1), np.pi / 2),
-        lin_vel=m3.vec3(0.1, 0.0, 0.0),
-    )
-    goal = EpisodeGoal(m3.vec3(1.0, 0.0, 0.0), state.attitude.copy())
+    yaw90 = m3.quat_from_rotvec(m3.vec3(0, 0, np.pi / 2))
     obs = observe_arrays(
-        state.position, state.attitude, state.lin_vel, state.ang_vel,
-        goal.position, goal.attitude, body_frame=True,
+        np.zeros(3), yaw90, m3.vec3(0.1, 0.0, 0.0), np.zeros(3),
+        m3.vec3(1.0, 0.0, 0.0), yaw90, body_frame=True,
     )
     # world +x maps to body -y after a +90 deg yaw
     np.testing.assert_allclose(obs[POS_ERR], [0.0, -1.0, 0.0], atol=1e-12)
@@ -251,19 +234,19 @@ def reset_oracle(config, rng):
     goal_pos = rng.uniform(-config.goal_pos_range, config.goal_pos_range) * tmask
     goal_rotvec = rng.uniform(-config.goal_ang_range, config.goal_ang_range) * rmask
     f = rng.uniform(config.mass_range[0], config.mass_range[1])
-    goal = EpisodeGoal(goal_pos, m3.quat_from_rotvec(goal_rotvec))
     body = config.body
-    return RigidState(), goal, BodyParams(body.mass * f, body.inertia_diag * f, body.com_offset)
+    params = BodyParams(body.mass * f, body.inertia_diag * f, body.com_offset)
+    return goal_pos, m3.quat_from_rotvec(goal_rotvec), params
 
 
 def assert_row_is_draw(benv, i, draw):
-    state, goal, params = draw
-    obs = observe_arrays(state.position, state.attitude, state.lin_vel, state.ang_vel,
-                         goal.position, goal.attitude, benv.config.body_frame_obs)
+    goal_pos, goal_att, params = draw
+    # every episode starts at rest at the origin with identity attitude
+    rest = [np.zeros(3), m3.quat_identity(), np.zeros(3), np.zeros(3)]
+    obs = observe_arrays(*rest, goal_pos, goal_att, benv.config.body_frame_obs)
     got = [benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i], benv.goal_pos[i],
            benv.goal_att[i], benv.mass[i], benv.inertia[i], benv.obs[i]]
-    want = [state.position, state.attitude, state.lin_vel, state.ang_vel, goal.position,
-            goal.attitude, np.float64(params.mass), params.inertia_diag, obs]
+    want = [*rest, goal_pos, goal_att, np.float64(params.mass), params.inertia_diag, obs]
     for k, (g, w) in enumerate(zip(got, want)):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (i, k)
 

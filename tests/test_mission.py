@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apiary import math3d as m3
 from apiary.actuation import ActuationLimits
 from apiary.baseline import PdGains
-from apiary.dynamics import RigidState, SimulationDivergedError, step_arrays
-from apiary.env import ORI_ERR, POS_ERR, EnvConfig, EpisodeGoal, obs_norms, observe_arrays
+from apiary.dynamics import SimulationDivergedError, step_arrays
+from apiary.env import ORI_ERR, POS_ERR, EnvConfig, obs_norms, observe_arrays
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init, policy_mean
 from apiary.learn.ppo import PpoConfig
@@ -23,6 +25,7 @@ from apiary.mission import (
     ControlMode,
     FaultSpec,
     Maneuver,
+    ManeuverMetrics,
     MissionConfig,
     SafetyThresholds,
     TrajectoryLog,
@@ -38,6 +41,7 @@ from apiary.mission import (
     safety_check,
 )
 from flight import fly
+from float_state import state
 
 DT = 0.016
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
@@ -50,30 +54,24 @@ def tiny_net():
     return policy_init(np.random.default_rng(1234), PpoConfig())
 
 
-def origin_goal():
-    return EpisodeGoal(np.zeros(3), m3.quat_identity())
-
-
-def obs_of(state, goal, body_frame=False):
-    """The 12-vector observation of one state against one goal."""
-    return observe_arrays(
-        state.position, state.attitude, state.lin_vel, state.ang_vel,
-        goal.position, goal.attitude, body_frame,
-    )
+def obs_of(s, goal_pos, goal_att, body_frame=False):
+    """The 12-vector observation of the state (pos, att, lv, av) against one goal."""
+    return observe_arrays(*map(np.array, (*s, goal_pos, goal_att)), body_frame)
 
 
 # ------------------------------------------------------------- safety
 
 
-def monitor_norms(state, goal=None):
-    """The four channel norms the flight loop hands the monitor."""
-    return obs_norms(obs_of(state, goal or origin_goal())).tolist()
+def monitor_norms(s):
+    """The four channel norms the flight loop hands the monitor, against
+    a goal at the origin with identity attitude."""
+    return obs_norms(obs_of(s, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])).tolist()
 
 
 def test_safety_check_counts_and_trips():
     th = SafetyThresholds()
-    bad = monitor_norms(RigidState(position=m3.vec3(0.3, 0.0, 0.0)))  # 0.3 > 0.25
-    good = monitor_norms(RigidState())
+    bad = monitor_norms(state(pos=[0.3, 0.0, 0.0]))  # 0.3 > 0.25
+    good = monitor_norms(state())
     decision, c = safety_check(bad, th, 0)
     assert decision is None and c == 1
     decision, c = safety_check(bad, th, c)
@@ -87,7 +85,7 @@ def test_safety_check_counts_and_trips():
 
 def test_safety_check_boundary_is_strict():
     th = SafetyThresholds()
-    at_limit = monitor_norms(RigidState(position=m3.vec3(th.max_pos_err, 0.0, 0.0)))
+    at_limit = monitor_norms(state(pos=[th.max_pos_err, 0.0, 0.0]))
     _, c = safety_check(at_limit, th, 0)
     assert c == 0, "exactly at the limit is not a violation"
     limits = (th.max_pos_err, th.max_ori_err, th.max_lin_vel, th.max_ang_vel)
@@ -102,13 +100,13 @@ def test_safety_check_boundary_is_strict():
 def test_safety_check_each_channel():
     th = SafetyThresholds()
     cases = [
-        RigidState(position=m3.vec3(0.26, 0, 0)),
-        RigidState(attitude=m3.quat_from_rotvec(m3.vec3(0, 0, np.deg2rad(31.0)))),
-        RigidState(lin_vel=m3.vec3(0.51, 0, 0)),
-        RigidState(ang_vel=m3.vec3(0, 1.01, 0)),
+        state(pos=[0.26, 0, 0]),
+        state(att=m3.quat_from_rotvec(m3.vec3(0, 0, np.deg2rad(31.0)))),
+        state(lv=[0.51, 0, 0]),
+        state(av=[0, 1.01, 0]),
     ]
-    for k, state in enumerate(cases):
-        norms = monitor_norms(state)
+    for k, s in enumerate(cases):
+        norms = monitor_norms(s)
         assert [n > 0.0 for n in norms] == [j == k for j in range(4)]
         _, c = safety_check(norms, th, 0)
         assert c == 1
@@ -173,41 +171,112 @@ def test_fault_spec_validation():
 # ------------------------------------------------------------- goals
 
 
+def array_goal(maneuver, entry_pos, entry_att):
+    """Oracle: goal resolution over numpy arrays, the formula
+    `goal_for_maneuver` ran before it ran on floats: the rotate increment
+    through the axis-angle kernel, and the dock at the origin with identity
+    attitude, its standoff rotated into the dock frame."""
+    entry_pos = np.asarray(entry_pos, dtype=np.float64)
+    entry_att = np.asarray(entry_att, dtype=np.float64)
+    dock_pos, dock_att = np.zeros(3), m3.quat_identity()
+    if maneuver.kind == "translate":
+        offset = np.zeros(3)
+        offset[maneuver.axis] = maneuver.magnitude
+        return entry_pos + offset, entry_att.copy()
+    if maneuver.kind == "rotate":
+        axis = np.zeros(3)
+        axis[maneuver.axis] = 1.0
+        u = axis / m3.vec_norm(axis)[..., None]
+        half = 0.5 * np.asarray(maneuver.magnitude, dtype=np.float64)
+        s = np.sin(half)
+        dq = m3.quat_normalize(np.stack([np.cos(half), u[0] * s, u[1] * s, u[2] * s], axis=-1))
+        return entry_pos.copy(), m3.quat_mul(entry_att, dq)
+    if maneuver.kind == "goto_pose":
+        pose = np.asarray(maneuver.pose, dtype=np.float64)
+        return pose[:3], m3.quat_normalize(pose[3:])
+    if maneuver.kind == "dock_approach":
+        standoff = m3.quat_rotate(dock_att, m3.vec3(DOCK_STANDOFF, 0.0, 0.0))
+        return dock_pos + standoff, dock_att
+    return dock_pos, dock_att
+
+
+# entry components include both signed zeros: a rotate goal keeps the sign
+# of an off-axis zero only if the increment's off-axis terms carry it
+signed = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+entry_positions = st.lists(signed, min_size=3, max_size=3)
+entry_attitudes = (
+    st.lists(signed, min_size=4, max_size=4)
+    .filter(lambda q: sum(c * c for c in q) > 1e-6)
+    .map(m3.quat_normalize_f)
+)
+maneuvers = st.one_of(
+    st.builds(
+        Maneuver, st.sampled_from(["translate", "rotate"]), st.sampled_from([0, 1, 2]),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-7.0, 7.0)),
+    ),
+    st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7).map(
+        lambda pose: Maneuver("goto_pose", pose=tuple(pose))
+    ),
+    st.sampled_from([Maneuver("dock_approach"), Maneuver("dock")]),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(maneuvers, entry_positions, entry_attitudes)
+@example(Maneuver("rotate", 2, -0.3), [0.0, -0.0, 0.5], [0.9, -0.0, 0.0, -0.0])
+@example(Maneuver("rotate", 0, -2.5), [-0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 1.0])
+@example(Maneuver("rotate", 1, float(np.deg2rad(-170.0))), [0.0] * 3, [1.0, 0.0, 0.0, 0.0])
+@example(Maneuver("goto_pose", pose=(0.2, -0.1, 0.05, 0.9, 0.1, -0.2, 0.3)), [0.0] * 3,
+         [1.0, 0.0, 0.0, 0.0])  # an unnormalized quaternion
+@example(Maneuver("goto_pose", pose=(0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0)), [0.0] * 3,
+         [1.0, 0.0, 0.0, 0.0])  # w < 0
+@example(Maneuver("goto_pose", pose=(1.0, 2.0, 3.0, -2.0, 0.5, -0.0, 0.0)), [0.5, 0.0, -0.0],
+         [0.0, 1.0, 0.0, 0.0])
+@example(Maneuver("goto_pose", pose=(0.0,) * 7), [0.0] * 3, [1.0, 0.0, 0.0, 0.0])  # zero quaternion
+def test_goal_for_maneuver_matches_array_oracle(maneuver, entry_pos, entry_att):
+    try:
+        want = array_goal(maneuver, entry_pos, entry_att)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            goal_for_maneuver(maneuver, entry_pos, entry_att)
+        return
+    got = goal_for_maneuver(maneuver, entry_pos, entry_att)
+    for g, w in zip(got, want):
+        assert all(type(c) is float for c in g)
+        assert np.array(g).tobytes() == w.tobytes(), (g, w)
+
+
 def test_goal_translate():
-    entry = EpisodeGoal(m3.vec3(1.0, 2.0, 3.0), m3.quat_from_rotvec(m3.vec3(0.1, 0, 0)))
-    goal = goal_for_maneuver(Maneuver("translate", 1, -0.5), entry, entry)
-    np.testing.assert_array_equal(goal.position, [1.0, 1.5, 3.0])
-    np.testing.assert_array_equal(goal.attitude, entry.attitude)
+    entry_att = m3.quat_from_rotvec(m3.vec3(0.1, 0, 0)).tolist()
+    goal_pos, goal_att = goal_for_maneuver(Maneuver("translate", 1, -0.5), [1.0, 2.0, 3.0], entry_att)
+    assert goal_pos == [1.0, 1.5, 3.0]
+    assert goal_att == entry_att
 
 
 def test_goal_rotate_composes_with_entry():
-    entry = EpisodeGoal(np.zeros(3), m3.quat_identity())
     ang = np.deg2rad(20.0)
-    goal = goal_for_maneuver(Maneuver("rotate", 2, ang), entry, entry)
-    np.testing.assert_allclose(
-        goal.attitude, m3.quat_from_rotvec(m3.vec3(0, 0, ang)), atol=1e-15
+    goal_pos, goal_att = goal_for_maneuver(
+        Maneuver("rotate", 2, ang), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]
     )
-    np.testing.assert_array_equal(goal.position, np.zeros(3))
+    np.testing.assert_allclose(goal_att, m3.quat_from_rotvec(m3.vec3(0, 0, ang)), atol=1e-15)
+    assert goal_pos == [0.0, 0.0, 0.0]
 
 
 def test_goal_goto_pose_normalizes():
-    entry = origin_goal()
     man = Maneuver("goto_pose", pose=(1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0))
-    goal = goal_for_maneuver(man, entry, entry)
-    np.testing.assert_array_equal(goal.attitude, m3.quat_identity())
-    np.testing.assert_array_equal(goal.position, [1.0, 0.0, 0.0])
+    goal_pos, goal_att = goal_for_maneuver(man, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+    assert goal_att == [1.0, 0.0, 0.0, 0.0]
+    assert goal_pos == [1.0, 0.0, 0.0]
 
 
 def test_goal_dock_approach_standoff_in_dock_frame():
-    yaw90 = m3.quat_from_rotvec(m3.vec3(0, 0, np.pi / 2))
-    dock = EpisodeGoal(m3.vec3(1.0, 1.0, 0.0), yaw90)
-    entry = EpisodeGoal(m3.vec3(9.0, 9.0, 9.0), m3.quat_identity())
-    goal = goal_for_maneuver(Maneuver("dock_approach"), entry, dock)
-    # dock frame +X points along world +Y after the 90 degree yaw
-    np.testing.assert_allclose(goal.position, [1.0, 1.0 + DOCK_STANDOFF, 0.0], atol=1e-15)
-    np.testing.assert_array_equal(goal.attitude, yaw90)
-    direct = goal_for_maneuver(Maneuver("dock"), entry, dock)
-    np.testing.assert_array_equal(direct.position, dock.position)
+    # the dock is the start pose of every flight, the origin at identity
+    # attitude, whatever pose the maneuver enters from
+    entry_att = m3.quat_from_rotvec(m3.vec3(0, 0, np.pi / 2)).tolist()
+    goal = goal_for_maneuver(Maneuver("dock_approach"), [9.0, 9.0, 9.0], entry_att)
+    assert goal == ([DOCK_STANDOFF, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+    direct = goal_for_maneuver(Maneuver("dock"), [9.0, 9.0, 9.0], entry_att)
+    assert direct == ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
 
 
 # ------------------------------------------------------------- logging
@@ -216,15 +285,12 @@ def test_goal_dock_approach_standoff_in_dock_frame():
 NO_WRENCH = [0.0] * 6
 
 
-def log_row(t, state=None, commanded=NO_WRENCH, applied=NO_WRENCH, pos_err=(0, 0, 0),
+def log_row(t, s=None, commanded=NO_WRENCH, applied=NO_WRENCH, pos_err=(0, 0, 0),
             ori_err=(0, 0, 0)):
-    """One numeric log row in schema order; the commanded and applied
+    """One numeric log row in schema order for the state s = (pos, att, lv,
+    av), at rest at the origin when None; the commanded and applied
     wrenches are six numbers each, force then torque."""
-    state = state or RigidState()
-    return np.concatenate(
-        ([t], state.position, state.attitude, state.lin_vel, state.ang_vel, commanded,
-         applied, pos_err, ori_err)
-    )
+    return np.concatenate(([t], *(s or state()), commanded, applied, pos_err, ori_err))
 
 
 def make_log_rows(log, n=3):
@@ -232,7 +298,7 @@ def make_log_rows(log, n=3):
         log.append(
             log_row(
                 k * DT,
-                RigidState(position=m3.vec3(0.1 * k, 0, 0)),
+                state(pos=[0.1 * k, 0, 0]),
                 [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
                 [0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
                 m3.vec3(1.0 - 0.1 * k, 0, 0),
@@ -360,19 +426,18 @@ def test_log_csv_rejects_other_header(tmp_path):
 def test_run_maneuver_validation():
     mc = MissionConfig()
     with pytest.raises(ValueError, match="RL_POLICY or BASELINE"):
-        fly(RigidState(), Maneuver("dock"), ControlMode.HOLD_FALLBACK, mc)
+        fly(state(), Maneuver("dock"), ControlMode.HOLD_FALLBACK, mc)
     with pytest.raises(ValueError, match="policy"):
-        fly(RigidState(), Maneuver("dock"), ControlMode.RL_POLICY, mc)
+        fly(state(), Maneuver("dock"), ControlMode.RL_POLICY, mc)
     # a timeout under half a tick runs no ticks: rejected before anything is logged
     log = TrajectoryLog()
     with pytest.raises(ValueError, match=r"maneuver index 3: timeout 0.001 s .* dt 0.016 s"):
-        fly(RigidState(), Maneuver("translate", 0, 0.5, timeout=0.001),
-                     ControlMode.BASELINE, mc, log=log, maneuver_index=3)
+        fly(state(), Maneuver("translate", 0, 0.5, timeout=0.001),
+            ControlMode.BASELINE, mc, log=log, maneuver_index=3)
     assert len(log) == 0
-    assert fly(RigidState(), Maneuver("dock", timeout=0.01), ControlMode.BASELINE,
-                        mc)[1].ticks == 1
+    assert fly(state(), Maneuver("dock", timeout=0.01), ControlMode.BASELINE, mc)[1].ticks == 1
     # a state that overflows during propagation stops the flight
-    fast = RigidState(position=m3.vec3(1.79e308, 0, 0), lin_vel=m3.vec3(1e308, 0, 0))
+    fast = state(pos=[1.79e308, 0, 0], lv=[1e308, 0, 0])
     with pytest.raises(SimulationDivergedError):
         fly(fast, Maneuver("dock"), ControlMode.BASELINE, mc)
 
@@ -381,7 +446,7 @@ def test_pd_translate_full_timeout_and_log_consistency():
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.5, timeout=30.0)
     log = TrajectoryLog()
-    state, out = fly(RigidState(), man, ControlMode.BASELINE, mc, log=log)
+    _, out = fly(state(), man, ControlMode.BASELINE, mc, log=log)
     assert out.outcome == "success"
     assert out.ticks == int(round(30.0 / DT)) == len(log)
     assert out.final_pos_err < 0.01
@@ -406,10 +471,7 @@ def test_fault_trips_monitor_on_exact_tick():
     man = Maneuver("translate", 0, 0.0, timeout=5.0)
     fault = FaultSpec(0, 10, m3.vec3(0.5, 0.0, 0.0))
     log = TrajectoryLog()
-    state, out = fly(
-        RigidState(), man, ControlMode.RL_POLICY, mc,
-        net=tiny_net(), log=log, fault=fault,
-    )
+    _, out = fly(state(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log=log, fault=fault)
     assert out.outcome == "fallback_triggered"
     assert out.end_mode == "hold_fallback"
     modes = log.column("mode")
@@ -426,9 +488,7 @@ def test_fault_ignored_by_baseline_mode():
     man = Maneuver("translate", 0, 0.0, timeout=5.0)
     fault = FaultSpec(0, 10, m3.vec3(0.5, 0.0, 0.0))
     log = TrajectoryLog()
-    _, out = fly(
-        RigidState(), man, ControlMode.BASELINE, mc, log=log, fault=fault
-    )
+    _, out = fly(state(), man, ControlMode.BASELINE, mc, log=log, fault=fault)
     assert out.outcome != "fallback_triggered"
     assert set(log.column("mode")) == {"baseline"}
 
@@ -439,9 +499,7 @@ def test_monitor_stays_disarmed_outside_envelope():
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.5, timeout=2.0)
     log = TrajectoryLog()
-    _, out = fly(
-        RigidState(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log=log
-    )
+    _, out = fly(state(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log=log)
     assert out.outcome == "timeout"
     assert set(log.column("mode")) == {"rl_policy"}
 
@@ -466,7 +524,7 @@ def test_flight_tick_computes_orientation_error_once(monkeypatch):
     man = parse_sequence_file(STOCK_SEQUENCE)[0]
     assert man.kind == "translate"
     log = TrajectoryLog()
-    _, out = fly(RigidState(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log=log)
+    _, out = fly(state(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log=log)
     assert out.outcome == "success" and len(log) == out.ticks
     assert len(calls) <= out.ticks + 2
 
@@ -545,7 +603,7 @@ def test_maneuver_tick_bound():
     with pytest.raises(ValueError, match=message):
         run_sequence([short, too_long], ControlMode.BASELINE, mc)
     with pytest.raises(ValueError, match="maneuver index 0: .* more than the 250000"):
-        fly(RigidState(), too_long, ControlMode.BASELINE, mc)
+        fly(state(), too_long, ControlMode.BASELINE, mc)
 
 
 def test_run_sequence_dock_targets_entry_pose():
@@ -586,7 +644,7 @@ def hand_log():
         log.append(
             log_row(
                 t,
-                RigidState(position=pos),
+                state(pos=pos),
                 [*(fc * 2), 0.0, 0.0, 0.0],
                 [*fc, 0.0, 0.0, 0.0],
                 m3.vec3(1.0, 0, 0) - pos,
@@ -598,9 +656,7 @@ def hand_log():
 
 
 def test_metrics_hand_computed():
-    met = metrics_from_log(
-        hand_log(), np.zeros(3), m3.vec3(1.0, 0, 0), pos_tol=0.05, ori_tol=0.1, dt=DT
-    )
+    met = metrics_from_log(hand_log(), pos_tol=0.05, ori_tol=0.1, dt=DT)
     assert met.final_pos_err == pytest.approx(0.01)
     np.testing.assert_allclose(met.final_pos_err_axes, [0.01, 0, 0])
     assert met.final_ori_err == 0.0
@@ -614,17 +670,19 @@ def test_metrics_hand_computed():
 
 
 def test_metrics_cross_axis_without_displacement():
-    # zero commanded displacement: excursion is distance from entry
+    # zero commanded displacement (the first row's position error): the
+    # excursion is the distance from the entry, the first row's position
     log = TrajectoryLog()
-    for k, pos in enumerate([np.zeros(3), m3.vec3(0.0, 0.3, 0.4), np.zeros(3)]):
-        log.append(log_row(k * DT, RigidState(position=pos), pos_err=-pos), ControlMode.BASELINE, 0)
-    met = metrics_from_log(log, np.zeros(3), np.zeros(3), 0.05, 0.1, DT)
+    entry = m3.vec3(0.1, -0.2, 0.0)
+    for k, pos in enumerate([entry, entry + [0.0, 0.3, 0.4], entry]):
+        log.append(log_row(k * DT, state(pos=pos), pos_err=entry - pos), ControlMode.BASELINE, 0)
+    met = metrics_from_log(log, 0.05, 0.1, DT)
     assert met.max_cross_axis_excursion == pytest.approx(0.5)
 
 
 def test_metrics_empty_log_raises():
     with pytest.raises(ValueError, match="empty"):
-        metrics_from_log(TrajectoryLog(), np.zeros(3), np.zeros(3), 0.05, 0.1, DT)
+        metrics_from_log(TrajectoryLog(), 0.05, 0.1, DT)
 
 
 def test_compare_identical_logs_zero_diff():
@@ -634,43 +692,40 @@ def test_compare_identical_logs_zero_diff():
     net.actor.weights[-1][:] = 0.0
     net.actor.biases[-1][:] = 0.0
     mc = MissionConfig(gains=PdGains(0.0, 0.0, 0.0, 0.0))
-    log_rl, log_pd, report = run_compare(Maneuver("translate", 1, 0.2, 2.0), mc, net)
+    log_rl, log_pd, rl, base = run_compare(Maneuver("translate", 1, 0.2, 2.0), mc, net)
     np.testing.assert_array_equal(log_rl.numeric(), log_pd.numeric())
-    assert report.rl.final_pos_err == report.baseline.final_pos_err == 0.2
-    for name, v in report.diff.items():
+    assert rl.final_pos_err == base.final_pos_err == 0.2
+    for name in ManeuverMetrics.SCALARS:
+        v = getattr(rl, name) - getattr(base, name)
         assert v == 0.0 or (np.isnan(v) and name == "settle_time"), name
 
 
-def _array_pd(state, goal, g):
+def _array_pd(pos, att, lv, av, goal_pos, goal_att, g):
     """The PD law over arrays: world-frame errors, then body-frame wrench."""
-    f_world = g.kp_pos * (goal.position - state.position) - g.kd_pos * state.lin_vel
-    ori_body = m3.quat_rotate_inv(state.attitude, m3.quat_error(goal.attitude, state.attitude))
-    return (
-        m3.quat_rotate_inv(state.attitude, f_world),
-        g.kp_att * ori_body - g.kd_att * state.ang_vel,
-    )
+    f_world = g.kp_pos * (goal_pos - pos) - g.kd_pos * lv
+    ori_body = m3.quat_rotate_inv(att, m3.quat_error(goal_att, att))
+    return m3.quat_rotate_inv(att, f_world), g.kp_att * ori_body - g.kd_att * av
 
 
-def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
-    """One maneuver flown tick by tick over arrays: env.observe_arrays, the
-    monitor, policy_mean or the PD law, np.clip + np.nan_to_num with the
-    slew clamp, and step_arrays. Returns (final state, log)."""
+def _array_flight(s, maneuver, mode, mc, net=None, fault=None):
+    """One maneuver flown tick by tick over arrays from the state s: the
+    array goal oracle, env.observe_arrays, the monitor, policy_mean or the
+    PD law, np.clip + np.nan_to_num with the slew clamp, and step_arrays.
+    Returns (final state as arrays, log)."""
     env = mc.env
     lim = env.limits
     start = 0 if fault is None else fault.start_tick
+    pos, att, lv, av = map(np.array, s)
 
-    def measured(st, k):
-        pos = st.position + fault.pos_offset if fault is not None and k >= start else st.position
-        return RigidState(pos, st.attitude, st.lin_vel, st.ang_vel)
+    def measured(p, k):
+        return p + fault.pos_offset if fault is not None and k >= start else p
 
-    entry = measured(state, 0)
-    entry_goal = EpisodeGoal(entry.position, entry.attitude)
-    goal = goal_for_maneuver(maneuver, entry_goal, entry_goal)
+    goal_pos, goal_att = array_goal(maneuver, measured(pos, 0), att)
     log = TrajectoryLog()
-    cur, trip, armed, hold_goal, prev = mode, 0, False, None, None
+    cur, trip, armed, hold, prev = mode, 0, False, None, None
     for k in range(int(round(maneuver.timeout / env.dt))):
-        meas = measured(state, k)
-        obs = obs_of(meas, goal)
+        meas = measured(pos, k)
+        obs = observe_arrays(meas, att, lv, av, goal_pos, goal_att, False)
         if cur is ControlMode.RL_POLICY:
             decision, counter = safety_check(obs_norms(obs).tolist(), mc.safety, trip)
             armed = armed or counter == 0
@@ -678,14 +733,14 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
                 trip = counter
                 if decision is ControlMode.HOLD_FALLBACK:
                     cur = ControlMode.HOLD_FALLBACK
-                    hold_goal = EpisodeGoal(meas.position.copy(), meas.attitude.copy())
+                    hold = (meas.copy(), att.copy())
         if cur is ControlMode.HOLD_FALLBACK:
-            force, torque = _array_pd(meas, hold_goal, mc.gains)
+            force, torque = _array_pd(meas, att, lv, av, *hold, mc.gains)
         elif cur is ControlMode.RL_POLICY:
             a = policy_mean(net, obs)
             force, torque = a[:3] * lim.f_max, a[3:] * lim.tau_max
         else:
-            force, torque = _array_pd(meas, goal, mc.gains)
+            force, torque = _array_pd(meas, att, lv, av, goal_pos, goal_att, mc.gains)
         f = np.clip(force, -lim.f_max, lim.f_max)
         tq = np.clip(torque, -lim.tau_max, lim.tau_max)
         if prev is not None:
@@ -695,17 +750,16 @@ def _array_flight(state, maneuver, mode, mc, net=None, fault=None):
         f = np.nan_to_num(f, nan=0.0, posinf=lim.f_max, neginf=-lim.f_max)
         tq = np.nan_to_num(tq, nan=0.0, posinf=lim.tau_max, neginf=-lim.tau_max)
         row = np.concatenate(
-            ([k * env.dt], meas.position, meas.attitude, meas.lin_vel, meas.ang_vel,
-             force, torque, f, tq, obs[POS_ERR], obs[ORI_ERR])
+            ([k * env.dt], meas, att, lv, av, force, torque, f, tq, obs[POS_ERR], obs[ORI_ERR])
         )
         log.append(row.tolist(), cur, 0)
-        state = RigidState(*step_arrays(
-            state.position, state.attitude, state.lin_vel, state.ang_vel, f, tq,
+        pos, att, lv, av = step_arrays(
+            pos, att, lv, av, f, tq,
             env.body.mass, env.body.inertia_diag, env.body.com_offset,
             env.mask.translation_floats(), env.mask.rotation_floats(), env.dt,
-        ))
+        )
         prev = (f, tq)
-    return state, log
+    return (pos, att, lv, av), log
 
 
 @pytest.mark.parametrize("mode", [ControlMode.RL_POLICY, ControlMode.BASELINE])
@@ -715,14 +769,14 @@ def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
     fault = FaultSpec(0, 1000, m3.vec3(0.5, 0.0, 0.0))
     net, _ = load_policy(REFERENCE_CKPT)
     log = TrajectoryLog()
-    state, out = fly(RigidState(), man, mode, mc, net=net, log=log, fault=fault)
-    want_state, want_log = _array_flight(RigidState(), man, mode, mc, net=net, fault=fault)
+    final, out = fly(state(), man, mode, mc, net=net, log=log, fault=fault)
+    want_final, want_log = _array_flight(state(), man, mode, mc, net=net, fault=fault)
 
     log.write_csv(tmp_path / "flight.csv")
     want_log.write_csv(tmp_path / "oracle.csv")
     assert (tmp_path / "flight.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    for name in ("position", "attitude", "lin_vel", "ang_vel"):
-        assert getattr(state, name).tobytes() == getattr(want_state, name).tobytes()
+    for got, want in zip(final, want_final):
+        assert np.array(got).tobytes() == want.tobytes()
     # the slew clamp binds on some ticks: applied force differs from the
     # magnitude-clamped command
     commanded = np.clip(log.columns(["Fx", "Fy", "Fz"]), -mc.env.limits.f_max, mc.env.limits.f_max)
@@ -734,10 +788,9 @@ def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
 
 def test_body_frame_policy_reads_body_frame_observation():
     net, _ = load_policy(REFERENCE_CKPT)
-    start = RigidState(attitude=m3.quat_from_rotvec(m3.vec3(0.2, -0.4, 0.7)))
+    start = state(att=m3.quat_from_rotvec(m3.vec3(0.2, -0.4, 0.7)))
     man = Maneuver("translate", 1, 0.3, timeout=1.0)
-    entry = EpisodeGoal(start.position, start.attitude)
-    goal = goal_for_maneuver(man, entry, entry)
+    goal = goal_for_maneuver(man, start[0], start[1])
     lim = EnvConfig().limits
     scale = np.array([lim.f_max] * 3 + [lim.tau_max] * 3)
     first_cmd = {}
@@ -746,12 +799,12 @@ def test_body_frame_policy_reads_body_frame_observation():
         mc = MissionConfig(EnvConfig(body_frame_obs=body_frame))
         fly(start, man, ControlMode.RL_POLICY, mc, net=net, log=log)
         first_cmd[body_frame] = log.columns(["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
-        want = policy_mean(net, obs_of(start, goal, body_frame=body_frame)) * scale
+        want = policy_mean(net, obs_of(start, *goal, body_frame=body_frame)) * scale
         assert first_cmd[body_frame].tobytes() == want.tobytes()
         # the logged errors stay world-frame either way
         np.testing.assert_array_equal(
             log.columns(["epx", "epy", "epz", "erx", "ery", "erz"])[0],
-            obs_of(start, goal)[:6],
+            obs_of(start, *goal)[:6],
         )
     assert not np.array_equal(first_cmd[False], first_cmd[True])
 
@@ -759,19 +812,18 @@ def test_body_frame_policy_reads_body_frame_observation():
 def test_run_compare_same_entry_both_logs():
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.1, timeout=20.0)
-    log_rl, log_pd, report = run_compare(man, mc, tiny_net())
+    log_rl, log_pd, rl, base = run_compare(man, mc, tiny_net())
     assert len(log_rl) == len(log_pd) == int(round(20.0 / DT))
-    # each side's metrics are those of its own log against the commanded goal
-    for log, met in ((log_rl, report.rl), (log_pd, report.baseline)):
-        want = metrics_from_log(log, np.zeros(3), [0.1, 0, 0], mc.env.success_pos_tol,
-                                mc.env.success_ori_tol, DT)
+    # each side's metrics are those of its own log, whose first row holds
+    # the entry (the origin) and the commanded displacement
+    for log, met in ((log_rl, rl), (log_pd, base)):
+        assert log.columns(["px", "py", "pz"])[0].tolist() == [0.0, 0.0, 0.0]
+        assert log.columns(["epx", "epy", "epz"])[0].tolist() == [0.1, 0.0, 0.0]
+        want = metrics_from_log(log, mc.env.success_pos_tol, mc.env.success_ori_tol, DT)
         assert repr(met) == repr(want)
-    for name in report.diff:
-        want = getattr(report.rl, name) - getattr(report.baseline, name)
-        assert repr(report.diff[name]) == repr(want), name
-    assert report.baseline.final_pos_err < 0.01
+    assert base.final_pos_err < 0.01
     # the near-zero random policy goes nowhere, so PD wins on final error
-    assert report.diff["final_pos_err"] > 0.0
+    assert rl.final_pos_err > base.final_pos_err
 
 
 # ------------------------------------------------------------- parsing

@@ -14,6 +14,13 @@ check reads every call in `src/` and `perfbench/` (the benchmark calls the
 program and is frozen, so it counts as a caller) and fails naming
 `module.py:function:parameter` for each default that no call leaves in
 place or no call overrides.
+
+A dataclass field is the same kind of API on data: one that nothing reads
+is filled, carried and kept working for no one. The field check fails
+naming `module.py:Class.field` for each field of a `@dataclass` in
+`src/apiary` that nothing in `src/` or `perfbench/` reads, where a read is
+an attribute load of its name or its name as a string constant (for
+`getattr` by name, as `ManeuverMetrics.SCALARS` is read).
 """
 
 import ast
@@ -176,3 +183,58 @@ def test_check_sees_a_default_no_caller_needs(tmp_path):
     # an unpacked call may bind any parameter, so it both sets and leaves each
     (bench / "run.py").write_text("from pkg.a import fly\n\nfly(*([1], 2, 3))\n")
     assert misused_defaults(src, (src, bench)) == ["a.py:Env.step:clip (every call sets it)"]
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
+
+
+def unread_fields(src: Path = SRC, readers=CALLERS) -> list[str]:
+    """`module.py:Class.field` for each dataclass field in `src` that no
+    attribute load or string constant in `readers` names."""
+    reads = set()
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    reads.add(node.value)
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                found.extend(
+                    f"{module}:{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and item.target.id not in reads
+                )
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields()
+    assert not unread, f"dataclass fields nothing in src/ or perfbench/ reads: {', '.join(unread)}"
+
+
+def test_check_sees_an_unread_field(tmp_path):
+    src, bench = tmp_path / "pkg", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Buffer:\n    obs: list\n    returns: list\n    spare: list\n\n\n"
+        "@dataclasses.dataclass(frozen=True)\nclass Metrics:\n    err: float\n    path: float\n"
+        "    NAMES = ('err',)\n\n\n"
+        "class Plain:\n    hidden: int\n\n\n"
+        "def use(buf, met):\n    buf.spare = [buf.obs]\n    return getattr(met, Metrics.NAMES[0])\n"
+    )
+    (bench / "run.py").write_text("def report(buf):\n    return len(buf.returns)\n")
+    # a store is not a read, and a class that is no dataclass has no fields
+    assert unread_fields(src, (src, bench)) == ["a.py:Buffer.spare", "a.py:Metrics.path"]
+    assert unread_fields(src, (src,)) == [
+        "a.py:Buffer.returns", "a.py:Buffer.spare", "a.py:Metrics.path",
+    ]
