@@ -23,10 +23,10 @@ from .learn.checkpoint import env_config_hash, load_policy
 from .learn.ppo import UpdateDivergedError
 from .learn.train import evaluate_policy, train
 from .mission import (
+    LOG_COLUMNS,
     ControlMode,
     ManeuverMetrics,
     MissionConfig,
-    TrajectoryLog,
     parse_faults_file,
     parse_maneuver_spec,
     parse_sequence_file,
@@ -181,16 +181,15 @@ def _write_metrics_csv(path, rl: ManeuverMetrics, base: ManeuverMetrics) -> None
         w.writerows((name, v_rl, v_base, v_rl - v_base) for name, v_rl, v_base in rows)
 
 
-def _write_error_vs_time(path, log_rl: TrajectoryLog, log_pd: TrajectoryLog) -> None:
-    t = log_rl.column("t")
-    rl_pe = m3.vec_norm(log_rl.columns(["epx", "epy", "epz"]))
-    rl_oe = m3.vec_norm(log_rl.columns(["erx", "ery", "erz"]))
-    pd_pe = m3.vec_norm(log_pd.columns(["epx", "epy", "epz"]))
-    pd_oe = m3.vec_norm(log_pd.columns(["erx", "ery", "erz"]))
+def _write_error_vs_time(path, log_rl, log_pd) -> None:
+    """Both logs' position and attitude error norms per tick, from their
+    (n, 32) numeric columns."""
+    ep, er = LOG_COLUMNS.index("epx"), LOG_COLUMNS.index("erx")
+    norms = [m3.vec_norm(log[:, k : k + 3]) for log in (log_rl, log_pd) for k in (ep, er)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "rl_pos_err", "rl_ori_err", "baseline_pos_err", "baseline_ori_err"])
-        w.writerows(zip(*(a.tolist() for a in (t, rl_pe, rl_oe, pd_pe, pd_oe))))
+        w.writerows(zip(*(a.tolist() for a in (log_rl[:, 0], *norms))))
 
 
 def cmd_compare(args, argv: list[str]) -> int:
@@ -198,11 +197,8 @@ def cmd_compare(args, argv: list[str]) -> int:
     net = _load_checkpoint(args.ckpt, cfg.env)
     maneuver = parse_maneuver_spec(args.maneuver)
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
-    log_rl, log_pd, rl, base = run_compare(maneuver, mc, net)
-    os.makedirs(args.out, exist_ok=True)
+    log_rl, log_pd, rl, base = run_compare(maneuver, mc, net, args.out)
     _snapshot(args.out, cfg, argv)
-    log_rl.write_csv(os.path.join(args.out, "rl_trajectory.csv"))
-    log_pd.write_csv(os.path.join(args.out, "baseline_trajectory.csv"))
     _write_metrics_csv(os.path.join(args.out, "metrics.csv"), rl, base)
     _write_error_vs_time(os.path.join(args.out, "error_vs_time.csv"), log_rl, log_pd)
     if base.final_pos_err < rl.final_pos_err:
@@ -222,15 +218,16 @@ def cmd_replay(args, argv: list[str]) -> int:
     cfg = load_config(args.config)
     net = _load_checkpoint(args.ckpt, cfg.env)
     sequence = parse_sequence_file(args.sequence)
-    faults = parse_faults_file(args.faults) if args.faults else None
+    faults = parse_faults_file(args.faults) if args.faults else []
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
-    result = run_sequence(sequence, ControlMode.RL_POLICY, mc, net=net, faults=faults)
-    os.makedirs(args.out, exist_ok=True)
+    outcomes = run_sequence(
+        sequence, ControlMode.RL_POLICY, mc, net, faults, os.path.join(args.out, "trajectory.csv")
+    )
     _snapshot(args.out, cfg, argv)
     with open(os.path.join(args.out, "outcomes.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(OUTCOME_FIELDS)
-        for out in result.outcomes:
+        for out in outcomes:
             w.writerow(
                 [
                     out.index + 1,
@@ -244,12 +241,11 @@ def cmd_replay(args, argv: list[str]) -> int:
                     out.note,
                 ]
             )
-    result.log.write_csv(os.path.join(args.out, "trajectory.csv"))
-    n_ok = sum(1 for o in result.outcomes if o.outcome == "success")
-    for out in result.outcomes:
+    n_ok = sum(1 for o in outcomes if o.outcome == "success")
+    for out in outcomes:
         suffix = f" ({out.note})" if out.note else ""
         print(f"item {out.index + 1}: {out.kind:14s} {out.outcome}{suffix}")
-    print(f"{n_ok}/{len(result.outcomes)} maneuvers succeeded")
+    print(f"{n_ok}/{len(outcomes)} maneuvers succeeded")
     print(f"wrote outcomes and combined trajectory to {args.out}")
     return 0
 

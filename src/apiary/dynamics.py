@@ -107,10 +107,13 @@ def step_arrays(
     # wrench is applied at the body origin; a center-of-mass offset turns
     # force into torque about the COM
     tau = torque - m3.vec_cross(com_offset, force)
-    ang_mom = (inertia_diag * ang_vel + dt * tau) * rmask
-    omega_mid = ang_mom / inertia_diag
     try:
-        dq = m3.quat_from_rotvec(omega_mid * dt)
+        # a rotation that goes non-finite raises below, so numpy's overflow
+        # and invalid-value warnings on the way there would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            ang_mom = (inertia_diag * ang_vel + dt * tau) * rmask
+            omega_mid = ang_mom / inertia_diag
+            dq = m3.quat_from_rotvec(omega_mid * dt)
     except ValueError:
         if np.isfinite(force).all() and np.isfinite(torque).all():
             raise SimulationDivergedError("angular rate went non-finite during step") from None

@@ -23,6 +23,16 @@ compared maneuver logs the same bytes as the replay of that one line.
 Every flight starts at rest at the origin with identity attitude;
 `run_maneuver` flies one maneuver of a sequence.
 
+A trajectory log exists only as its CSV file: `LOG_HEADER`, then one
+`log_line` per control tick, written on the tick it is made (eval's
+episode logs are the same format). `run_sequence` checks the whole
+sequence (each maneuver's tick count, and no goal on a DOF the mask
+pins) and its faults before it touches the file system, and deletes its
+partial log if the flight raises, so a failed flight leaves no
+trajectory file. `run_compare` reads its two logs back through
+`read_log` for the metrics; every float is written as its `repr`, so the
+numbers read back bit for bit.
+
 `MissionConfig` bundles what a flight reads: the `EnvConfig` the policy
 was trained in, the safety thresholds and the PD gains. The flight takes
 its vehicle, actuation limits, control period, DOF mask, success test
@@ -63,17 +73,18 @@ errors always recompute exactly from logged state and goal.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
+import os
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
 from . import math3d as m3
 from .actuation import clamp_axes
 from .baseline import PdGains, pd_wrench_f
-from .dynamics import step_f
+from .dynamics import DofMask, step_f
 from .env import EnvConfig
 from .learn.nets import PolicyNet, policy_mean
 
@@ -107,8 +118,9 @@ _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 DOCK_POS_TOL = 0.02
 DOCK_ORI_TOL = float(np.deg2rad(2.0))
 DOCK_STANDOFF = 0.3
-# the most control ticks one maneuver may run: 66 min at the default dt,
-# about 64 MB of trajectory log
+# the most control ticks one maneuver may run: 66 min at the default dt.
+# A log row is about 690 bytes, so this bounds one maneuver's share of the
+# trajectory file at about 170 MB
 MAX_MANEUVER_TICKS = 250_000
 MANEUVER_KINDS = ("translate", "rotate", "goto_pose", "dock_approach", "dock")
 
@@ -187,82 +199,6 @@ class MissionConfig:
     gains: PdGains = field(default_factory=PdGains)
 
 
-class TrajectoryLog:
-    """Fixed-schema control-tick log; one row per tick, strictly increasing t.
-
-    The numeric columns live in one float64 array grown by doubling."""
-
-    def __init__(self):
-        self._num = np.empty((0, 32))
-        self._n = 0
-        self._modes: list[str] = []
-        self._maneuvers: list[int] = []
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, row, mode: ControlMode, maneuver: int) -> None:
-        """Add one row: the 32 numeric columns in schema order, then mode
-        and maneuver."""
-        n = self._n
-        if len(row) != 32:
-            raise ValueError(f"a log row has 32 numeric columns, got {len(row)}")
-        if n and not row[0] > self._num[n - 1, 0]:
-            raise ValueError(f"log time must strictly increase: {row[0]} after {self._num[n - 1, 0]}")
-        if n == len(self._num):
-            self._num = np.concatenate([self._num, np.empty((max(64, n), 32))])
-        self._num[n] = row
-        self._n = n + 1
-        self._modes.append(mode.value)
-        self._maneuvers.append(int(maneuver))
-
-    def numeric(self) -> np.ndarray:
-        """Read-only (n_rows, 32) view of the numeric columns in schema order."""
-        view = self._num[: self._n]
-        view.flags.writeable = False
-        return view
-
-    def column(self, name: str) -> np.ndarray:
-        if name == "mode":
-            return np.array(self._modes)
-        if name == "maneuver":
-            return np.array(self._maneuvers, dtype=np.int64)
-        return self.numeric()[:, LOG_COLUMNS.index(name)]
-
-    def columns(self, names: list[str]) -> np.ndarray:
-        return self.numeric()[:, [LOG_COLUMNS.index(n) for n in names]]
-
-    def write_csv(self, path) -> None:
-        """`LOG_HEADER`, then a `log_line` per row; rows are converted one at a time."""
-        with open(path, "w", newline="") as f:
-            f.write(LOG_HEADER)
-            f.writelines(
-                log_line(row.tolist(), mode, man)
-                for row, mode, man in zip(self.numeric(), self._modes, self._maneuvers)
-            )
-
-    @classmethod
-    def read_csv(cls, path) -> "TrajectoryLog":
-        """Read what `write_csv` wrote; rejects another header, an unknown
-        mode and a time that does not strictly increase."""
-        with open(path, newline="") as f:
-            r = csv.reader(f)
-            header = next(r)
-            if header != LOG_COLUMNS:
-                raise ValueError("unexpected trajectory log header")
-            lines = list(r)
-        log = cls()
-        log._num = np.array([[float(v) for v in line[:32]] for line in lines]).reshape(-1, 32)
-        log._n = len(lines)
-        log._modes = [ControlMode(line[32]).value for line in lines]
-        log._maneuvers = [int(line[33]) for line in lines]
-        t = log._num[:, 0]
-        k = np.flatnonzero(~(np.diff(t) > 0))
-        if k.size:
-            raise ValueError(f"log time must strictly increase: {t[k[0] + 1]} after {t[k[0]]}")
-        return log
-
-
 @dataclass
 class ManeuverOutcome:
     index: int
@@ -274,12 +210,6 @@ class ManeuverOutcome:
     final_ori_err: float
     end_mode: str
     note: str = ""
-
-
-@dataclass
-class MissionResult:
-    outcomes: list[ManeuverOutcome]
-    log: TrajectoryLog
 
 
 def safety_check(
@@ -358,14 +288,15 @@ def run_maneuver(
     mode: ControlMode,
     mc: MissionConfig,
     net: PolicyNet | None,
-    log: TrajectoryLog,
+    log: TextIO,
     maneuver_index: int,
     fault: FaultSpec | None,
     t0_tick: int,
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]], ManeuverOutcome]:
     """Run one maneuver of a sequence for its full timeout at the control
-    rate, appending its ticks to `log` from tick `t0_tick` on. `state` is
-    the true state as step_f's four lists (pos, att, lv, av).
+    rate, writing a `log_line` per tick to the text stream `log` from tick
+    `t0_tick` on. `state` is the true state as step_f's four lists (pos,
+    att, lv, av).
 
     Outcome is success when the maneuver's tolerance condition is true for
     the final hold_steps ticks, fallback_triggered if the safety monitor
@@ -445,11 +376,11 @@ def run_maneuver(
         applied_force = clamp_axes(force, prev_force, lim.f_max, lim.force_rate, dt)
         applied_torque = clamp_axes(torque, prev_torque, lim.tau_max, lim.torque_rate, dt)
 
-        log.append(
+        log.write(log_line(
             [(t0_tick + k) * dt, *meas_pos, *att, *lv, *av, *force, *torque,
              *applied_force, *applied_torque, *pos_err, *ori_err],
-            cur_mode, maneuver_index,
-        )
+            cur_mode.value, maneuver_index,
+        ))
 
         pe, oe, speed, rate = norms
         if (
@@ -518,56 +449,95 @@ def _faults_by_maneuver(
     return by_index
 
 
+def _check_reachable(maneuver: Maneuver, index: int, mask: DofMask) -> None:
+    """Raise ValueError, naming the maneuver's index and the axis, for a
+    goal with a component on a DOF the mask pins. A flight starts at the
+    origin at identity attitude and never moves a pinned DOF, so a relative
+    goal is reachable when its own step is, and an absolute one when its
+    position and normalized attitude are."""
+    kind = maneuver.kind
+    if kind == "goto_pose":
+        pos = maneuver.pose[:3]
+        rot = m3.quat_normalize_f([float(v) for v in maneuver.pose[3:]])[1:]
+    elif kind in ("translate", "rotate"):
+        step = [maneuver.magnitude if i == maneuver.axis else 0.0 for i in range(3)]
+        pos, rot = (step, [0.0] * 3) if kind == "translate" else ([0.0] * 3, step)
+    else:
+        return
+    for what, move, free in (
+        ("translation along", pos, mask.free_translation),
+        ("rotation about", rot, mask.free_rotation),
+    ):
+        for axis in range(3):
+            if move[axis] != 0.0 and not free[axis]:
+                raise ValueError(
+                    f"maneuver index {index} (item {index + 1}): {kind} asks for "
+                    f"{what} {'xyz'[axis]}, which the DOF mask pins"
+                )
+
+
 def run_sequence(
     sequence: list[Maneuver],
     mode: ControlMode,
     mc: MissionConfig,
-    net: PolicyNet | None = None,
-    faults: list[FaultSpec] | None = None,
-) -> MissionResult:
-    """Execute maneuvers in order with pause-on-fallback semantics.
+    net: PolicyNet | None,
+    faults: list[FaultSpec],
+    log_path,
+) -> list[ManeuverOutcome]:
+    """Execute maneuvers in order with pause-on-fallback semantics, logging
+    every tick to the trajectory CSV `log_path`; returns the outcomes.
 
     The sequence starts at rest at the origin with identity attitude, the
     pose the dock maneuvers target. After a fallback_triggered
     outcome the sequence runs the next entry only if it carries the resume
     flag; otherwise that entry and everything after it is skipped.
-    Raises ValueError, before anything runs, for a maneuver that runs 0
-    ticks or more than MAX_MANEUVER_TICKS, a fault past the end of the
-    sequence, a second fault for one maneuver, or a start tick at or past
-    the maneuver's tick count.
+    Raises ValueError, before it touches the file system, for a maneuver
+    that runs 0 ticks or more than MAX_MANEUVER_TICKS, a goal on a DOF the
+    mask pins, a fault past the end of the sequence, a second fault for
+    one maneuver, or a start tick at or past the maneuver's tick count.
+    Then it creates `log_path`'s directory and flies; if the flight raises,
+    the partial log is deleted.
     """
     if not sequence:
         raise ValueError("sequence must not be empty")
     for i, man in enumerate(sequence):
         _maneuver_ticks(man, i, mc.env.dt)
+        _check_reachable(man, i, mc.env.mask)
+    fault_by_index = _faults_by_maneuver(sequence, faults, mc.env.dt)
+    os.makedirs(os.path.dirname(log_path), exist_ok=True)
     state = ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    log = TrajectoryLog()
-    fault_by_index = _faults_by_maneuver(sequence, faults or [], mc.env.dt)
     outcomes: list[ManeuverOutcome] = []
     tick = 0
     paused = False
     aborted = False
-    for i, man in enumerate(sequence):
-        if aborted or (paused and not man.resume):
-            aborted = True
-            outcomes.append(
-                ManeuverOutcome(
-                    index=i, kind=man.kind, outcome="skipped", ticks=0,
-                    settle_time=float("nan"), final_pos_err=float("nan"),
-                    final_ori_err=float("nan"), end_mode="", note=man.note,
+    log = open(log_path, "w", newline="")
+    try:
+        with log:
+            log.write(LOG_HEADER)
+            for i, man in enumerate(sequence):
+                if aborted or (paused and not man.resume):
+                    aborted = True
+                    outcomes.append(
+                        ManeuverOutcome(
+                            index=i, kind=man.kind, outcome="skipped", ticks=0,
+                            settle_time=float("nan"), final_pos_err=float("nan"),
+                            final_ori_err=float("nan"), end_mode="", note=man.note,
+                        )
+                    )
+                    continue
+                paused = False
+                state, out = run_maneuver(
+                    state, man, mode, mc,
+                    net, log, i, fault_by_index.get(i), tick,
                 )
-            )
-            continue
-        paused = False
-        state, out = run_maneuver(
-            state, man, mode, mc,
-            net, log, i, fault_by_index.get(i), tick,
-        )
-        tick += out.ticks
-        outcomes.append(out)
-        if out.outcome == "fallback_triggered":
-            paused = True
-    return MissionResult(outcomes, log)
+                tick += out.ticks
+                outcomes.append(out)
+                if out.outcome == "fallback_triggered":
+                    paused = True
+    except BaseException:
+        os.remove(log_path)
+        raise
+    return outcomes
 
 
 @dataclass
@@ -593,9 +563,10 @@ class ManeuverMetrics:
 
 
 def metrics_from_log(
-    log: TrajectoryLog, pos_tol: float, ori_tol: float, dt: float
+    num: np.ndarray, pos_tol: float, ori_tol: float, dt: float
 ) -> ManeuverMetrics:
-    """Scalar maneuver metrics from the log of one maneuver. Its entry is
+    """Scalar maneuver metrics from the (n, 32) numeric columns of one
+    maneuver's log, as `read_log` gives them. Its entry is
     the first logged position, and its commanded displacement the first
     logged position error (goal - entry).
 
@@ -606,9 +577,8 @@ def metrics_from_log(
     the maneuver commands none). Each row's post-clamp wrench is taken to
     act for one dt when integrating control effort.
     """
-    if len(log) == 0:
+    if len(num) == 0:
         raise ValueError("empty log")
-    num = log.numeric()
     t = num[:, 0]
     pos = num[:, 1:4]
     pos_err = num[:, 26:29]
@@ -653,13 +623,33 @@ def metrics_from_log(
     )
 
 
+def read_log(path) -> np.ndarray:
+    """The 32 numeric columns of the trajectory CSV at `path`, as an (n, 32)
+    float64 array in schema order. Rejects another header and a time that
+    does not strictly increase."""
+    with open(path, newline="") as f:
+        if f.readline().rstrip("\r\n").split(",") != LOG_COLUMNS:
+            raise ValueError(f"{path}: unexpected trajectory log header")
+        num = np.loadtxt(f, delimiter=",", usecols=range(32), ndmin=2)
+    t = num[:, 0]
+    k = np.flatnonzero(~(np.diff(t) > 0))
+    if k.size:
+        raise ValueError(f"{path}: log time must strictly increase: {t[k[0] + 1]} after {t[k[0]]}")
+    return num
+
+
 def run_compare(
-    maneuver: Maneuver, mc: MissionConfig, net: PolicyNet
-) -> tuple[TrajectoryLog, TrajectoryLog, ManeuverMetrics, ManeuverMetrics]:
-    """Fly one maneuver as a one-maneuver sequence twice, policy vs PD:
-    (policy log, PD log, policy metrics, PD metrics)."""
-    log_rl = run_sequence([maneuver], ControlMode.RL_POLICY, mc, net).log
-    log_pd = run_sequence([maneuver], ControlMode.BASELINE, mc).log
+    maneuver: Maneuver, mc: MissionConfig, net: PolicyNet, out_dir
+) -> tuple[np.ndarray, np.ndarray, ManeuverMetrics, ManeuverMetrics]:
+    """Fly one maneuver as a one-maneuver sequence twice, policy vs PD, into
+    `rl_trajectory.csv` and `baseline_trajectory.csv` in `out_dir`: (policy
+    log, PD log, policy metrics, PD metrics), each log as `read_log` reads
+    its file back."""
+    rl_path = os.path.join(out_dir, "rl_trajectory.csv")
+    pd_path = os.path.join(out_dir, "baseline_trajectory.csv")
+    run_sequence([maneuver], ControlMode.RL_POLICY, mc, net, [], rl_path)
+    run_sequence([maneuver], ControlMode.BASELINE, mc, None, [], pd_path)
+    log_rl, log_pd = read_log(rl_path), read_log(pd_path)
     env = mc.env
     tols = (env.success_pos_tol, env.success_ori_tol, env.dt)
     return log_rl, log_pd, metrics_from_log(log_rl, *tols), metrics_from_log(log_pd, *tols)

@@ -28,8 +28,10 @@ from apiary.mission import (
     MissionConfig,
     parse_faults_file,
     parse_sequence_file,
+    read_log,
     run_sequence,
 )
+from flight import column, columns, labels
 from float_state import body_args, momentum, state
 
 ASSETS = Path(__file__).resolve().parent.parent / "assets"
@@ -236,13 +238,13 @@ def test_gae_matches_discounted_sums():
 # ---------------------------------------------------------------- gate 05
 
 
-def test_pd_completes_undock_translation():
+def test_pd_completes_undock_translation(tmp_path):
     cfg = load_config()
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     man = Maneuver("translate", 0, 0.5, 30.0)
-    res = run_sequence([man], ControlMode.BASELINE, mc)
-    log, (outcome,) = res.log, res.outcomes
-    cross = float(np.max(np.hypot(log.column("py"), log.column("pz"))))
+    (outcome,) = run_sequence([man], ControlMode.BASELINE, mc, None, [], tmp_path / "traj.csv")
+    log = read_log(tmp_path / "traj.csv")
+    cross = float(np.max(np.hypot(column(log, "py"), column(log, "pz"))))
     ori_deg = np.rad2deg(outcome.final_ori_err)
     ok = (
         outcome.ticks == 1875
@@ -325,24 +327,26 @@ def test_mass_randomization_improves_robustness(default_training, norand_trainin
 # ---------------------------------------------------------------- gate 08
 
 
-def test_stock_sequence_replay_and_fault_recovery():
+def test_stock_sequence_replay_and_fault_recovery(tmp_path):
     cfg = load_config()
     mc = MissionConfig(cfg.env, cfg.safety, cfg.gains)
     net, _ = load_policy(ASSETS / "reference_policy.ckpt")
     seq = parse_sequence_file(ASSETS / "stock_sequence.txt")
 
-    clean = run_sequence(seq, ControlMode.RL_POLICY, mc, net=net)
-    clean_ok = all(o.outcome == "success" for o in clean.outcomes)
+    clean = run_sequence(seq, ControlMode.RL_POLICY, mc, net, [], tmp_path / "clean.csv")
+    clean_ok = all(o.outcome == "success" for o in clean)
 
     faults = parse_faults_file(ASSETS / "dock_fault.txt")
-    faulted = run_sequence(seq, ControlMode.RL_POLICY, mc, net=net, faults=faults)
-    outs = [o.outcome for o in faulted.outcomes]
+    path = tmp_path / "faulted.csv"
+    faulted = run_sequence(seq, ControlMode.RL_POLICY, mc, net, faults, path)
+    outs = [o.outcome for o in faulted]
     pattern_ok = outs == ["success"] * 5 + ["fallback_triggered", "success", "success"]
 
     # speed must fall under 0.01 m/s within 10 s (625 ticks) of the trip
-    sel = faulted.log.column("maneuver") == 5
-    modes = faulted.log.column("mode")[sel]
-    speed = np.linalg.norm(faulted.log.columns(["vx", "vy", "vz"])[sel], axis=1)
+    modes, maneuvers = map(np.array, labels(path))
+    sel = maneuvers == 5
+    modes = modes[sel]
+    speed = np.linalg.norm(columns(read_log(path), ["vx", "vy", "vz"])[sel], axis=1)
     fb = np.nonzero(modes == ControlMode.HOLD_FALLBACK.value)[0]
     if len(fb):
         window = speed[int(fb[0]) : int(fb[0]) + 626]

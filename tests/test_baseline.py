@@ -7,8 +7,8 @@ import pytest
 from apiary import math3d as m3
 from apiary.actuation import ActuationLimits, clamp_axes
 from apiary.baseline import PdGains, pd_wrench_f
-from apiary.mission import ControlMode, Maneuver, MissionConfig, TrajectoryLog
-from flight import fly
+from apiary.mission import ControlMode, Maneuver, MissionConfig, read_log
+from flight import column, fly
 from float_state import state
 
 DT = 0.016
@@ -82,19 +82,19 @@ def test_limits_clamp_magnitude():
     assert m3.vec_norm_f(clamped_torque) == pytest.approx(lim.tau_max)
 
 
-def fly_baseline(start, maneuver):
-    """Fly one maneuver under the PD baseline; (final state, outcome, log)."""
-    log = TrajectoryLog()
-    final, out = fly(start, maneuver, ControlMode.BASELINE, MissionConfig(), log=log)
-    return final, out, log
+def fly_baseline(start, maneuver, log_path=None):
+    """Fly one maneuver under the PD baseline, logged to `log_path` when
+    given; (final state, outcome)."""
+    return fly(start, maneuver, ControlMode.BASELINE, MissionConfig(), log_path=log_path)
 
 
-def test_translation_settles_without_overshoot():
-    (pos, _, lv, _), out, log = fly_baseline(state(), Maneuver("translate", 0, 0.5, timeout=30.0))
+def test_translation_settles_without_overshoot(tmp_path):
+    path = tmp_path / "log.csv"
+    (pos, _, lv, _), out = fly_baseline(state(), Maneuver("translate", 0, 0.5, timeout=30.0), path)
     assert out.outcome == "success"
     assert abs(pos[0] - 0.5) < 0.01
     assert m3.vec_norm_f(lv) < 0.005
-    max_x = max(float(log.column("px").max()), pos[0])
+    max_x = max(float(column(read_log(path), "px").max()), pos[0])
     assert max_x < 0.505, "critically damped loop must not overshoot"
     np.testing.assert_allclose(pos[1:], [0.0, 0.0], atol=1e-12)
 
@@ -106,7 +106,7 @@ def test_translation_settles_without_overshoot():
 
 def test_hold_pose_captures_drift():
     # 5 cm/s drift must be brought under 5 mm/s in 10 s
-    (pos, _, lv, _), _, _ = fly_baseline(state(lv=[0.05, 0.0, 0.0]), Maneuver("dock", timeout=10.0))
+    (pos, _, lv, _), _ = fly_baseline(state(lv=[0.05, 0.0, 0.0]), Maneuver("dock", timeout=10.0))
     assert m3.vec_norm_f(lv) < 0.005
     assert m3.vec_norm_f(pos) < 0.1  # stays near the captured pose
 
@@ -114,6 +114,6 @@ def test_hold_pose_captures_drift():
 def test_hold_pose_arrests_rotation():
     start = state(av=[0.0, 0.0, 0.2])
     # int(15 s / DT) = 937 ticks; a 15.0 s timeout would round to 938
-    (_, att, _, av), _, _ = fly_baseline(start, Maneuver("dock", timeout=937 * DT))
+    (_, att, _, av), _ = fly_baseline(start, Maneuver("dock", timeout=937 * DT))
     assert m3.vec_norm_f(av) < 0.01
     assert m3.vec_norm_f(m3.quat_error_f(start[1], att)) < 0.05

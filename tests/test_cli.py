@@ -3,6 +3,7 @@
 import csv
 import importlib
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from apiary.config import load_config, set_value
 from apiary.env import ORI_ERR, POS_ERR, BatchEnv
 from apiary.learn.checkpoint import load_policy, save_policy
 from apiary.learn.nets import PolicyNet, mlp_init, policy_mean
-from apiary.mission import ControlMode, TrajectoryLog
+from apiary.mission import LOG_HEADER, ControlMode, log_line, read_log
+from flight import column, columns
 
 # the package's `train` name is the function; this is its module
 train_module = importlib.import_module("apiary.learn.train")
@@ -144,8 +146,7 @@ def test_eval_writes_outputs(workspace, capsys):
     assert (out / "config.ini").exists()
     log_files = sorted(logs.glob("episode_*.csv"))
     assert len(log_files) == 4
-    back = TrajectoryLog.read_csv(log_files[0])
-    assert len(back) > 0
+    assert len(read_log(log_files[0])) > 0
 
 
 def test_eval_worker_count_equivalence(workspace):
@@ -173,9 +174,9 @@ def test_eval_logs_independent_of_workers(workspace):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
-def _row_by_row_eval_logs(episodes: int, seed: int) -> list[TrajectoryLog]:
-    """Eval trajectories of the reference policy, stepped like the eval loop
-    and logged one TrajectoryLog.append per live env per tick."""
+def _row_by_row_eval_logs(episodes: int, seed: int) -> list[list[list[float]]]:
+    """Eval trajectories of the reference policy, stepped like the eval loop,
+    as one numeric row per live env per tick, built from that env's state."""
     cfg = set_value(load_config(RECIPE), "env", "scenario", "iss6dof")
     env = cfg.env
     net, _ = load_policy(REFERENCE_CKPT)
@@ -183,7 +184,7 @@ def _row_by_row_eval_logs(episodes: int, seed: int) -> list[TrajectoryLog]:
         episodes, env, cfg.reward, auto_reset=False,
         episode_seeds=[[seed, k] for k in range(episodes)],
     )
-    logs = [TrajectoryLog() for _ in range(episodes)]
+    logs = [[] for _ in range(episodes)]
     f_max, tau_max = env.limits.f_max, env.limits.tau_max
     for t in range(env.episode_len):
         if benv.all_frozen():
@@ -197,7 +198,7 @@ def _row_by_row_eval_logs(episodes: int, seed: int) -> list[TrajectoryLog]:
                  a[i, :3] * f_max, a[i, 3:] * tau_max, c[i, :3] * f_max, c[i, 3:] * tau_max,
                  obs[i, POS_ERR], obs[i, ORI_ERR])
             )
-            logs[i].append(row.tolist(), ControlMode.RL_POLICY, int(i))
+            logs[i].append(row.tolist())
         benv.step(a)
     return logs
 
@@ -213,10 +214,10 @@ def test_eval_logs_match_row_by_row_oracle(tmp_path):
     # episodes of different lengths, so rows past an episode's end are exercised
     assert len({len(log) for log in oracle}) > 1
     assert sorted(p.name for p in logs.iterdir()) == [f"episode_{i:04d}.csv" for i in range(3)]
-    for i, log in enumerate(oracle):
-        want = tmp_path / f"oracle_{i}.csv"
-        log.write_csv(want)
-        assert (logs / f"episode_{i:04d}.csv").read_bytes() == want.read_bytes(), i
+    mode = ControlMode.RL_POLICY.value
+    for i, rows in enumerate(oracle):
+        want = LOG_HEADER + "".join(log_line(row, mode, i) for row in rows)
+        assert (logs / f"episode_{i:04d}.csv").read_bytes() == want.encode(), i
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -246,16 +247,20 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
     logs = tmp_path / "logs"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(args + ["--logs", str(logs)])
     assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    # the row set non-finite is the first of the second chunk still running
+    bad = next(i for i in range(3) if steps[3 + i] > fail_tick)
+    assert capsys.readouterr().err == f"numerical failure: env {bad}: state went non-finite\n"
     # the first chunk and the episodes of the second that finished in time
     kept = [k for k in range(6) if k < 3 or steps[k] <= fail_tick]
     assert sorted(p.name for p in logs.iterdir()) == [f"episode_{k:04d}.csv" for k in kept]
     for k in kept:
         path = logs / f"episode_{k:04d}.csv"
-        assert len(TrajectoryLog.read_csv(path)) == steps[k]
+        assert len(read_log(path)) == steps[k]
         assert path.read_bytes() == (clean / "logs" / path.name).read_bytes()
 
 
@@ -273,11 +278,13 @@ def test_eval_non_finite_angular_rate_exits_2(tmp_path, capsys, monkeypatch, rat
             return super().step(actions)
 
     monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["eval", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT),
                    "--scenario", "iss6dof", "--episodes", "3", "--seed", "2",
                    "--logs", str(tmp_path / "logs")])
     assert rc == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err == "numerical failure: angular rate went non-finite during step\n"
     assert list((tmp_path / "logs").iterdir()) == []
@@ -472,8 +479,7 @@ def test_replay_sequence(workspace, capsys, tmp_path):
     outcomes = (out / "outcomes.csv").read_text().splitlines()
     assert outcomes[0].startswith("item,kind,outcome")
     assert len(outcomes) == 3
-    log = TrajectoryLog.read_csv(out / "trajectory.csv")
-    assert len(log) == 2 * int(round(2.0 / 0.016))
+    assert len(read_log(out / "trajectory.csv")) == 2 * int(round(2.0 / 0.016))
 
 
 def test_replay_with_faults(workspace, capsys, tmp_path):
@@ -490,6 +496,38 @@ def test_replay_with_faults(workspace, capsys, tmp_path):
     stdout = capsys.readouterr().out
     assert "fallback_triggered" in stdout
     assert "skipped" in stdout
+
+
+def test_replay_stock_sequence_on_granite_table(tmp_path, capsys):
+    # the ground stage: every stock maneuver is planar, so all fly
+    ini = tmp_path / "granite.ini"
+    ini.write_text("[env]\nscenario = granite3dof\n")
+    out = tmp_path / "out"
+    rc = main(["replay", "--config", str(ini), "--ckpt", str(REFERENCE_CKPT),
+               "--sequence", str(ASSETS / "stock_sequence.txt"), "--out", str(out)])
+    assert rc == 0
+    assert "8/8 maneuvers succeeded" in capsys.readouterr().out
+    log = read_log(out / "trajectory.csv")
+    for name in ("pz", "qx", "qy"):
+        assert not np.any(column(log, name)), name
+
+
+def test_replay_rejects_pinned_axis_before_flying(tmp_path, capsys):
+    ini = tmp_path / "granite.ini"
+    ini.write_text("[env]\nscenario = granite3dof\n")
+    seq = tmp_path / "seq.txt"
+    seq.write_text("translate y -0.2 10\nrotate x -30 10 resume\ndock 20\n")
+    out = tmp_path / "out"
+    rc = main(["replay", "--config", str(ini), "--ckpt", str(REFERENCE_CKPT),
+               "--sequence", str(seq), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == MISMATCH + (
+        "error: maneuver index 1 (item 2): rotate asks for rotation about x, "
+        "which the DOF mask pins\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -532,13 +570,32 @@ def test_replay_divergence_exits_2(workspace, capsys, tmp_path):
     cfg.write_text("[body]\nmass = 1e-320\n")
     seq = tmp_path / "seq.txt"
     seq.write_text("translate x 0.5 2\n")
+    out = tmp_path / "out"
     with np.errstate(all="ignore"):
         rc = main(
             ["replay", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
-             "--sequence", str(seq), "--out", str(tmp_path / "out")]
+             "--sequence", str(seq), "--out", str(out)]
         )
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+    # the flight had written rows before it diverged; the partial log is gone
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_compare_divergence_exits_2(workspace, capsys, tmp_path):
+    cfg = tmp_path / "light.ini"
+    cfg.write_text("[body]\nmass = 1e-320\n")
+    out = tmp_path / "out"
+    rc = main(
+        ["compare", "--config", str(cfg), "--ckpt", str(workspace["ckpt"]),
+         "--maneuver", "translate:x:0.5:2", "--out", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        MISMATCH + "numerical failure: state went non-finite during step\n"
+    )
+    assert not (out / "rl_trajectory.csv").exists()
+    assert not (out / "baseline_trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "compare", "replay"])
@@ -686,9 +743,9 @@ def test_compare_flies_the_config_vehicle(tmp_path):
     rc = main(["compare", "--config", str(ini), "--ckpt", str(REFERENCE_CKPT),
                "--maneuver", "translate:x:0.5:5", "--out", str(out)])
     assert rc == 0
-    log = TrajectoryLog.read_csv(out / "baseline_trajectory.csv")
-    t = log.column("t")
+    log = read_log(out / "baseline_trajectory.csv")
+    t = column(log, "t")
     assert len(t) == 250
     np.testing.assert_array_equal(t, np.arange(250) * 0.02)
-    applied = np.abs(log.columns(["Fcx", "Fcy", "Fcz"]))
+    applied = np.abs(columns(log, ["Fcx", "Fcy", "Fcz"]))
     assert applied.max() == 0.2 and np.all(applied <= 0.2)

@@ -58,7 +58,8 @@ from apiary.learn.ppo import (
     ppo_update,
 )
 from apiary.learn.train import EVAL_CHUNK
-from apiary.mission import TrajectoryLog
+from apiary.mission import read_log
+from flight import column, labels
 
 # the package's `train` name is the function; this is its module
 train_module = importlib.import_module("apiary.learn.train")
@@ -806,11 +807,11 @@ def test_evaluate_policy_validation_and_logs(tmp_path):
     r = evaluate_policy(net, cfg, RewardWeights(), 3, seed=1, logs_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"episode_{k:04d}.csv" for k in range(3)]
     for k, rec in enumerate(r.episodes):
-        log = TrajectoryLog.read_csv(tmp_path / f"episode_{k:04d}.csv")
+        path = tmp_path / f"episode_{k:04d}.csv"
+        log = read_log(path)
         assert len(log) == rec["steps"]
-        assert log.column("t")[0] == 0.0
-        np.testing.assert_array_equal(log.column("mode"), ["rl_policy"] * len(log))
-        np.testing.assert_array_equal(log.column("maneuver"), [k] * len(log))
+        assert column(log, "t")[0] == 0.0
+        assert labels(path) == (["rl_policy"] * len(log), [k] * len(log))
 
 
 def _eval_peak_bytes(net, episode_len: int, logs_dir) -> int:
@@ -838,7 +839,7 @@ def test_evaluate_policy_log_memory_independent_of_episode_len(tmp_path):
     short = _eval_peak_bytes(net, 200, tmp_path / "short")
     long = _eval_peak_bytes(net, 800, tmp_path / "long")
     assert abs(long - short) < 1_000_000, (short, long)
-    assert len(TrajectoryLog.read_csv(tmp_path / "long" / "episode_0015.csv")) == 800
+    assert len(read_log(tmp_path / "long" / "episode_0015.csv")) == 800
 
 
 def test_evaluate_policy_logs_span_chunks_and_workers(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Sequencer, safety monitor, trajectory log, metrics and parser tests."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from apiary import math3d as m3
 from apiary.actuation import ActuationLimits
 from apiary.baseline import PdGains
-from apiary.dynamics import SimulationDivergedError, step_arrays
+from apiary.dynamics import GRANITE_3DOF, BodyParams, SimulationDivergedError, step_arrays
 from apiary.env import ORI_ERR, POS_ERR, EnvConfig, obs_norms, observe_arrays
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init, policy_mean
@@ -28,7 +29,6 @@ from apiary.mission import (
     ManeuverMetrics,
     MissionConfig,
     SafetyThresholds,
-    TrajectoryLog,
     goal_for_maneuver,
     log_line,
     metrics_from_log,
@@ -36,11 +36,12 @@ from apiary.mission import (
     parse_maneuver_spec,
     parse_maneuver_tokens,
     parse_sequence_file,
+    read_log,
     run_compare,
     run_sequence,
     safety_check,
 )
-from flight import fly
+from flight import column, columns, fly, labels
 from float_state import state
 
 DT = 0.016
@@ -293,62 +294,64 @@ def log_row(t, s=None, commanded=NO_WRENCH, applied=NO_WRENCH, pos_err=(0, 0, 0)
     return np.concatenate(([t], *(s or state()), commanded, applied, pos_err, ori_err))
 
 
-def make_log_rows(log, n=3):
-    for k in range(n):
-        log.append(
-            log_row(
-                k * DT,
-                state(pos=[0.1 * k, 0, 0]),
-                [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
-                [0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
-                m3.vec3(1.0 - 0.1 * k, 0, 0),
-            ),
-            ControlMode.BASELINE,
-            0,
+def make_log_rows(n=3):
+    """n rows of a flight along x, in schema order."""
+    return np.array([
+        log_row(
+            k * DT,
+            state(pos=[0.1 * k, 0, 0]),
+            [0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.4, 0.0, 0.0, 0.0, 0.0, 0.0],
+            m3.vec3(1.0 - 0.1 * k, 0, 0),
         )
+        for k in range(n)
+    ])
 
 
-def test_log_schema_and_columns():
-    log = TrajectoryLog()
-    make_log_rows(log)
-    assert len(log) == 3
-    assert log.numeric().shape == (3, 32)
-    np.testing.assert_array_equal(log.column("t"), [0.0, DT, 2 * DT])
-    np.testing.assert_array_equal(log.column("px"), [0.0, 0.1, 0.2])
-    np.testing.assert_array_equal(log.column("Fcx"), [0.4, 0.4, 0.4])
-    np.testing.assert_array_equal(log.column("mode"), ["baseline"] * 3)
-    np.testing.assert_array_equal(log.column("maneuver"), [0, 0, 0])
+def write_log(path, rows, row_labels=None):
+    """`LOG_HEADER`, then a `log_line` per row, as a flight writes them;
+    each row's (mode, maneuver) is ("baseline", 0) unless given."""
+    row_labels = row_labels or [("baseline", 0)] * len(rows)
+    path.write_text(
+        LOG_HEADER + "".join(log_line(r, *lab) for r, lab in zip(rows.tolist(), row_labels)),
+        newline="",
+    )
+    return path
+
+
+def test_log_schema_and_columns(tmp_path):
+    path = write_log(tmp_path / "log.csv", make_log_rows(), [("baseline", 2)] * 3)
+    num = read_log(path)
+    assert num.shape == (3, 32) and num.dtype == np.float64
+    np.testing.assert_array_equal(column(num, "t"), [0.0, DT, 2 * DT])
+    np.testing.assert_array_equal(column(num, "px"), [0.0, 0.1, 0.2])
+    np.testing.assert_array_equal(column(num, "Fcx"), [0.4, 0.4, 0.4])
+    assert labels(path) == (["baseline"] * 3, [2, 2, 2])
     assert len(LOG_COLUMNS) == 34
 
 
-def test_log_requires_increasing_time():
-    log = TrajectoryLog()
-    make_log_rows(log, 2)
-    with pytest.raises(ValueError, match="strictly increase"):
-        log.append(log_row(DT), ControlMode.BASELINE, 0)
-    with pytest.raises(ValueError, match="32 numeric columns"):
-        log.append([3 * DT], ControlMode.BASELINE, 0)
-    assert len(log) == 2
+def test_log_requires_increasing_time(tmp_path):
+    # a time that repeats, falls back or is NaN
+    rows = np.zeros((3, 32))
+    for t in ([0.0, DT, DT], [0.0, 2 * DT, DT], [0.0, np.nan, 2 * DT]):
+        rows[:, 0] = t
+        with pytest.raises(ValueError, match="strictly increase"):
+            read_log(write_log(tmp_path / "log.csv", rows))
 
 
 def test_log_csv_round_trip(tmp_path):
-    log = TrajectoryLog()
-    make_log_rows(log, 5)
-    path = tmp_path / "traj.csv"
-    log.write_csv(path)
-    back = TrajectoryLog.read_csv(path)
-    np.testing.assert_array_equal(back.numeric(), log.numeric())
-    np.testing.assert_array_equal(back.column("mode"), log.column("mode"))
-    np.testing.assert_array_equal(back.column("maneuver"), log.column("maneuver"))
+    rows = make_log_rows(5)
+    path = write_log(tmp_path / "traj.csv", rows)
+    assert read_log(path).tobytes() == rows.tobytes()
+    assert labels(path) == (["baseline"] * 5, [0] * 5)
 
 
-def _csv_module_bytes(log, path):
+def _csv_module_bytes(rows, row_labels, path):
     """The trajectory CSV as the csv module writes it, repr for every float."""
-    num = log.numeric().tolist()
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(LOG_COLUMNS)
-        for row, mode, man in zip(num, log.column("mode"), log.column("maneuver")):
+        for row, (mode, man) in zip(rows.tolist(), row_labels):
             w.writerow([repr(v) for v in row] + [str(mode), int(man)])
     return path.read_bytes()
 
@@ -358,83 +361,43 @@ def test_log_csv_bytes_survive_round_trip(tmp_path):
     rows[:, 0] = [0.0, DT, 2 * DT, 3 * DT]
     rows[0, 1], rows[1, 2], rows[2, 3], rows[3, 4] = np.nan, np.inf, -np.inf, -0.0
     rows[1, 31] = 1e-300
-    log = TrajectoryLog()
-    for k, mode, man in ((0, ControlMode.RL_POLICY, 3), (1, ControlMode.RL_POLICY, 3),
-                         (2, ControlMode.HOLD_FALLBACK, 6), (3, ControlMode.BASELINE, 7)):
-        log.append(rows[k].tolist(), mode, man)
-    first = tmp_path / "a.csv"
-    log.write_csv(first)
+    row_labels = [("rl_policy", 3), ("rl_policy", 3), ("hold_fallback", 6), ("baseline", 7)]
+    first = write_log(tmp_path / "a.csv", rows, row_labels)
     data = first.read_bytes()
-    assert data == _csv_module_bytes(log, tmp_path / "oracle.csv")
+    assert data == _csv_module_bytes(rows, row_labels, tmp_path / "oracle.csv")
     assert b"\r\n" in data and b'"' not in data
     assert b",nan," in data and b",inf," in data and b",-inf," in data and b",-0.0," in data
-    back = TrajectoryLog.read_csv(first)
-    np.testing.assert_array_equal(back.column("mode"), ["rl_policy"] * 2 + ["hold_fallback", "baseline"])
-    np.testing.assert_array_equal(back.column("maneuver"), [3, 3, 6, 7])
-    second = tmp_path / "b.csv"
-    back.write_csv(second)
+    back = read_log(first)
+    assert back.tobytes() == rows.tobytes()
+    modes, maneuvers = labels(first)
+    assert modes == ["rl_policy"] * 2 + ["hold_fallback", "baseline"]
+    assert maneuvers == [3, 3, 6, 7]
+    second = write_log(tmp_path / "b.csv", back, list(zip(modes, maneuvers)))
     assert second.read_bytes() == data
-
-
-def _write_log_text(path, rows, mode="rl_policy", maneuver=0):
-    """A log file in the shared row format, without `append`'s checks."""
-    path.write_text(
-        LOG_HEADER + "".join(log_line(row, mode, maneuver) for row in rows.tolist()),
-        newline="",
-    )
-    return path
-
-
-def test_log_read_csv_rejects_non_increasing_time(tmp_path):
-    rows = np.zeros((3, 32))
-    for t in ([0.0, DT, DT], [0.0, 2 * DT, DT], [0.0, np.nan, 2 * DT]):
-        rows[:, 0] = t
-        with pytest.raises(ValueError, match="strictly increase"):
-            TrajectoryLog.read_csv(_write_log_text(tmp_path / "log.csv", rows))
-
-
-def test_log_read_csv_reads_and_grows(tmp_path):
-    rows = np.zeros((2, 32))
-    rows[:, 0] = [0.0, DT]
-    rows[:, 1] = [0.5, 0.6]
-    log = TrajectoryLog.read_csv(_write_log_text(tmp_path / "log.csv", rows, "baseline", 2))
-    assert len(log) == 2
-    np.testing.assert_array_equal(log.column("px"), [0.5, 0.6])
-    np.testing.assert_array_equal(log.column("mode"), ["baseline"] * 2)
-    np.testing.assert_array_equal(log.column("maneuver"), [2, 2])
-    with pytest.raises(ValueError):
-        log.numeric()[0, 0] = 1.0  # views are read-only
-    with pytest.raises(ValueError, match="strictly increase"):
-        make_log_rows(log, 1)  # t = 0.0 after DT
-    for k in range(2, 200):
-        log.append(log_row(k * DT), ControlMode.BASELINE, 2)
-    assert log.numeric().shape == (200, 32)
-    np.testing.assert_array_equal(log.column("t")[:3], [0.0, DT, 2 * DT])
-    np.testing.assert_array_equal(rows[:, 1], [0.5, 0.6])
 
 
 def test_log_csv_rejects_other_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
-        TrajectoryLog.read_csv(path)
+        read_log(path)
 
 
 # ------------------------------------------------------------- maneuvers
 
 
-def test_run_maneuver_validation():
+def test_run_maneuver_validation(tmp_path):
     mc = MissionConfig()
     with pytest.raises(ValueError, match="RL_POLICY or BASELINE"):
         fly(state(), Maneuver("dock"), ControlMode.HOLD_FALLBACK, mc)
     with pytest.raises(ValueError, match="policy"):
         fly(state(), Maneuver("dock"), ControlMode.RL_POLICY, mc)
     # a timeout under half a tick runs no ticks: rejected before anything is logged
-    log = TrajectoryLog()
+    path = tmp_path / "log.csv"
     with pytest.raises(ValueError, match=r"maneuver index 3: timeout 0.001 s .* dt 0.016 s"):
         fly(state(), Maneuver("translate", 0, 0.5, timeout=0.001),
-            ControlMode.BASELINE, mc, log=log, maneuver_index=3)
-    assert len(log) == 0
+            ControlMode.BASELINE, mc, log_path=path, maneuver_index=3)
+    assert path.read_bytes() == LOG_HEADER.encode()
     assert fly(state(), Maneuver("dock", timeout=0.01), ControlMode.BASELINE, mc)[1].ticks == 1
     # a state that overflows during propagation stops the flight
     fast = state(pos=[1.79e308, 0, 0], lv=[1e308, 0, 0])
@@ -442,69 +405,69 @@ def test_run_maneuver_validation():
         fly(fast, Maneuver("dock"), ControlMode.BASELINE, mc)
 
 
-def test_pd_translate_full_timeout_and_log_consistency():
+def test_pd_translate_full_timeout_and_log_consistency(tmp_path):
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.5, timeout=30.0)
-    log = TrajectoryLog()
-    _, out = fly(state(), man, ControlMode.BASELINE, mc, log=log)
+    path = tmp_path / "log.csv"
+    _, out = fly(state(), man, ControlMode.BASELINE, mc, log_path=path)
+    num = read_log(path)  # rejects a time that does not strictly increase
     assert out.outcome == "success"
-    assert out.ticks == int(round(30.0 / DT)) == len(log)
+    assert out.ticks == int(round(30.0 / DT)) == len(num)
     assert out.final_pos_err < 0.01
     assert out.final_ori_err < np.deg2rad(0.5)
     assert np.isfinite(out.settle_time) and 0.0 < out.settle_time < 30.0
-    num = log.numeric()
     # logged error columns recompute exactly from logged state and the goal
-    px = log.column("px")
-    epx = log.column("epx")
+    px = column(num, "px")
+    epx = column(num, "epx")
     np.testing.assert_allclose(px + epx, 0.5, atol=1e-12)
     # pure x maneuver: no cross-axis motion at all
-    np.testing.assert_array_equal(log.column("py"), np.zeros(out.ticks))
-    np.testing.assert_array_equal(log.column("pz"), np.zeros(out.ticks))
-    np.testing.assert_array_equal(log.column("mode"), ["baseline"] * out.ticks)
-    assert np.all(np.diff(num[:, 0]) > 0)
+    np.testing.assert_array_equal(column(num, "py"), np.zeros(out.ticks))
+    np.testing.assert_array_equal(column(num, "pz"), np.zeros(out.ticks))
+    assert labels(path) == (["baseline"] * out.ticks, [0] * out.ticks)
 
 
-def test_fault_trips_monitor_on_exact_tick():
+def test_fault_trips_monitor_on_exact_tick(tmp_path):
     mc = MissionConfig()
     # goal equals entry, so the monitor arms on the first tick; the fault
     # then pushes measured position past the envelope at tick 10
     man = Maneuver("translate", 0, 0.0, timeout=5.0)
     fault = FaultSpec(0, 10, m3.vec3(0.5, 0.0, 0.0))
-    log = TrajectoryLog()
-    _, out = fly(state(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log=log, fault=fault)
+    path = tmp_path / "log.csv"
+    _, out = fly(state(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log_path=path,
+                 fault=fault)
     assert out.outcome == "fallback_triggered"
     assert out.end_mode == "hold_fallback"
-    modes = log.column("mode")
+    modes, _ = labels(path)
     trip_tick = 10 + mc.safety.trip_consecutive - 1
-    assert list(modes[:trip_tick]) == ["rl_policy"] * trip_tick
-    assert list(modes[trip_tick:]) == ["hold_fallback"] * (len(modes) - trip_tick)
+    assert modes[:trip_tick] == ["rl_policy"] * trip_tick
+    assert modes[trip_tick:] == ["hold_fallback"] * (len(modes) - trip_tick)
     # measured state is what gets logged: the offset appears at tick 10
-    px = log.column("px")
+    px = column(read_log(path), "px")
     assert abs(px[10] - px[9] - 0.5) < 0.01
 
 
-def test_fault_ignored_by_baseline_mode():
+def test_fault_ignored_by_baseline_mode(tmp_path):
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.0, timeout=5.0)
     fault = FaultSpec(0, 10, m3.vec3(0.5, 0.0, 0.0))
-    log = TrajectoryLog()
-    _, out = fly(state(), man, ControlMode.BASELINE, mc, log=log, fault=fault)
+    path = tmp_path / "log.csv"
+    _, out = fly(state(), man, ControlMode.BASELINE, mc, log_path=path, fault=fault)
     assert out.outcome != "fallback_triggered"
-    assert set(log.column("mode")) == {"baseline"}
+    assert set(labels(path)[0]) == {"baseline"}
 
 
-def test_monitor_stays_disarmed_outside_envelope():
+def test_monitor_stays_disarmed_outside_envelope(tmp_path):
     # a large commanded motion starts outside the envelope; an RL policy
     # that barely moves must time out rather than trip the monitor
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.5, timeout=2.0)
-    log = TrajectoryLog()
-    _, out = fly(state(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log=log)
+    path = tmp_path / "log.csv"
+    _, out = fly(state(), man, ControlMode.RL_POLICY, mc, net=tiny_net(), log_path=path)
     assert out.outcome == "timeout"
-    assert set(log.column("mode")) == {"rl_policy"}
+    assert set(labels(path)[0]) == {"rl_policy"}
 
 
-def test_flight_tick_computes_orientation_error_once(monkeypatch):
+def test_flight_tick_computes_orientation_error_once(monkeypatch, tmp_path):
     # the observation is the tick's only error computation: the policy,
     # the logged errors, the monitor and the success streak all read it.
     # The tick runs in Python floats, so it is the float kernel that counts.
@@ -523,13 +486,13 @@ def test_flight_tick_computes_orientation_error_once(monkeypatch):
     net, _ = load_policy(REFERENCE_CKPT)
     man = parse_sequence_file(STOCK_SEQUENCE)[0]
     assert man.kind == "translate"
-    log = TrajectoryLog()
-    _, out = fly(state(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log=log)
-    assert out.outcome == "success" and len(log) == out.ticks
+    path = tmp_path / "log.csv"
+    _, out = fly(state(), man, ControlMode.RL_POLICY, MissionConfig(), net=net, log_path=path)
+    assert out.outcome == "success" and len(read_log(path)) == out.ticks
     assert len(calls) <= out.ticks + 2
 
 
-def test_run_sequence_skips_after_fallback():
+def test_run_sequence_skips_after_fallback(tmp_path):
     mc = MissionConfig()
     seq = [
         Maneuver("translate", 0, 0.0, timeout=2.0),
@@ -537,14 +500,16 @@ def test_run_sequence_skips_after_fallback():
         Maneuver("translate", 0, 0.0, timeout=2.0),
     ]
     faults = [FaultSpec(0, 5, m3.vec3(0.5, 0, 0))]
-    res = run_sequence(seq, ControlMode.RL_POLICY, mc, net=tiny_net(), faults=faults)
-    assert [o.outcome for o in res.outcomes] == [
+    path = tmp_path / "traj.csv"
+    outcomes = run_sequence(seq, ControlMode.RL_POLICY, mc, tiny_net(), faults, path)
+    assert [o.outcome for o in outcomes] == [
         "fallback_triggered", "skipped", "skipped",
     ]
-    assert res.outcomes[1].ticks == 0 and res.outcomes[2].ticks == 0
+    assert outcomes[1].ticks == 0 and outcomes[2].ticks == 0
+    assert set(labels(path)[1]) == {0}
 
 
-def test_run_sequence_resume_flag_continues():
+def test_run_sequence_resume_flag_continues(tmp_path):
     mc = MissionConfig()
     seq = [
         Maneuver("translate", 0, 0.0, timeout=2.0),
@@ -552,13 +517,15 @@ def test_run_sequence_resume_flag_continues():
         Maneuver("translate", 0, 0.0, timeout=2.0),
     ]
     faults = [FaultSpec(0, 5, m3.vec3(0.5, 0, 0))]
-    res = run_sequence(seq, ControlMode.RL_POLICY, mc, net=tiny_net(), faults=faults)
-    assert res.outcomes[0].outcome == "fallback_triggered"
-    assert res.outcomes[1].outcome != "skipped"
-    assert res.outcomes[2].outcome != "skipped"
-    # log tick counter keeps increasing across maneuvers
-    t = res.log.column("t")
-    assert np.all(np.diff(t) > 0)
+    path = tmp_path / "traj.csv"
+    outcomes = run_sequence(seq, ControlMode.RL_POLICY, mc, tiny_net(), faults, path)
+    assert outcomes[0].outcome == "fallback_triggered"
+    assert outcomes[1].outcome != "skipped"
+    assert outcomes[2].outcome != "skipped"
+    # log tick counter keeps increasing across maneuvers (read_log checks it)
+    t = column(read_log(path), "t")
+    assert len(t) == 3 * 125 and t[-1] == (3 * 125 - 1) * DT
+    assert labels(path)[1] == [0] * 125 + [1] * 125 + [2] * 125
 
 
 @pytest.mark.parametrize(
@@ -572,41 +539,46 @@ def test_run_sequence_resume_flag_continues():
         ([FaultSpec(0, 125, m3.vec3(0.5, 0, 0))], r"maneuver index 0, tick 125: .*ticks 0\.\.124"),
     ],
 )
-def test_run_sequence_rejects_faults_that_never_fire(faults, message):
+def test_run_sequence_rejects_faults_that_never_fire(tmp_path, faults, message):
     mc = MissionConfig()
     seq = [Maneuver("translate", 0, 0.0, timeout=2.0)] * 2  # 125 ticks each
     with pytest.raises(ValueError, match=message):
-        run_sequence(seq, ControlMode.RL_POLICY, mc, net=tiny_net(), faults=faults)
+        run_sequence(seq, ControlMode.RL_POLICY, mc, tiny_net(), faults,
+                     tmp_path / "out" / "traj.csv")
+    assert not (tmp_path / "out").exists()
 
 
-def test_run_sequence_fault_on_last_tick_fires():
+def test_run_sequence_fault_on_last_tick_fires(tmp_path):
     mc = MissionConfig()
     seq = [Maneuver("translate", 0, 0.0, timeout=2.0)]
     fault = FaultSpec(0, 124, m3.vec3(0.5, 0, 0))
-    res = run_sequence(seq, ControlMode.RL_POLICY, mc, net=tiny_net(), faults=[fault])
-    np.testing.assert_allclose(res.log.column("epx")[-2:], [0.0, -0.5], atol=1e-3)
+    path = tmp_path / "traj.csv"
+    run_sequence(seq, ControlMode.RL_POLICY, mc, tiny_net(), [fault], path)
+    np.testing.assert_allclose(column(read_log(path), "epx")[-2:], [0.0, -0.5], atol=1e-3)
 
 
-def test_maneuver_tick_bound():
+def test_maneuver_tick_bound(tmp_path):
     # 4000 s is exactly MAX_MANEUVER_TICKS at 0.016 s: accepted, as the
     # fault check's tick range shows without flying it; one tick more is
     # rejected before the first maneuver flies
     mc = MissionConfig()
+    path = tmp_path / "out" / "traj.csv"
     assert round(4000.0 / DT) == MAX_MANEUVER_TICKS
     short = Maneuver("translate", 0, 0.0, timeout=2.0)
     fault = FaultSpec(1, MAX_MANEUVER_TICKS, m3.vec3(0.5, 0, 0))
     with pytest.raises(ValueError, match=r"index 1, tick 250000: .*ticks 0\.\.249999"):
         run_sequence([short, Maneuver("dock", timeout=4000.0)], ControlMode.BASELINE, mc,
-                     faults=[fault])
+                     None, [fault], path)
     too_long = Maneuver("dock", timeout=4000.0 + DT)
     message = r"maneuver index 1: timeout 4000.016 s is 250001 ticks .* more than the 250000"
     with pytest.raises(ValueError, match=message):
-        run_sequence([short, too_long], ControlMode.BASELINE, mc)
+        run_sequence([short, too_long], ControlMode.BASELINE, mc, None, [], path)
     with pytest.raises(ValueError, match="maneuver index 0: .* more than the 250000"):
         fly(state(), too_long, ControlMode.BASELINE, mc)
+    assert not (tmp_path / "out").exists()
 
 
-def test_run_sequence_dock_targets_entry_pose():
+def test_run_sequence_dock_targets_entry_pose(tmp_path):
     # the dock maneuver enters 0.2 m from the sequence entry (the origin)
     # and flies back to it, not to its own entry pose
     mc = MissionConfig()
@@ -614,19 +586,100 @@ def test_run_sequence_dock_targets_entry_pose():
         Maneuver("translate", 0, 0.2, timeout=20.0),
         Maneuver("dock", timeout=20.0),
     ]
-    res = run_sequence(seq, ControlMode.BASELINE, mc)
-    assert [o.outcome for o in res.outcomes] == ["success", "success"]
-    dock = res.log.column("maneuver") == 1
-    pos = res.log.columns(["px", "py", "pz"])[dock]
-    goal = pos + res.log.columns(["epx", "epy", "epz"])[dock]
+    path = tmp_path / "traj.csv"
+    outcomes = run_sequence(seq, ControlMode.BASELINE, mc, None, [], path)
+    assert [o.outcome for o in outcomes] == ["success", "success"]
+    num = read_log(path)
+    dock = np.array(labels(path)[1]) == 1
+    pos = columns(num, ["px", "py", "pz"])[dock]
+    goal = pos + columns(num, ["epx", "epy", "epz"])[dock]
     np.testing.assert_allclose(pos[0], [0.2, 0.0, 0.0], atol=0.01)
     np.testing.assert_allclose(goal, 0.0, atol=1e-12)
     np.testing.assert_allclose(pos[-1], np.zeros(3), atol=DOCK_POS_TOL)
 
 
-def test_run_sequence_rejects_empty():
+def test_run_sequence_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        run_sequence([], ControlMode.BASELINE, MissionConfig())
+        run_sequence([], ControlMode.BASELINE, MissionConfig(), None, [], tmp_path / "t.csv")
+
+
+GRANITE = MissionConfig(EnvConfig(mask=GRANITE_3DOF))
+
+
+@pytest.mark.parametrize(
+    "pinned, message",
+    [
+        (Maneuver("translate", 2, 0.1), "translate asks for translation along z"),
+        (Maneuver("translate", 2, -1e-300), "translate asks for translation along z"),
+        (Maneuver("rotate", 0, -0.5), "rotate asks for rotation about x"),
+        (Maneuver("rotate", 1, 0.2), "rotate asks for rotation about y"),
+        (Maneuver("goto_pose", pose=(0.1, 0.2, -0.1, 1.0, 0.0, 0.0, 0.0)),
+         "goto_pose asks for translation along z"),
+        (Maneuver("goto_pose", pose=(0.1, 0.2, 0.0, 0.9, 0.1, 0.0, 0.3)),
+         "goto_pose asks for rotation about x"),
+        (Maneuver("goto_pose", pose=(0.1, 0.2, 0.0, 0.9, 0.0, -0.2, 0.3)),
+         "goto_pose asks for rotation about y"),
+    ],
+)
+def test_run_sequence_rejects_goal_on_pinned_dof(tmp_path, pinned, message):
+    # under the granite mask (z, roll and pitch pinned) the goal is checked
+    # before anything flies, and the error names the maneuver and the axis
+    seq = [Maneuver("translate", 0, 0.1, timeout=1.0), pinned]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^maneuver index 1 \\(item 2\\): {message}, which"):
+        run_sequence(seq, ControlMode.BASELINE, GRANITE, None, [], out / "traj.csv")
+    assert not out.exists()
+
+
+def test_run_sequence_flies_planar_goals_under_granite_mask(tmp_path):
+    # zero steps on pinned axes, yaw, and a goto_pose whose attitude is
+    # pure yaw once normalized are all reachable on the table
+    seq = [
+        Maneuver("translate", 2, 0.0, timeout=0.5),
+        Maneuver("rotate", 0, -0.0, timeout=0.5),
+        Maneuver("rotate", 2, 0.3, timeout=0.5),
+        Maneuver("goto_pose", pose=(0.1, -0.2, 0.0, 2.0, 0.0, -0.0, 0.4), timeout=0.5),
+        Maneuver("dock_approach", timeout=0.5),
+    ]
+    path = tmp_path / "traj.csv"
+    outcomes = run_sequence(seq, ControlMode.BASELINE, GRANITE, None, [], path)
+    assert [o.ticks for o in outcomes] == [31] * 5
+    num = read_log(path)
+    for name in ("pz", "qx", "qy", "epz", "erx", "ery"):
+        assert not np.any(column(num, name)), name
+
+
+def _flight_peak_bytes(path, timeout: float) -> int:
+    """tracemalloc peak of a PD flight of one maneuver of `timeout` seconds."""
+    seq = [Maneuver("translate", 0, 0.2, timeout=timeout)]
+    tracemalloc.start()
+    try:
+        run_sequence(seq, ControlMode.BASELINE, MissionConfig(), None, [], path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_run_sequence_log_memory_independent_of_length(tmp_path):
+    # rows go to the file on the tick they are made, so a flight four
+    # times as long holds no more memory; 1,875 more rows of 32 float64
+    # would add 480 kB
+    short = _flight_peak_bytes(tmp_path / "short.csv", 10.0)
+    long = _flight_peak_bytes(tmp_path / "long.csv", 40.0)
+    assert abs(long - short) < 100_000, (short, long)
+    assert len(read_log(tmp_path / "long.csv")) == 2500
+
+
+def test_run_sequence_failure_leaves_no_log(tmp_path):
+    # a state that overflows on the second maneuver stops the flight after
+    # rows were written; the partial file is deleted
+    mc = MissionConfig(EnvConfig(body=BodyParams(mass=1e-320)))
+    seq = [Maneuver("translate", 0, 0.0, timeout=1.0), Maneuver("translate", 0, 0.5, timeout=1.0)]
+    path = tmp_path / "out" / "traj.csv"
+    with pytest.raises(SimulationDivergedError):
+        run_sequence(seq, ControlMode.BASELINE, mc, None, [], path)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ------------------------------------------------------------- metrics
@@ -634,25 +687,21 @@ def test_run_sequence_rejects_empty():
 
 def hand_log():
     """Three rows of a maneuver commanded from the origin to (1, 0, 0)."""
-    log = TrajectoryLog()
     rows = [
         (0.0, m3.vec3(0.0, 0.0, 0.0), m3.vec3(0.4, 0, 0)),
         (DT, m3.vec3(0.6, 0.2, 0.0), m3.vec3(0.2, 0, 0)),
         (2 * DT, m3.vec3(0.99, 0.0, 0.0), m3.vec3(0.0, 0, 0)),
     ]
-    for t, pos, fc in rows:
-        log.append(
-            log_row(
-                t,
-                state(pos=pos),
-                [*(fc * 2), 0.0, 0.0, 0.0],
-                [*fc, 0.0, 0.0, 0.0],
-                m3.vec3(1.0, 0, 0) - pos,
-            ),
-            ControlMode.BASELINE,
-            0,
+    return np.array([
+        log_row(
+            t,
+            state(pos=pos),
+            [*(fc * 2), 0.0, 0.0, 0.0],
+            [*fc, 0.0, 0.0, 0.0],
+            m3.vec3(1.0, 0, 0) - pos,
         )
-    return log
+        for t, pos, fc in rows
+    ])
 
 
 def test_metrics_hand_computed():
@@ -672,28 +721,29 @@ def test_metrics_hand_computed():
 def test_metrics_cross_axis_without_displacement():
     # zero commanded displacement (the first row's position error): the
     # excursion is the distance from the entry, the first row's position
-    log = TrajectoryLog()
     entry = m3.vec3(0.1, -0.2, 0.0)
-    for k, pos in enumerate([entry, entry + [0.0, 0.3, 0.4], entry]):
-        log.append(log_row(k * DT, state(pos=pos), pos_err=entry - pos), ControlMode.BASELINE, 0)
+    log = np.array([
+        log_row(k * DT, state(pos=pos), pos_err=entry - pos)
+        for k, pos in enumerate([entry, entry + [0.0, 0.3, 0.4], entry])
+    ])
     met = metrics_from_log(log, 0.05, 0.1, DT)
     assert met.max_cross_axis_excursion == pytest.approx(0.5)
 
 
 def test_metrics_empty_log_raises():
     with pytest.raises(ValueError, match="empty"):
-        metrics_from_log(TrajectoryLog(), 0.05, 0.1, DT)
+        metrics_from_log(np.empty((0, 32)), 0.05, 0.1, DT)
 
 
-def test_compare_identical_logs_zero_diff():
+def test_compare_identical_logs_zero_diff(tmp_path):
     # a policy whose mean is exactly zero and a PD law with zero gains both
     # command no wrench, so both flights stay at the entry, 0.2 m short
     net = tiny_net()
     net.actor.weights[-1][:] = 0.0
     net.actor.biases[-1][:] = 0.0
     mc = MissionConfig(gains=PdGains(0.0, 0.0, 0.0, 0.0))
-    log_rl, log_pd, rl, base = run_compare(Maneuver("translate", 1, 0.2, 2.0), mc, net)
-    np.testing.assert_array_equal(log_rl.numeric(), log_pd.numeric())
+    log_rl, log_pd, rl, base = run_compare(Maneuver("translate", 1, 0.2, 2.0), mc, net, tmp_path)
+    assert log_rl.tobytes() == log_pd.tobytes()
     assert rl.final_pos_err == base.final_pos_err == 0.2
     for name in ManeuverMetrics.SCALARS:
         v = getattr(rl, name) - getattr(base, name)
@@ -711,7 +761,8 @@ def _array_flight(s, maneuver, mode, mc, net=None, fault=None):
     """One maneuver flown tick by tick over arrays from the state s: the
     array goal oracle, env.observe_arrays, the monitor, policy_mean or the
     PD law, np.clip + np.nan_to_num with the slew clamp, and step_arrays.
-    Returns (final state as arrays, log)."""
+    Returns (final state as arrays, numeric log rows, their (mode,
+    maneuver) labels)."""
     env = mc.env
     lim = env.limits
     start = 0 if fault is None else fault.start_tick
@@ -721,7 +772,7 @@ def _array_flight(s, maneuver, mode, mc, net=None, fault=None):
         return p + fault.pos_offset if fault is not None and k >= start else p
 
     goal_pos, goal_att = array_goal(maneuver, measured(pos, 0), att)
-    log = TrajectoryLog()
+    rows, row_labels = [], []
     cur, trip, armed, hold, prev = mode, 0, False, None, None
     for k in range(int(round(maneuver.timeout / env.dt))):
         meas = measured(pos, k)
@@ -752,14 +803,15 @@ def _array_flight(s, maneuver, mode, mc, net=None, fault=None):
         row = np.concatenate(
             ([k * env.dt], meas, att, lv, av, force, torque, f, tq, obs[POS_ERR], obs[ORI_ERR])
         )
-        log.append(row.tolist(), cur, 0)
+        rows.append(row)
+        row_labels.append((cur.value, 0))
         pos, att, lv, av = step_arrays(
             pos, att, lv, av, f, tq,
             env.body.mass, env.body.inertia_diag, env.body.com_offset,
             env.mask.translation_floats(), env.mask.rotation_floats(), env.dt,
         )
         prev = (f, tq)
-    return (pos, att, lv, av), log
+    return (pos, att, lv, av), np.array(rows), row_labels
 
 
 @pytest.mark.parametrize("mode", [ControlMode.RL_POLICY, ControlMode.BASELINE])
@@ -768,25 +820,25 @@ def test_slew_limited_faulted_flight_matches_array_oracle(tmp_path, mode):
     man = parse_maneuver_spec("translate:x:0.5:30")
     fault = FaultSpec(0, 1000, m3.vec3(0.5, 0.0, 0.0))
     net, _ = load_policy(REFERENCE_CKPT)
-    log = TrajectoryLog()
-    final, out = fly(state(), man, mode, mc, net=net, log=log, fault=fault)
-    want_final, want_log = _array_flight(state(), man, mode, mc, net=net, fault=fault)
+    path = tmp_path / "flight.csv"
+    final, out = fly(state(), man, mode, mc, net=net, log_path=path, fault=fault)
+    want_final, want_rows, want_labels = _array_flight(state(), man, mode, mc, net=net, fault=fault)
 
-    log.write_csv(tmp_path / "flight.csv")
-    want_log.write_csv(tmp_path / "oracle.csv")
-    assert (tmp_path / "flight.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    write_log(tmp_path / "oracle.csv", want_rows, want_labels)
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     for got, want in zip(final, want_final):
         assert np.array(got).tobytes() == want.tobytes()
     # the slew clamp binds on some ticks: applied force differs from the
     # magnitude-clamped command
-    commanded = np.clip(log.columns(["Fx", "Fy", "Fz"]), -mc.env.limits.f_max, mc.env.limits.f_max)
-    assert np.any(log.columns(["Fcx", "Fcy", "Fcz"]) != commanded)
+    log = read_log(path)
+    commanded = np.clip(columns(log, ["Fx", "Fy", "Fz"]), -mc.env.limits.f_max, mc.env.limits.f_max)
+    assert np.any(columns(log, ["Fcx", "Fcy", "Fcz"]) != commanded)
     if mode is ControlMode.RL_POLICY:
         assert out.outcome == "fallback_triggered"
-        assert "hold_fallback" in set(log.column("mode"))
+        assert "hold_fallback" in labels(path)[0]
 
 
-def test_body_frame_policy_reads_body_frame_observation():
+def test_body_frame_policy_reads_body_frame_observation(tmp_path):
     net, _ = load_policy(REFERENCE_CKPT)
     start = state(att=m3.quat_from_rotvec(m3.vec3(0.2, -0.4, 0.7)))
     man = Maneuver("translate", 1, 0.3, timeout=1.0)
@@ -795,30 +847,36 @@ def test_body_frame_policy_reads_body_frame_observation():
     scale = np.array([lim.f_max] * 3 + [lim.tau_max] * 3)
     first_cmd = {}
     for body_frame in (False, True):
-        log = TrajectoryLog()
+        path = tmp_path / f"body_frame_{body_frame}.csv"
         mc = MissionConfig(EnvConfig(body_frame_obs=body_frame))
-        fly(start, man, ControlMode.RL_POLICY, mc, net=net, log=log)
-        first_cmd[body_frame] = log.columns(["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
+        fly(start, man, ControlMode.RL_POLICY, mc, net=net, log_path=path)
+        log = read_log(path)
+        first_cmd[body_frame] = columns(log, ["Fx", "Fy", "Fz", "Tx", "Ty", "Tz"])[0]
         want = policy_mean(net, obs_of(start, *goal, body_frame=body_frame)) * scale
         assert first_cmd[body_frame].tobytes() == want.tobytes()
         # the logged errors stay world-frame either way
         np.testing.assert_array_equal(
-            log.columns(["epx", "epy", "epz", "erx", "ery", "erz"])[0],
+            columns(log, ["epx", "epy", "epz", "erx", "ery", "erz"])[0],
             obs_of(start, *goal)[:6],
         )
     assert not np.array_equal(first_cmd[False], first_cmd[True])
 
 
-def test_run_compare_same_entry_both_logs():
+def test_run_compare_same_entry_both_logs(tmp_path):
     mc = MissionConfig()
     man = Maneuver("translate", 0, 0.1, timeout=20.0)
-    log_rl, log_pd, rl, base = run_compare(man, mc, tiny_net())
+    log_rl, log_pd, rl, base = run_compare(man, mc, tiny_net(), tmp_path)
     assert len(log_rl) == len(log_pd) == int(round(20.0 / DT))
+    # the logs returned are the files written, read back
+    assert log_rl.tobytes() == read_log(tmp_path / "rl_trajectory.csv").tobytes()
+    assert log_pd.tobytes() == read_log(tmp_path / "baseline_trajectory.csv").tobytes()
+    assert labels(tmp_path / "rl_trajectory.csv")[0] == ["rl_policy"] * len(log_rl)
+    assert labels(tmp_path / "baseline_trajectory.csv")[0] == ["baseline"] * len(log_pd)
     # each side's metrics are those of its own log, whose first row holds
     # the entry (the origin) and the commanded displacement
     for log, met in ((log_rl, rl), (log_pd, base)):
-        assert log.columns(["px", "py", "pz"])[0].tolist() == [0.0, 0.0, 0.0]
-        assert log.columns(["epx", "epy", "epz"])[0].tolist() == [0.1, 0.0, 0.0]
+        assert columns(log, ["px", "py", "pz"])[0].tolist() == [0.0, 0.0, 0.0]
+        assert columns(log, ["epx", "epy", "epz"])[0].tolist() == [0.1, 0.0, 0.0]
         want = metrics_from_log(log, mc.env.success_pos_tol, mc.env.success_ori_tol, DT)
         assert repr(met) == repr(want)
     assert base.final_pos_err < 0.01

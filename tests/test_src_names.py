@@ -21,9 +21,19 @@ naming `module.py:Class.field` for each field of a `@dataclass` in
 `src/apiary` that nothing in `src/` or `perfbench/` reads, where a read is
 an attribute load of its name or its name as a string constant (for
 `getattr` by name, as `ManeuverMetrics.SCALARS` is read).
+
+A public method is the same kind of API on a class: one that only tests
+call (a test-only reader, say) is kept working for no command. The method
+check fails naming `module.py:Class.method` for each public method of a
+class in `src/apiary` that nothing in `src/` or `perfbench/` reads, a read
+counted as the field check counts it. A method that overrides one of a
+base class from outside the package (`cli._Parser.error` overrides
+argparse's) is called by that base's code, so it is exempt.
 """
 
 import ast
+import builtins
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,9 +200,8 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None))
 
 
-def unread_fields(src: Path = SRC, readers=CALLERS) -> list[str]:
-    """`module.py:Class.field` for each dataclass field in `src` that no
-    attribute load or string constant in `readers` names."""
+def _reads(readers) -> set[str]:
+    """Every attribute load and string constant in `readers`."""
     reads = set()
     for root in readers:
         for path in sorted(root.rglob("*.py")):
@@ -201,6 +210,13 @@ def unread_fields(src: Path = SRC, readers=CALLERS) -> list[str]:
                     reads.add(node.attr)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     reads.add(node.value)
+    return reads
+
+
+def unread_fields(src: Path = SRC, readers=CALLERS) -> list[str]:
+    """`module.py:Class.field` for each dataclass field in `src` that no
+    attribute load or string constant in `readers` names."""
+    reads = _reads(readers)
     found = []
     for path in sorted(src.rglob("*.py")):
         module = path.relative_to(src).as_posix()
@@ -237,4 +253,98 @@ def test_check_sees_an_unread_field(tmp_path):
     assert unread_fields(src, (src, bench)) == ["a.py:Buffer.spare", "a.py:Metrics.path"]
     assert unread_fields(src, (src,)) == [
         "a.py:Buffer.returns", "a.py:Buffer.spare", "a.py:Metrics.path",
+    ]
+
+
+def _outside_base(expr: ast.expr, imported: dict[str, tuple[str, str | None]]):
+    """The class a base-class expression names when it comes from outside
+    the package (an absolute import or a builtin), else None."""
+    chain = []
+    while isinstance(expr, ast.Attribute):
+        chain.insert(0, expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name):
+        return None
+    if expr.id in imported:
+        module, attr = imported[expr.id]
+        obj = importlib.import_module(module)
+        chain = [attr, *chain] if attr else chain
+    elif hasattr(builtins, expr.id):
+        obj, chain = builtins, [expr.id, *chain]
+    else:
+        return None
+    for attr in chain:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def unread_methods(src: Path = SRC, readers=CALLERS) -> list[str]:
+    """`module.py:Class.method` for each public method of a class in `src`
+    that no attribute load or string constant in `readers` names, leaving
+    out those that override a method of a base from outside the package."""
+    reads = _reads(readers)
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # local name -> (module, attribute or None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = (
+                        a.name if a.asname else a.name.split(".")[0], None,
+                    )
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                for a in node.names:
+                    imported[a.asname or a.name] = (node.module, a.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = [b for b in (_outside_base(e, imported) for e in node.bases) if b is not None]
+            found.extend(
+                f"{module}:{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+                and item.name not in reads
+                and not any(hasattr(b, item.name) for b in bases)
+            )
+    return found
+
+
+def test_every_public_method_is_read():
+    unread = unread_methods()
+    assert not unread, f"public methods nothing in src/ or perfbench/ reads: {', '.join(unread)}"
+
+
+def test_check_sees_a_test_only_method(tmp_path):
+    src, bench = tmp_path / "pkg", tmp_path / "bench"
+    src.mkdir()
+    bench.mkdir()
+    (src / "a.py").write_text(
+        "import argparse\nimport enum\nfrom collections import OrderedDict as OD\n"
+        "from .b import Base\n\n\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(message)\n\n"
+        "    def spare(self):\n        pass\n\n\n"
+        "class Table(OD):\n    def popitem(self, last=True):\n        pass\n\n\n"
+        "class Failure(RuntimeError):\n    def with_traceback(self, tb):\n        pass\n\n\n"
+        "class Mode(enum.Enum):\n    A = 'a'\n\n    def label(self):\n        return 1\n\n\n"
+        "class Log(Base):\n"
+        "    def append(self, row):\n        self._check(row)\n\n"
+        "    def _check(self, row):\n        pass\n\n"
+        "    def error(self):\n        pass\n\n"
+        "    def columns(self):\n        pass\n\n"
+        "    @classmethod\n    def read_csv(cls, path):\n        return cls()\n\n\n"
+        "def use(log):\n    log.append(1)\n    return getattr(log, 'columns')()\n"
+    )
+    (src / "b.py").write_text("class Base:\n    pass\n")
+    (bench / "run.py").write_text("def report(mode):\n    return mode.label()\n")
+    # overrides of argparse, OrderedDict and RuntimeError methods are exempt;
+    # a method named like one of an outside base, on a class without one, is not
+    assert unread_methods(src, (src, bench)) == [
+        "a.py:Parser.spare", "a.py:Log.error", "a.py:Log.read_csv",
+    ]
+    assert unread_methods(src, (src,)) == [
+        "a.py:Parser.spare", "a.py:Mode.label", "a.py:Log.error", "a.py:Log.read_csv",
     ]
