@@ -331,12 +331,39 @@ def test_log_schema_and_columns(tmp_path):
 
 
 def test_log_requires_increasing_time(tmp_path):
+    # the error names the file and the first pair out of order
+    rows = np.zeros((4, 32))
+    rows[:, 0] = [0.0, DT, 3 * DT, 2 * DT]
+    path = write_log(tmp_path / "log.csv", rows)
+    with pytest.raises(ValueError, match=rf"log.csv: .*strictly increase: {2 * DT} after {3 * DT}"):
+        read_log(path)
+    # a one-row log has no pair to compare
+    assert read_log(write_log(tmp_path / "one.csv", rows[:1])).shape == (1, 32)
+
+
+def test_log_read_csv_rejects_non_increasing_time(tmp_path):
     # a time that repeats, falls back or is NaN
     rows = np.zeros((3, 32))
     for t in ([0.0, DT, DT], [0.0, 2 * DT, DT], [0.0, np.nan, 2 * DT]):
         rows[:, 0] = t
         with pytest.raises(ValueError, match="strictly increase"):
             read_log(write_log(tmp_path / "log.csv", rows))
+
+
+def test_log_read_csv_reads_and_grows(tmp_path):
+    rows = np.zeros((2, 32))
+    rows[:, 0] = [0.0, DT]
+    rows[:, 1] = [0.5, 0.6]
+    num = read_log(write_log(tmp_path / "log.csv", rows, [("baseline", 2)] * 2))
+    np.testing.assert_array_equal(column(num, "px"), [0.5, 0.6])
+    assert labels(tmp_path / "log.csv") == (["baseline"] * 2, [2, 2])
+    # a long log reads back whole, in order
+    rows = np.zeros((200, 32))
+    rows[:, 0] = np.arange(200) * DT
+    num = read_log(write_log(tmp_path / "long.csv", rows, [("baseline", 2)] * 200))
+    assert num.shape == (200, 32)
+    np.testing.assert_array_equal(column(num, "t")[:3], [0.0, DT, 2 * DT])
+    assert num.tobytes() == rows.tobytes()
 
 
 def test_log_csv_round_trip(tmp_path):
