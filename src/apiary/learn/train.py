@@ -11,10 +11,11 @@ re-raises, so a crashed run still leaves a usable checkpoint.
 Evaluation runs episodes in fixed-size chunks of EVAL_CHUNK regardless of
 worker count; `workers` only spreads whole chunks across processes, so
 summaries are byte-identical for any worker count. The process that runs
-a chunk also writes its trajectory logs, one row per live episode per
-tick, in `mission`'s log format; only episode records come back to the
-parent. Episode k is seeded (seed, k), but its result also depends on the
-size of the chunk that holds it (EVAL_CHUNK, or the remainder for the
+a chunk also logs its trajectories, one row per live episode per tick, in
+`mission`'s log format: it hands the rows to the chunk's log writer
+process, which formats and writes them. Only episode records come back to
+the parent. Episode k is seeded (seed, k), but its result also depends on
+the size of the chunk that holds it (EVAL_CHUNK, or the remainder for the
 last chunk): the policy runs on all of a chunk's rows at once, and BLAS
 may round a row differently for another number of rows. So `episodes=1`
 and `episodes=2` can give episode 0 returns that differ in the last
@@ -41,7 +42,7 @@ from ..env import (
     RewardWeights,
     batch_rollout,
 )
-from ..mission import LOG_HEADER, ControlMode, log_line
+from ..mission import LOG_MODES, ControlMode, LogWriter
 from . import nets
 from .checkpoint import save_policy
 from .nets import PolicyNet, RolloutPolicy
@@ -90,45 +91,45 @@ def _eval_chunk(
 ) -> list[dict]:
     """Run one chunk of episodes to completion with the deterministic policy.
 
-    With a `logs_dir`, episode k's rows go to its `episode_kkkk.csv` there
-    on the tick they are made, and the file is closed when the episode
-    finishes. If the chunk raises, its unfinished files are deleted, so
-    every log file left behind holds a whole episode.
+    With a `logs_dir`, the chunk opens episode k's `episode_kkkk.csv` there
+    and starts a `mission.LogWriter` for the chunk's files. Each tick it
+    hands over the live rows' raw float64 values, and it closes an
+    episode's file when the episode finishes. If the chunk raises, it
+    aborts the writer, which deletes the unfinished files, so every log
+    file left behind holds a whole episode.
     """
     n = len(seeds)
     benv = BatchEnv(n, config, weights, auto_reset=False, episode_seeds=seeds)
     records: list[dict | None] = [None] * n
-    mode = ControlMode.RL_POLICY.value
-    # env row -> the open log file of its running episode
-    files = {}
     scale = np.concatenate(
         [np.full(3, config.limits.f_max), np.full(3, config.limits.tau_max)]
     )
+    log = None
+    if logs_dir is not None:
+        # row i's (file key, mode, maneuver): episode k logs as maneuver k
+        mode = LOG_MODES.index(ControlMode.RL_POLICY.value)
+        keys = np.array([(k, mode, k) for _, k in seeds], dtype=np.int32)
+        log = LogWriter({k: _log_path(logs_dir, k) for _, k in seeds})
     try:
-        if logs_dir is not None:
-            for i, (_, k) in enumerate(seeds):
-                files[i] = open(_log_path(logs_dir, k), "w", newline="")
-                files[i].write(LOG_HEADER)
         for t in range(config.episode_len):
             if benv.all_frozen():
                 break
             obs = benv.obs.copy()
             actions = nets.policy_mean(net, obs)
-            if files:
+            if log is not None:
+                live = ~benv.frozen
                 table = np.concatenate(
                     [np.full((n, 1), t * config.dt), benv.pos, benv.att, benv.linvel,
                      benv.angvel, actions * scale, np.clip(actions, -1.0, 1.0) * scale,
                      obs[:, POS_ERR], obs[:, ORI_ERR]],
                     axis=1,
-                ).tolist()
-                for i, f in files.items():
-                    f.write(log_line(table[i], mode, seeds[i][1]))
+                )
+                log.rows(table[live].tobytes(), keys[live].tobytes())
             _, _, _, finished = benv.step(actions)
             for rec in finished:
                 i = rec["env"]
-                if files:
-                    files[i].close()
-                    del files[i]
+                if log is not None:
+                    log.close(seeds[i][1])
                 # a finished row is frozen, so its norms are those of its final obs
                 pe, oe, lv, av = benv.norms[i].tolist()
                 success = rec["success"]
@@ -147,10 +148,11 @@ def _eval_chunk(
                     "settle_time": settle,
                 }
     except BaseException:
-        for f in files.values():
-            f.close()
-            os.remove(f.name)
+        if log is not None:
+            log.abort()
         raise
+    if log is not None:
+        log.finish()
     return [r for r in records if r is not None]
 
 
@@ -175,11 +177,11 @@ def evaluate_policy(
     count. It is not always identical for another `episodes`: the last
     chunk's size changes with it, and a policy row may round differently
     in a batch of another size. With a `logs_dir` (an existing directory),
-    the process that runs a chunk streams each of its episodes to
-    `episode_kkkk.csv` there, tick by tick, so no trajectory is held in
-    memory or sent between processes. If a chunk fails, the files left are
-    the whole episodes that finished before the failure, the same for any
-    worker count.
+    the process that runs a chunk hands each tick's rows to the chunk's log
+    writer process, which writes each episode to `episode_kkkk.csv` there;
+    no trajectory is held in memory or sent back to the parent. If a chunk
+    fails, the files left are the whole episodes that finished before the
+    failure, the same for any worker count.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")

@@ -24,13 +24,16 @@ Every flight starts at rest at the origin with identity attitude;
 `run_maneuver` flies one maneuver of a sequence.
 
 A trajectory log exists only as its CSV file: `LOG_HEADER`, then one
-`log_line` per control tick, written on the tick it is made (eval's
-episode logs are the same format). `run_sequence` checks the whole
-sequence (each maneuver's tick count, and no goal on a DOF the mask
-pins) and its faults before it touches the file system, and deletes its
-partial log if the flight raises, so a failed flight leaves no
-trajectory file. `run_compare` reads its two logs back through
-`read_log` for the metrics; every float is written as its `repr`, so the
+`log_line` per control tick (eval's episode logs are the same format).
+The flight does not format it: each tick hands its row's float64 values
+to a `LogWriter`, a process that formats the rows through `log_line` and
+writes them, so formatting runs beside the flight on another core.
+`run_sequence` checks the whole sequence (each maneuver's tick count,
+and no goal on a DOF the mask pins) and its faults before it touches the
+file system; if the flight or the writer fails, the partial log is
+deleted, so a failed flight leaves no trajectory file. `run_compare`
+reads its two logs back through `read_log` for the metrics once their
+writers have finished; every float is written as its `repr`, so the
 numbers read back bit for bit.
 
 `MissionConfig` bundles what a flight reads: the `EnvConfig` the policy
@@ -73,11 +76,16 @@ errors always recompute exactly from logged state and goal.
 
 from __future__ import annotations
 
+import array
+import contextlib
 import enum
 import math
 import os
+import signal
+import struct
+import sys
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import NoReturn, TextIO
 
 import numpy as np
 
@@ -109,7 +117,15 @@ def log_line(row: list[float], mode: str, maneuver: int) -> str:
     """One trajectory CSV row in the bytes csv.writer wrote: the 32 numeric
     columns as repr, then mode and maneuver, CRLF, no quoting (no field
     holds a comma, quote or newline). Every log file is `LOG_HEADER` and
-    then one such line per tick."""
+    then one such line per tick.
+
+    Most rows apply the wrench they command, so when `Fcx..Tcz` equal
+    `Fx..Tz` their six reprs are reused, but only when none is zero:
+    0.0 == -0.0, and the two reprs differ."""
+    commanded = row[14:20]
+    if row[20:26] == commanded and all(commanded):
+        head = list(map(repr, row[:20]))
+        return ",".join(head + head[14:] + list(map(repr, row[26:]))) + f",{mode},{maneuver}\r\n"
     return ",".join(map(repr, row)) + f",{mode},{maneuver}\r\n"
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
@@ -129,6 +145,208 @@ class ControlMode(enum.Enum):
     RL_POLICY = "rl_policy"
     BASELINE = "baseline"
     HOLD_FALLBACK = "hold_fallback"
+
+
+# a row's mode crosses to the log writer as its index here
+LOG_MODES = tuple(m.value for m in ControlMode)
+# rows a LogWriter hands over per message: one pipe write per batch, not
+# per tick, and at most one batch held by the sender
+LOG_BATCH = 256
+# a message: (op, file key, row count), then that many rows' 32 float64
+# values, then their (file key, mode, maneuver) int32 triples
+_MESSAGE = struct.Struct("=iii")
+_ROW_BYTES = 32 * 8 + 3 * 4
+_ROWS, _CLOSE, _FINISH, _ABORT = range(4)
+
+
+class LogWriter:
+    """A writer process that formats trajectory rows through `log_line`
+    and writes them to their log files, off the process that simulates.
+
+    `LogWriter(paths)` opens each file of `paths` (file key -> path) in
+    the calling process, so an open error raises there, then forks the
+    writer, which owns the files from then on and starts each with
+    `LOG_HEADER`. Each row crosses the pipe as its 32 float64 values and a
+    (file key, mode, maneuver) int32 triple, so the writer formats the very
+    doubles the sender computed; rows go in batches of LOG_BATCH.
+    `close(key)` closes one file after the rows handed over before it, and
+    `finish()` the rest; it waits for the writer and raises OSError with
+    the writer's error if it failed. `abort()` has the writer handle every
+    whole message already sent, delete the files still open, and exit; it
+    waits too. A writer that fails, or that reads the end of the pipe without a
+    finish (its sender died), also deletes the files still open. The writer
+    ignores SIGINT, so an interrupted sender aborts it, and it ends with
+    `os._exit`, running none of the sender's exit handlers or buffers.
+    """
+
+    def __init__(self, paths: dict[int, str]) -> None:
+        files: dict[int, TextIO] = {}
+        try:
+            for key, path in paths.items():
+                files[key] = open(path, "w", newline="")
+            # the writer gets a copy of every buffer; leave none unwritten
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self._pid, self._pipe, self._status = _fork_writer(files)
+        except BaseException:
+            for f in files.values():
+                f.close()
+                os.remove(f.name)
+            raise
+        for f in files.values():
+            f.close()  # nothing written yet: the writer holds its own copies
+        self._values = array.array("d")
+        self._keys = array.array("i")
+        self._cut = False  # a message is only partly in the pipe
+
+    def row(self, key: int, row: list[float], mode: str, maneuver: int) -> None:
+        """Hand over one row for file `key`, as `log_line(row, mode,
+        maneuver)` will format it."""
+        self._values.extend(row)
+        self._keys.extend((key, LOG_MODES.index(mode), maneuver))
+        if len(self._keys) >= 3 * LOG_BATCH:
+            self._send(_ROWS)
+
+    def rows(self, values: bytes, keys: bytes) -> None:
+        """Hand over rows as raw bytes: n rows of 32 float64 values, and
+        their n (file key, index in LOG_MODES, maneuver) int32 triples."""
+        self._values.frombytes(values)
+        self._keys.frombytes(keys)
+        if len(self._keys) >= 3 * LOG_BATCH:
+            self._send(_ROWS)
+
+    def close(self, key: int) -> None:
+        """Close file `key` once the rows handed over so far are written."""
+        self._send(_CLOSE, key)
+
+    def finish(self) -> None:
+        """Write every row handed over, close every file and wait for the
+        writer; raise OSError if it failed (its open files are deleted)."""
+        self._send(_FINISH)
+        error = self._reap()
+        if error:
+            raise OSError(f"trajectory log writer: {error}")
+
+    def abort(self) -> None:
+        """Have the writer delete the files still open, and wait for it.
+        Rows not yet sent are dropped; they belong to those files."""
+        if self._pid is None:
+            return
+        if self._pipe is not None and not self._cut:
+            # after a message cut short (an interrupt inside `_send`), an
+            # abort message would be read as its rest; the end of the pipe
+            # that `_reap` makes then aborts the writer on its own
+            with contextlib.suppress(BrokenPipeError):
+                os.write(self._pipe, _MESSAGE.pack(_ABORT, 0, 0))
+        self._reap()
+
+    def _send(self, op: int, key: int = 0) -> None:
+        data = memoryview(
+            _MESSAGE.pack(op, key, len(self._keys) // 3)
+            + self._values.tobytes() + self._keys.tobytes()
+        )
+        del self._values[:], self._keys[:]
+        self._cut = True
+        try:
+            while data:
+                data = data[os.write(self._pipe, data):]
+        except BrokenPipeError:
+            # the writer stopped on an error of its own: report that
+            error = self._reap()
+            raise OSError(f"trajectory log writer: {error or 'stopped'}") from None
+        self._cut = False
+
+    def _reap(self) -> str:
+        """Close the pipe, wait for the writer, and return its error
+        message ("" if it exited cleanly)."""
+        if self._pipe is not None:
+            os.close(self._pipe)
+            self._pipe = None
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        with open(self._status, "rb") as f:
+            error = f.read().decode()
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            return f"killed by signal {-code}"
+        return error or (f"exit status {code}" if code else "")
+
+
+def _fork_writer(files: dict[int, TextIO]) -> tuple[int, int, int]:
+    """Fork the writer of `files`: (pid, write end of its row pipe, read
+    end of its error pipe). A plain fork, since a daemonic pool worker may
+    not start a `multiprocessing.Process`; SIGINT stays blocked across the
+    fork so the writer ignores it from its first instruction."""
+    rows_r, rows_w = os.pipe()
+    status_r, status_w = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                os.close(rows_w)
+                os.close(status_r)
+                _write_logs(rows_r, status_w, files)
+            finally:
+                os._exit(1)  # never back into the sender's code
+    except BaseException:
+        for fd in (rows_r, rows_w, status_r, status_w):
+            os.close(fd)
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    os.close(rows_r)
+    os.close(status_w)
+    return pid, rows_w, status_r
+
+
+def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoReturn:
+    """The writer process: format and write rows until a finish, an abort
+    or the end of the pipe, then `os._exit`. On anything but a finish the
+    files still open are deleted; an error's text goes to `status_fd`."""
+    code = 1
+    try:
+        with open(rows_fd, "rb") as pipe:
+            for f in files.values():
+                f.write(LOG_HEADER)
+            while True:
+                message = pipe.read(_MESSAGE.size)
+                if len(message) < _MESSAGE.size:
+                    break  # the sender is gone without a finish
+                op, key, n = _MESSAGE.unpack(message)
+                data = memoryview(pipe.read(n * _ROW_BYTES))
+                if len(data) < n * _ROW_BYTES:
+                    break
+                values = iter(data[: n * 32 * 8].cast("d").tolist())
+                keys = iter(data[n * 32 * 8 :].cast("i").tolist())
+                # each row as a 32-tuple, each key as a 3-tuple
+                for row, (file_key, mode, maneuver) in zip(zip(*[values] * 32), zip(*[keys] * 3)):
+                    files[file_key].write(log_line(row, LOG_MODES[mode], maneuver))
+                if op == _CLOSE:
+                    files[key].close()
+                    del files[key]
+                elif op == _FINISH:
+                    for key in list(files):
+                        files[key].close()
+                        del files[key]
+                    code = 0
+                    break
+                elif op == _ABORT:
+                    code = 0
+                    break
+    except Exception as e:  # any failure: the sender reports it
+        text = str(e) if isinstance(e, OSError) else f"{type(e).__name__}: {e}"
+        with contextlib.suppress(OSError):
+            os.write(status_fd, text.encode())
+    finally:
+        for f in files.values():
+            with contextlib.suppress(OSError):
+                f.close()
+            with contextlib.suppress(OSError):
+                os.remove(f.name)
+        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -288,15 +506,15 @@ def run_maneuver(
     mode: ControlMode,
     mc: MissionConfig,
     net: PolicyNet | None,
-    log: TextIO,
+    log: LogWriter,
     maneuver_index: int,
     fault: FaultSpec | None,
     t0_tick: int,
 ) -> tuple[tuple[list[float], list[float], list[float], list[float]], ManeuverOutcome]:
     """Run one maneuver of a sequence for its full timeout at the control
-    rate, writing a `log_line` per tick to the text stream `log` from tick
-    `t0_tick` on. `state` is the true state as step_f's four lists (pos,
-    att, lv, av).
+    rate, handing each tick's row, mode and maneuver index to `log` as file
+    0's row, from tick `t0_tick` on. `state` is the true state as step_f's
+    four lists (pos, att, lv, av).
 
     Outcome is success when the maneuver's tolerance condition is true for
     the final hold_steps ticks, fallback_triggered if the safety monitor
@@ -376,11 +594,12 @@ def run_maneuver(
         applied_force = clamp_axes(force, prev_force, lim.f_max, lim.force_rate, dt)
         applied_torque = clamp_axes(torque, prev_torque, lim.tau_max, lim.torque_rate, dt)
 
-        log.write(log_line(
+        log.row(
+            0,
             [(t0_tick + k) * dt, *meas_pos, *att, *lv, *av, *force, *torque,
              *applied_force, *applied_torque, *pos_err, *ori_err],
             cur_mode.value, maneuver_index,
-        ))
+        )
 
         pe, oe, speed, rate = norms
         if (
@@ -495,8 +714,10 @@ def run_sequence(
     that runs 0 ticks or more than MAX_MANEUVER_TICKS, a goal on a DOF the
     mask pins, a fault past the end of the sequence, a second fault for
     one maneuver, or a start tick at or past the maneuver's tick count.
-    Then it creates `log_path`'s directory and flies; if the flight raises,
-    the partial log is deleted.
+    Then it creates `log_path`'s directory, opens the log, starts its
+    `LogWriter` and flies, handing the rows over in batches. It returns once
+    the writer has written and closed the whole log; if the flight or the
+    writer fails, the partial log is deleted.
     """
     if not sequence:
         raise ValueError("sequence must not be empty")
@@ -510,33 +731,32 @@ def run_sequence(
     tick = 0
     paused = False
     aborted = False
-    log = open(log_path, "w", newline="")
+    log = LogWriter({0: log_path})
     try:
-        with log:
-            log.write(LOG_HEADER)
-            for i, man in enumerate(sequence):
-                if aborted or (paused and not man.resume):
-                    aborted = True
-                    outcomes.append(
-                        ManeuverOutcome(
-                            index=i, kind=man.kind, outcome="skipped", ticks=0,
-                            settle_time=float("nan"), final_pos_err=float("nan"),
-                            final_ori_err=float("nan"), end_mode="", note=man.note,
-                        )
+        for i, man in enumerate(sequence):
+            if aborted or (paused and not man.resume):
+                aborted = True
+                outcomes.append(
+                    ManeuverOutcome(
+                        index=i, kind=man.kind, outcome="skipped", ticks=0,
+                        settle_time=float("nan"), final_pos_err=float("nan"),
+                        final_ori_err=float("nan"), end_mode="", note=man.note,
                     )
-                    continue
-                paused = False
-                state, out = run_maneuver(
-                    state, man, mode, mc,
-                    net, log, i, fault_by_index.get(i), tick,
                 )
-                tick += out.ticks
-                outcomes.append(out)
-                if out.outcome == "fallback_triggered":
-                    paused = True
+                continue
+            paused = False
+            state, out = run_maneuver(
+                state, man, mode, mc,
+                net, log, i, fault_by_index.get(i), tick,
+            )
+            tick += out.ticks
+            outcomes.append(out)
+            if out.outcome == "fallback_triggered":
+                paused = True
     except BaseException:
-        os.remove(log_path)
+        log.abort()
         raise
+    log.finish()
     return outcomes
 
 
@@ -700,7 +920,15 @@ def parse_maneuver_tokens(tokens: list[str], path, line_no: int) -> Maneuver:
             fields["pose"] = tuple(float(v) for v in args)
         if timeout:
             fields["timeout"] = float(timeout[0])
-        return Maneuver(kind, resume=resume, note=note, **fields)
+        maneuver = Maneuver(kind, resume=resume, note=note, **fields)
+        if kind == "goto_pose":
+            try:
+                m3.quat_normalize_f(maneuver.pose[3:])
+            except ValueError:
+                raise _parse_error(
+                    path, line_no, "goto_pose quaternion qw qx qy qz has zero norm"
+                ) from None
+        return maneuver
     except ValueError as e:
         if str(e).startswith(str(path)):
             raise

@@ -12,18 +12,29 @@ A log is read back by `mission.read_log` as its (n, 32) numeric columns;
 maneuver columns that `read_log` leaves out."""
 
 import csv
-import os
 
-from apiary.mission import LOG_COLUMNS, LOG_HEADER, run_maneuver
+from apiary.mission import LOG_COLUMNS, LogWriter, run_maneuver
+
+
+class _NoLog:
+    """Takes the place of a `LogWriter` when a flight's rows are not wanted."""
+
+    def row(self, key, row, mode, maneuver):
+        pass
 
 
 def fly(state, maneuver, mode, mc, net=None, log_path=None, fault=None, maneuver_index=0):
     """run_maneuver's (final true state, outcome) from the state
-    (pos, att, lv, av). Its rows go from tick 0 to a trajectory CSV at
-    `log_path`, or nowhere when None."""
-    with open(os.devnull if log_path is None else log_path, "w", newline="") as log:
-        log.write(LOG_HEADER)
+    (pos, att, lv, av). Its rows go from tick 0 through a `LogWriter` to a
+    trajectory CSV at `log_path`, or nowhere when None. The log is finished
+    even when the flight raises, so it keeps the rows flown until then."""
+    if log_path is None:
+        return run_maneuver(state, maneuver, mode, mc, net, _NoLog(), maneuver_index, fault, 0)
+    log = LogWriter({0: str(log_path)})
+    try:
         return run_maneuver(state, maneuver, mode, mc, net, log, maneuver_index, fault, 0)
+    finally:
+        log.finish()
 
 
 def column(num, name):

@@ -2,6 +2,9 @@
 
 import csv
 import importlib
+import itertools
+import multiprocessing
+import os
 import time
 import warnings
 from pathlib import Path
@@ -14,6 +17,7 @@ from apiary.config import load_config, set_value
 from apiary.env import ORI_ERR, POS_ERR, BatchEnv
 from apiary.learn.checkpoint import load_policy, save_policy
 from apiary.learn.nets import PolicyNet, mlp_init, policy_mean
+from apiary import mission
 from apiary.mission import LOG_HEADER, ControlMode, log_line, read_log
 from flight import column, columns
 
@@ -65,6 +69,14 @@ def workspace(tmp_path_factory):
     rc = main(["train", "--config", str(cfg), "--out", str(out), "--seed", "4"])
     assert rc == 0
     return {"root": root, "config": cfg, "ckpt": out / "final.ckpt", "train_out": out}
+
+
+def assert_no_child_left():
+    """No process a command started outlives it: none that multiprocessing
+    knows of, and no child of this process at all, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -167,6 +179,7 @@ def test_eval_logs_independent_of_workers(workspace):
     dirs = [workspace["root"] / f"logs_w{w}" for w in (1, 2)]
     for d, w in zip(dirs, ("1", "2")):
         assert main(args + ["--logs", str(d), "--workers", w]) == 0
+        assert_no_child_left()
     names = sorted(p.name for p in dirs[0].iterdir())
     assert names == [f"episode_{i:04d}.csv" for i in range(40)]
     assert sorted(p.name for p in dirs[1].iterdir()) == names
@@ -251,6 +264,7 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
         warnings.simplefilter("always")
         rc = main(args + ["--logs", str(logs)])
     assert rc == 2
+    assert_no_child_left()
     assert [str(w.message) for w in caught] == []
     # the row set non-finite is the first of the second chunk still running
     bad = next(i for i in range(3) if steps[3 + i] > fail_tick)
@@ -382,6 +396,7 @@ def test_compare_writes_metrics(workspace, capsys):
          "--maneuver", "translate:x:0.1:20", "--out", str(out)]
     )
     assert rc == 0
+    assert_no_child_left()
     stdout = capsys.readouterr().out
     assert "cross-axis excursion" in stdout
     for name in ("rl_trajectory.csv", "baseline_trajectory.csv", "metrics.csv",
@@ -474,6 +489,7 @@ def test_replay_sequence(workspace, capsys, tmp_path):
          "--out", str(out)]
     )
     assert rc == 0
+    assert_no_child_left()
     stdout = capsys.readouterr().out
     assert "item 1: translate" in stdout
     outcomes = (out / "outcomes.csv").read_text().splitlines()
@@ -577,6 +593,7 @@ def test_replay_divergence_exits_2(workspace, capsys, tmp_path):
              "--sequence", str(seq), "--out", str(out)]
         )
     assert rc == 2
+    assert_no_child_left()
     assert "numerical failure" in capsys.readouterr().err
     # the flight had written rows before it diverged; the partial log is gone
     assert not (out / "trajectory.csv").exists()
@@ -591,11 +608,91 @@ def test_compare_divergence_exits_2(workspace, capsys, tmp_path):
          "--maneuver", "translate:x:0.5:2", "--out", str(out)]
     )
     assert rc == 2
+    assert_no_child_left()
     assert capsys.readouterr().err == (
         MISMATCH + "numerical failure: state went non-finite during step\n"
     )
     assert not (out / "rl_trajectory.csv").exists()
     assert not (out / "baseline_trajectory.csv").exists()
+
+
+def _flight_or_eval_args(command, tmp_path, out):
+    """A short replay, a short compare, or a 9-episode eval in chunks of 3
+    at 1 or 2 workers (`eval-w1`, `eval-w2`), logging into `out`; all under
+    the recipe the reference policy was trained in."""
+    common = ["--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT)]
+    if command == "replay":
+        seq = tmp_path / "seq.txt"
+        seq.write_text("translate x 0.1 5\ndock 5\n")
+        return ["replay", *common, "--sequence", str(seq), "--out", str(out)]
+    if command == "compare":
+        return ["compare", *common, "--maneuver", "translate:x:0.1:5", "--out", str(out)]
+    return ["eval", *common, "--scenario", "iss6dof", "--episodes", "9", "--seed", "2",
+            "--workers", command[-1], "--logs", str(out)]
+
+
+@pytest.mark.parametrize("command", ["replay", "compare", "eval-w1", "eval-w2"])
+def test_log_writer_error_exits_1_leaving_no_partial_log(tmp_path, capsys, monkeypatch, command):
+    # every log writer fails on the 100th row it formats; it forks after the
+    # patch, so it inherits it. Its error reaches the command as one line
+    monkeypatch.setattr(train_module, "EVAL_CHUNK", 3)
+    log_line = mission.log_line
+    count = itertools.count(1)
+
+    def failing(row, mode, maneuver):
+        if next(count) == 100:
+            raise OSError("no space left for the test")
+        return log_line(row, mode, maneuver)
+
+    monkeypatch.setattr(mission, "log_line", failing)
+    out = tmp_path / "out"
+    rc = main(_flight_or_eval_args(command, tmp_path, out))
+    assert rc == 1
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.err == "error: trajectory log writer: no space left for the test\n"
+    # every episode of every chunk was still running at its writer's row 100
+    assert list(out.iterdir()) == []
+
+
+def test_interrupted_replay_leaves_no_log_and_no_child(tmp_path, monkeypatch):
+    # Ctrl-C lands inside a flight tick, after two batches of rows went to
+    # the writer; the writer ignores SIGINT and the flight aborts it
+    step_f = mission.step_f
+    ticks = itertools.count()
+
+    def interrupted(*args):
+        if next(ticks) == 2 * mission.LOG_BATCH + 10:
+            raise KeyboardInterrupt
+        return step_f(*args)
+
+    monkeypatch.setattr(mission, "step_f", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(_flight_or_eval_args("replay", tmp_path, out))
+    assert_no_child_left()
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["sequence", "goto_pose:0:0:0:0:0:0:0:5"])
+def test_zero_quaternion_exits_1_naming_its_line(tmp_path, capsys, spec):
+    # a goto_pose quaternion of zero norm has no attitude to fly to; it is
+    # rejected where the line is parsed, before anything flies
+    out = tmp_path / "out"
+    if spec == "sequence":
+        seq = tmp_path / "seq.txt"
+        seq.write_text("translate x 0.1 1\ngoto_pose 0 0 0 0 0 0 0 5\n")
+        args = ["replay", "--sequence", str(seq)]
+        where = f"{seq}:2"
+    else:
+        args = ["compare", "--maneuver", spec]
+        where = "<maneuver spec>:0"
+    rc = main(args + ["--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {where}: goto_pose quaternion qw qx qy qz has zero norm\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "compare", "replay"])

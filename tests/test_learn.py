@@ -830,9 +830,10 @@ def _eval_peak_bytes(net, episode_len: int, logs_dir) -> int:
 
 
 def test_evaluate_policy_log_memory_independent_of_episode_len(tmp_path):
-    # logs stream to their files as the rows are made, so four times the
-    # episode length holds no more memory; a (16, episode_len, 32) float64
-    # buffer would add 2.5 MB between the two
+    # rows go to the chunk's log writer process in batches of LOG_BATCH,
+    # so the chunk holds at most one batch, and four times the episode
+    # length holds no more memory; a (16, episode_len, 32) float64 buffer
+    # would add 2.5 MB between the two
     net = policy_init(np.random.default_rng(42), PpoConfig())
     (tmp_path / "short").mkdir()
     (tmp_path / "long").mkdir()

@@ -1,6 +1,8 @@
 """Sequencer, safety monitor, trajectory log, metrics and parser tests."""
 
 import csv
+import os
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from apiary.mission import (
     MAX_MANEUVER_TICKS,
     ControlMode,
     FaultSpec,
+    LogWriter,
     Maneuver,
     ManeuverMetrics,
     MissionConfig,
@@ -384,11 +387,19 @@ def _csv_module_bytes(rows, row_labels, path):
 
 
 def test_log_csv_bytes_survive_round_trip(tmp_path):
-    rows = np.arange(4 * 32, dtype=np.float64).reshape(4, 32) / 7.0
-    rows[:, 0] = [0.0, DT, 2 * DT, 3 * DT]
+    rows = np.arange(8 * 32, dtype=np.float64).reshape(8, 32) / 7.0
+    rows[:, 0] = np.arange(8) * DT
     rows[0, 1], rows[1, 2], rows[2, 3], rows[3, 4] = np.nan, np.inf, -np.inf, -0.0
     rows[1, 31] = 1e-300
+    # the applied wrench (Fcx..Tcz) equal to the commanded one (Fx..Tz):
+    # whole; with signed zeros that compare equal but print apart, either
+    # way round; and with nan, which equals nothing
+    rows[4:, 20:26] = rows[4:, 14:20]
+    rows[5, [14, 25]], rows[5, [20, 19]] = 0.0, -0.0
+    rows[6, [16, 23]], rows[6, [22, 17]] = -0.0, 0.0
+    rows[7, [15, 21]] = np.nan
     row_labels = [("rl_policy", 3), ("rl_policy", 3), ("hold_fallback", 6), ("baseline", 7)]
+    row_labels += [("rl_policy", 8)] * 4
     first = write_log(tmp_path / "a.csv", rows, row_labels)
     data = first.read_bytes()
     assert data == _csv_module_bytes(rows, row_labels, tmp_path / "oracle.csv")
@@ -397,8 +408,8 @@ def test_log_csv_bytes_survive_round_trip(tmp_path):
     back = read_log(first)
     assert back.tobytes() == rows.tobytes()
     modes, maneuvers = labels(first)
-    assert modes == ["rl_policy"] * 2 + ["hold_fallback", "baseline"]
-    assert maneuvers == [3, 3, 6, 7]
+    assert modes == ["rl_policy"] * 2 + ["hold_fallback", "baseline"] + ["rl_policy"] * 4
+    assert maneuvers == [3, 3, 6, 7, 8, 8, 8, 8]
     second = write_log(tmp_path / "b.csv", back, list(zip(modes, maneuvers)))
     assert second.read_bytes() == data
 
@@ -689,9 +700,9 @@ def _flight_peak_bytes(path, timeout: float) -> int:
 
 
 def test_run_sequence_log_memory_independent_of_length(tmp_path):
-    # rows go to the file on the tick they are made, so a flight four
-    # times as long holds no more memory; 1,875 more rows of 32 float64
-    # would add 480 kB
+    # rows go to the log writer process in batches of LOG_BATCH, so the
+    # flight holds at most one batch, and one four times as long holds no
+    # more memory; 1,875 more rows of 32 float64 would add 480 kB
     short = _flight_peak_bytes(tmp_path / "short.csv", 10.0)
     long = _flight_peak_bytes(tmp_path / "long.csv", 40.0)
     assert abs(long - short) < 100_000, (short, long)
@@ -707,6 +718,54 @@ def test_run_sequence_failure_leaves_no_log(tmp_path):
     with pytest.raises(SimulationDivergedError):
         run_sequence(seq, ControlMode.BASELINE, mc, None, [], path)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["abort", "end_of_pipe"])
+def test_log_writer_deletes_open_files_when_not_finished(tmp_path, how):
+    # the writer ignores SIGINT; aborted, or reading the end of the pipe
+    # without a finish (its sender died), it writes what was sent, keeps
+    # the file closed before, deletes the one still open, and exits
+    rows = make_log_rows(3)
+    closed, still_open = tmp_path / "closed.csv", tmp_path / "open.csv"
+    log = LogWriter({0: str(still_open), 1: str(closed)})
+    os.kill(log._pid, signal.SIGINT)
+    for key in (0, 1):
+        for row in rows.tolist():
+            log.row(key, row, "baseline", 5)
+    log.close(1)
+    if how == "abort":
+        log.abort()
+    else:
+        pid = log._pid
+        os.close(log._pipe)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 1
+    want = write_log(tmp_path / "want.csv", rows, [("baseline", 5)] * 3).read_bytes()
+    assert closed.read_bytes() == want
+    assert not still_open.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_log_writer_abort_after_a_message_cut_short(tmp_path, monkeypatch):
+    # an interrupt inside a write to the pipe leaves part of a message
+    # there, here 4 bytes of a finish; an abort message written after it
+    # would complete that finish, so the writer must be aborted without one
+    path = tmp_path / "log.csv"
+    log = LogWriter({0: str(path)})
+    log.row(0, make_log_rows(1).tolist()[0], "baseline", 0)
+    write = os.write
+
+    def cut_short(fd, data):
+        write(fd, bytes(data[:4]))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "write", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        log.finish()
+    monkeypatch.setattr(os, "write", write)
+    log.abort()
+    assert not path.exists()
 
 
 # ------------------------------------------------------------- metrics
