@@ -30,6 +30,7 @@ import csv
 import itertools
 import multiprocessing
 import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ from ..env import (
     RewardWeights,
     batch_rollout,
 )
-from ..mission import LOG_MODES, ControlMode, LogWriter
+from ..mission import ControlMode, LogWriter
 from . import nets
 from .checkpoint import save_policy
 from .nets import PolicyNet, RolloutPolicy
@@ -106,9 +107,8 @@ def _eval_chunk(
     )
     log = None
     if logs_dir is not None:
-        # row i's (file key, mode, maneuver): episode k logs as maneuver k
-        mode = LOG_MODES.index(ControlMode.RL_POLICY.value)
-        keys = np.array([(k, mode, k) for _, k in seeds], dtype=np.int32)
+        # row i is episode k's, logged to file k as maneuver k
+        episode = np.array([k for _, k in seeds])
         log = LogWriter({k: _log_path(logs_dir, k) for _, k in seeds})
     try:
         for t in range(config.episode_len):
@@ -124,7 +124,7 @@ def _eval_chunk(
                      obs[:, POS_ERR], obs[:, ORI_ERR]],
                     axis=1,
                 )
-                log.rows(table[live].tobytes(), keys[live].tobytes())
+                log.rows(table[live], episode[live], ControlMode.RL_POLICY.value, episode[live])
             _, _, _, finished = benv.step(actions)
             for rec in finished:
                 i = rec["env"]
@@ -147,17 +147,29 @@ def _eval_chunk(
                     "final_ang_vel": av,
                     "settle_time": settle,
                 }
+        if log is not None:
+            log.finish()
     except BaseException:
         if log is not None:
             log.abort()
         raise
-    if log is not None:
-        log.finish()
     return [r for r in records if r is not None]
 
 
 def _eval_chunk_star(payload):
     return _eval_chunk(*payload)
+
+
+def _exit_on_sigterm() -> None:
+    """Pool worker initializer. Leaving the pool terminates its workers with
+    SIGTERM; a worker raises SystemExit on it instead of dying, so a chunk
+    it is running aborts its log writer and waits for it, and no writer
+    outlives the command."""
+    signal.signal(signal.SIGTERM, _raise_system_exit)
+
+
+def _raise_system_exit(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def evaluate_policy(
@@ -192,13 +204,15 @@ def evaluate_policy(
     if workers > 1 and len(chunks) > 1:
         merged = 0
         try:
-            with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(min(workers, len(chunks)), initializer=_exit_on_sigterm) as pool:
                 for recs in pool.imap(_eval_chunk_star, payloads):
                     records.extend(recs)
                     merged += 1
         except BaseException:
             # the failed chunk deleted its own unfinished files, and leaving
-            # the pool stopped the workers; a single process never starts
+            # the pool stopped the workers, each after aborting the writer
+            # of a chunk it was running; a single process never starts
             # the chunks after the failed one, so delete what workers wrote
             if logs_dir is not None:
                 for _, k in itertools.chain.from_iterable(chunks[merged + 1 :]):

@@ -148,7 +148,7 @@ class ControlMode(enum.Enum):
 
 
 # a row's mode crosses to the log writer as its index here
-LOG_MODES = tuple(m.value for m in ControlMode)
+_LOG_MODES = tuple(m.value for m in ControlMode)
 # rows a LogWriter hands over per message: one pipe write per batch, not
 # per tick, and at most one batch held by the sender
 LOG_BATCH = 256
@@ -156,7 +156,7 @@ LOG_BATCH = 256
 # values, then their (file key, mode, maneuver) int32 triples
 _MESSAGE = struct.Struct("=iii")
 _ROW_BYTES = 32 * 8 + 3 * 4
-_ROWS, _CLOSE, _FINISH, _ABORT = range(4)
+_ROWS, _CLOSE, _FINISH = range(3)
 
 
 class LogWriter:
@@ -171,12 +171,12 @@ class LogWriter:
     doubles the sender computed; rows go in batches of LOG_BATCH.
     `close(key)` closes one file after the rows handed over before it, and
     `finish()` the rest; it waits for the writer and raises OSError with
-    the writer's error if it failed. `abort()` has the writer handle every
-    whole message already sent, delete the files still open, and exit; it
-    waits too. A writer that fails, or that reads the end of the pipe without a
-    finish (its sender died), also deletes the files still open. The writer
-    ignores SIGINT, so an interrupted sender aborts it, and it ends with
-    `os._exit`, running none of the sender's exit handlers or buffers.
+    the writer's error if it failed. `abort()` closes the pipe without a
+    finish, as a sender that dies does, and waits: the writer then writes
+    every whole message already sent, deletes the files still open, and
+    exits. A writer that fails also deletes the files still open. The
+    writer ignores SIGINT, so an interrupted sender aborts it, and it ends
+    with `os._exit`, running none of the sender's exit handlers or buffers.
     """
 
     def __init__(self, paths: dict[int, str]) -> None:
@@ -197,21 +197,24 @@ class LogWriter:
             f.close()  # nothing written yet: the writer holds its own copies
         self._values = array.array("d")
         self._keys = array.array("i")
-        self._cut = False  # a message is only partly in the pipe
 
     def row(self, key: int, row: list[float], mode: str, maneuver: int) -> None:
         """Hand over one row for file `key`, as `log_line(row, mode,
         maneuver)` will format it."""
         self._values.extend(row)
-        self._keys.extend((key, LOG_MODES.index(mode), maneuver))
+        self._keys.extend((key, _LOG_MODES.index(mode), maneuver))
         if len(self._keys) >= 3 * LOG_BATCH:
             self._send(_ROWS)
 
-    def rows(self, values: bytes, keys: bytes) -> None:
-        """Hand over rows as raw bytes: n rows of 32 float64 values, and
-        their n (file key, index in LOG_MODES, maneuver) int32 triples."""
-        self._values.frombytes(values)
-        self._keys.frombytes(keys)
+    def rows(self, table: np.ndarray, keys: np.ndarray, mode: str, maneuvers: np.ndarray) -> None:
+        """Hand over the rows of the (n, 32) float64 `table`, row i for file
+        `keys[i]`, as `log_line(table[i], mode, maneuvers[i])` will format it."""
+        triples = np.empty((len(keys), 3), dtype=np.int32)
+        triples[:, 0] = keys
+        triples[:, 1] = _LOG_MODES.index(mode)
+        triples[:, 2] = maneuvers
+        self._values.frombytes(np.asarray(table, dtype=np.float64).tobytes())
+        self._keys.frombytes(triples.tobytes())
         if len(self._keys) >= 3 * LOG_BATCH:
             self._send(_ROWS)
 
@@ -229,16 +232,10 @@ class LogWriter:
 
     def abort(self) -> None:
         """Have the writer delete the files still open, and wait for it.
-        Rows not yet sent are dropped; they belong to those files."""
-        if self._pid is None:
-            return
-        if self._pipe is not None and not self._cut:
-            # after a message cut short (an interrupt inside `_send`), an
-            # abort message would be read as its rest; the end of the pipe
-            # that `_reap` makes then aborts the writer on its own
-            with contextlib.suppress(BrokenPipeError):
-                os.write(self._pipe, _MESSAGE.pack(_ABORT, 0, 0))
-        self._reap()
+        Rows not yet sent are dropped; they belong to those files. A
+        message cut short (an interrupt inside a send) is dropped too."""
+        if self._pid is not None:
+            self._reap()
 
     def _send(self, op: int, key: int = 0) -> None:
         data = memoryview(
@@ -246,7 +243,6 @@ class LogWriter:
             + self._values.tobytes() + self._keys.tobytes()
         )
         del self._values[:], self._keys[:]
-        self._cut = True
         try:
             while data:
                 data = data[os.write(self._pipe, data):]
@@ -254,14 +250,13 @@ class LogWriter:
             # the writer stopped on an error of its own: report that
             error = self._reap()
             raise OSError(f"trajectory log writer: {error or 'stopped'}") from None
-        self._cut = False
 
     def _reap(self) -> str:
         """Close the pipe, wait for the writer, and return its error
         message ("" if it exited cleanly)."""
         if self._pipe is not None:
-            os.close(self._pipe)
-            self._pipe = None
+            pipe, self._pipe = self._pipe, None
+            os.close(pipe)
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
         with open(self._status, "rb") as f:
@@ -303,8 +298,8 @@ def _fork_writer(files: dict[int, TextIO]) -> tuple[int, int, int]:
 
 
 def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoReturn:
-    """The writer process: format and write rows until a finish, an abort
-    or the end of the pipe, then `os._exit`. On anything but a finish the
+    """The writer process: format and write rows until a finish or the end
+    of the pipe, then `os._exit`. On anything but a finish the
     files still open are deleted; an error's text goes to `status_fd`."""
     code = 1
     try:
@@ -314,7 +309,7 @@ def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoRet
             while True:
                 message = pipe.read(_MESSAGE.size)
                 if len(message) < _MESSAGE.size:
-                    break  # the sender is gone without a finish
+                    break  # aborted, or the sender died, without a finish
                 op, key, n = _MESSAGE.unpack(message)
                 data = memoryview(pipe.read(n * _ROW_BYTES))
                 if len(data) < n * _ROW_BYTES:
@@ -323,7 +318,7 @@ def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoRet
                 keys = iter(data[n * 32 * 8 :].cast("i").tolist())
                 # each row as a 32-tuple, each key as a 3-tuple
                 for row, (file_key, mode, maneuver) in zip(zip(*[values] * 32), zip(*[keys] * 3)):
-                    files[file_key].write(log_line(row, LOG_MODES[mode], maneuver))
+                    files[file_key].write(log_line(row, _LOG_MODES[mode], maneuver))
                 if op == _CLOSE:
                     files[key].close()
                     del files[key]
@@ -331,9 +326,6 @@ def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoRet
                     for key in list(files):
                         files[key].close()
                         del files[key]
-                    code = 0
-                    break
-                elif op == _ABORT:
                     code = 0
                     break
     except Exception as e:  # any failure: the sender reports it
@@ -753,10 +745,13 @@ def run_sequence(
             outcomes.append(out)
             if out.outcome == "fallback_triggered":
                 paused = True
+        log.finish()
     except BaseException:
         log.abort()
+        # an interrupt while finishing leaves a whole log, but no outcomes
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(log_path)
         raise
-    log.finish()
     return outcomes
 
 

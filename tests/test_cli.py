@@ -259,12 +259,31 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
             return super().step(actions)
 
     monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
+    # each log writer's pid, kept in a file since pool workers start them
+    pids = tmp_path / "writer_pids"
+    fork_writer = mission._fork_writer
+
+    def recorded(files):
+        pid, *pipes = fork_writer(files)
+        with open(pids, "a") as f:
+            f.write(f"{pid}\n")
+        return (pid, *pipes)
+
+    monkeypatch.setattr(mission, "_fork_writer", recorded)
     logs = tmp_path / "logs"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(args + ["--logs", str(logs)])
     assert rc == 2
     assert_no_child_left()
+    # nor does a writer that a pool worker started: leaving the pool stops
+    # a worker still running a chunk, and the worker first aborts and reaps
+    # that chunk's writer
+    writers = [int(pid) for pid in pids.read_text().split()]
+    assert len(writers) >= 2
+    for pid in writers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
     assert [str(w.message) for w in caught] == []
     # the row set non-finite is the first of the second chunk still running
     bad = next(i for i in range(3) if steps[3 + i] > fail_tick)
@@ -670,6 +689,28 @@ def test_interrupted_replay_leaves_no_log_and_no_child(tmp_path, monkeypatch):
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
         main(_flight_or_eval_args("replay", tmp_path, out))
+    assert_no_child_left()
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["replay", "compare"])
+def test_interrupt_while_finishing_leaves_no_log_and_no_child(tmp_path, monkeypatch, command):
+    # Ctrl-C lands while the flight waits for its writer to finish. The
+    # writer has the finish and closes a whole log, but the command wrote
+    # no outcomes or metrics for it, so the log is deleted all the same
+    waitpid = os.waitpid
+    calls = itertools.count()
+
+    def interrupted(pid, options):
+        if next(calls) == 0:
+            raise KeyboardInterrupt
+        return waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", interrupted)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(_flight_or_eval_args(command, tmp_path, out))
+    assert next(calls) > 1  # the abort waited for the writer
     assert_no_child_left()
     assert list(out.iterdir()) == []
 

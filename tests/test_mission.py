@@ -720,11 +720,13 @@ def test_run_sequence_failure_leaves_no_log(tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("how", ["abort", "end_of_pipe"])
-def test_log_writer_deletes_open_files_when_not_finished(tmp_path, how):
-    # the writer ignores SIGINT; aborted, or reading the end of the pipe
-    # without a finish (its sender died), it writes what was sent, keeps
-    # the file closed before, deletes the one still open, and exits
+@pytest.mark.parametrize("how", ["abort", "cut_short"])
+def test_log_writer_deletes_open_files_when_not_finished(tmp_path, monkeypatch, how):
+    # an abort closes the pipe without a finish, as a sender that dies does.
+    # The writer, which ignores SIGINT, writes every whole message sent,
+    # keeps the file closed before, deletes the one still open, and exits.
+    # A message cut short by an interrupt inside its write, here 4 bytes of
+    # a finish, is not whole, and finishes nothing
     rows = make_log_rows(3)
     closed, still_open = tmp_path / "closed.csv", tmp_path / "open.csv"
     log = LogWriter({0: str(still_open), 1: str(closed)})
@@ -733,39 +735,23 @@ def test_log_writer_deletes_open_files_when_not_finished(tmp_path, how):
         for row in rows.tolist():
             log.row(key, row, "baseline", 5)
     log.close(1)
-    if how == "abort":
-        log.abort()
-    else:
-        pid = log._pid
-        os.close(log._pipe)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 1
+    if how == "cut_short":
+        write = os.write
+
+        def cut_short(fd, data):
+            write(fd, bytes(data[:4]))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "write", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            log.finish()
+        monkeypatch.setattr(os, "write", write)
+    log.abort()
     want = write_log(tmp_path / "want.csv", rows, [("baseline", 5)] * 3).read_bytes()
     assert closed.read_bytes() == want
     assert not still_open.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_log_writer_abort_after_a_message_cut_short(tmp_path, monkeypatch):
-    # an interrupt inside a write to the pipe leaves part of a message
-    # there, here 4 bytes of a finish; an abort message written after it
-    # would complete that finish, so the writer must be aborted without one
-    path = tmp_path / "log.csv"
-    log = LogWriter({0: str(path)})
-    log.row(0, make_log_rows(1).tolist()[0], "baseline", 0)
-    write = os.write
-
-    def cut_short(fd, data):
-        write(fd, bytes(data[:4]))
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(os, "write", cut_short)
-    with pytest.raises(KeyboardInterrupt):
-        log.finish()
-    monkeypatch.setattr(os, "write", write)
-    log.abort()
-    assert not path.exists()
 
 
 # ------------------------------------------------------------- metrics
