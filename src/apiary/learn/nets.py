@@ -13,7 +13,8 @@ check and the checkpoint format all rely on that order.
 `mlp_forward` takes an optional workspace, and `mlp_backward` a required
 one: a dict of scratch arrays keyed by (name, shape), filled on first
 use. Its owner is whoever creates it: `ppo.ppo_update` makes one per
-update and passes it to every minibatch. With a workspace,
+update in each of its two processes, the actor's and the critic's, and
+passes it to every minibatch there. With a workspace,
 `mlp_forward`'s output and cache live in it and are overwritten by the
 next call that uses the same workspace, so a caller must finish with one
 pass before starting the next. Without one (rollouts, evaluation) every
@@ -262,17 +263,15 @@ def adam_step(
         a -= step
 
 
-def global_grad_norm(grads: list[np.ndarray]) -> float:
+def clip_scale(sq_sums: list[float], max_norm: float) -> tuple[float, float]:
+    """The global L2 norm of a gradient whose arrays' sums of squares are
+    `sq_sums` (added in `param_list` order), and the factor that scales the
+    gradient to a norm of at most max_norm: 1.0 if it is within it or
+    max_norm <= 0 (no clipping)."""
     total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
-
-
-def clip_grads(grads: list[np.ndarray], max_norm: float) -> tuple[list[np.ndarray], float]:
-    """Scale the whole gradient so its global L2 norm is at most max_norm."""
-    norm = global_grad_norm(grads)
+    for s in sq_sums:
+        total += s
+    norm = float(np.sqrt(total))
     if max_norm <= 0.0 or norm <= max_norm:
-        return grads, norm
-    scale = max_norm / norm
-    return [g * scale for g in grads], norm
+        return norm, 1.0
+    return norm, max_norm / norm

@@ -6,7 +6,9 @@ policy on a fixed seed bank every eval_every iterations. The best-scoring
 parameters are kept alongside the final ones, and a learning-curve row is
 recorded at every eval point. If an update or rollout ever goes
 non-finite the loop stops, writes the last finite parameters to disk and
-re-raises, so a crashed run still leaves a usable checkpoint.
+re-raises, so a crashed run still leaves a usable checkpoint. Each update
+runs the critic's half in a worker process (see `ppo`), and the whole run
+holds OpenBLAS at one thread, so the two processes keep one core each.
 
 Evaluation runs episodes in fixed-size chunks of EVAL_CHUNK regardless of
 worker count; `workers` only spreads whole chunks across processes, so
@@ -47,7 +49,7 @@ from ..mission import ControlMode, LogWriter
 from . import nets
 from .checkpoint import save_policy
 from .nets import PolicyNet, RolloutPolicy
-from .ppo import PpoConfig, ppo_update
+from .ppo import PpoConfig, one_blas_thread, ppo_update
 
 EVAL_CHUNK = 32
 
@@ -309,16 +311,19 @@ def train(
             )
 
     try:
-        for it in range(iterations):
-            buf = batch_rollout(policy, benv, ppo_cfg.horizon)
-            stats = ppo_update(net, buf, ppo_cfg, adam_state, shuffle_rng)
-            last_good = copy.deepcopy(net)
-            result.env_steps += steps_per_iter
-            result.iterations += 1
-            returns_since_eval.extend(buf.episode_returns)
-            stats_since_eval.append(stats)
-            if (it + 1) % ppo_cfg.eval_every == 0 or it == iterations - 1:
-                _emit_eval(result.env_steps)
+        # every update pins OpenBLAS to one thread while its worker runs;
+        # pinning the whole run keeps it from restarting threads in between
+        with one_blas_thread():
+            for it in range(iterations):
+                buf = batch_rollout(policy, benv, ppo_cfg.horizon)
+                stats = ppo_update(net, buf, ppo_cfg, adam_state, shuffle_rng)
+                last_good = copy.deepcopy(net)
+                result.env_steps += steps_per_iter
+                result.iterations += 1
+                returns_since_eval.extend(buf.episode_returns)
+                stats_since_eval.append(stats)
+                if (it + 1) % ppo_cfg.eval_every == 0 or it == iterations - 1:
+                    _emit_eval(result.env_steps)
     except (RuntimeError, FloatingPointError):
         os.makedirs(out_dir, exist_ok=True)
         save_policy(os.path.join(out_dir, "final.ckpt"), last_good, config)

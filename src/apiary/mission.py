@@ -79,19 +79,19 @@ from __future__ import annotations
 import array
 import contextlib
 import enum
+import functools
 import math
 import os
-import signal
 import struct
-import sys
 from dataclasses import dataclass, field
-from typing import NoReturn, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from . import math3d as m3
 from .actuation import clamp_axes
 from .baseline import PdGains, pd_wrench_f
+from .child import Child
 from .dynamics import DofMask, step_f
 from .env import EnvConfig
 from .learn.nets import PolicyNet, policy_mean
@@ -184,14 +184,13 @@ class LogWriter:
         try:
             for key, path in paths.items():
                 files[key] = open(path, "w", newline="")
-            # the writer gets a copy of every buffer; leave none unwritten
-            sys.stdout.flush()
-            sys.stderr.flush()
-            self._pid, self._pipe, self._status = _fork_writer(files)
+            self._child = Child(functools.partial(_write_logs, files=files))
         except BaseException:
             for f in files.values():
                 f.close()
-                os.remove(f.name)
+                # a writer that was started has deleted them as it stopped
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(f.name)
             raise
         for f in files.values():
             f.close()  # nothing written yet: the writer holds its own copies
@@ -234,7 +233,7 @@ class LogWriter:
         """Have the writer delete the files still open, and wait for it.
         Rows not yet sent are dropped; they belong to those files. A
         message cut short (an interrupt inside a send) is dropped too."""
-        if self._pid is not None:
+        if self._child.pid is not None:
             self._reap()
 
     def _send(self, op: int, key: int = 0) -> None:
@@ -245,7 +244,7 @@ class LogWriter:
         del self._values[:], self._keys[:]
         try:
             while data:
-                data = data[os.write(self._pipe, data):]
+                data = data[os.write(self._child.pipe, data):]
         except BrokenPipeError:
             # the writer stopped on an error of its own: report that
             error = self._reap()
@@ -254,52 +253,15 @@ class LogWriter:
     def _reap(self) -> str:
         """Close the pipe, wait for the writer, and return its error
         message ("" if it exited cleanly)."""
-        if self._pipe is not None:
-            pipe, self._pipe = self._pipe, None
-            os.close(pipe)
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        with open(self._status, "rb") as f:
+        ended = self._child.reap()
+        with open(self._child.out, "rb") as f:
             error = f.read().decode()
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            return f"killed by signal {-code}"
-        return error or (f"exit status {code}" if code else "")
+        return error or ended
 
 
-def _fork_writer(files: dict[int, TextIO]) -> tuple[int, int, int]:
-    """Fork the writer of `files`: (pid, write end of its row pipe, read
-    end of its error pipe). A plain fork, since a daemonic pool worker may
-    not start a `multiprocessing.Process`; SIGINT stays blocked across the
-    fork so the writer ignores it from its first instruction."""
-    rows_r, rows_w = os.pipe()
-    status_r, status_w = os.pipe()
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                os.close(rows_w)
-                os.close(status_r)
-                _write_logs(rows_r, status_w, files)
-            finally:
-                os._exit(1)  # never back into the sender's code
-    except BaseException:
-        for fd in (rows_r, rows_w, status_r, status_w):
-            os.close(fd)
-        raise
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    os.close(rows_r)
-    os.close(status_w)
-    return pid, rows_w, status_r
-
-
-def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoReturn:
+def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> int:
     """The writer process: format and write rows until a finish or the end
-    of the pipe, then `os._exit`. On anything but a finish the
+    of the pipe, and return its exit code. On anything but a finish the
     files still open are deleted; an error's text goes to `status_fd`."""
     code = 1
     try:
@@ -338,7 +300,7 @@ def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> NoRet
                 f.close()
             with contextlib.suppress(OSError):
                 os.remove(f.name)
-        os._exit(code)
+    return code
 
 
 @dataclass(frozen=True)

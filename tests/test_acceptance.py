@@ -21,7 +21,7 @@ from apiary.env import EnvConfig, RewardWeights
 from apiary.learn import PpoConfig, evaluate_policy, train
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import param_list, policy_init
-from apiary.learn.ppo import _minibatch_grads, gae
+from apiary.learn.ppo import _actor_grads, _critic_grads, _minibatch_stats, gae
 from apiary.mission import (
     ControlMode,
     Maneuver,
@@ -166,9 +166,15 @@ def test_backprop_matches_finite_differences():
     old_logp = logp_now - np.log(ratios)
     adv = rng.choice([-1.0, 1.0], size=b) * rng.uniform(0.5, 2.0, size=b)
     returns = rng.standard_normal(b)
-    batch = (obs, actions, old_logp, adv, returns)
 
-    grads, _ = _minibatch_grads(net, *batch, cfg, {})
+    def grads_and_loss():
+        # ppo_update's gradient in param_list order, from its actor and
+        # critic halves, and the loss it reports
+        actor_grads, actor_stats = _actor_grads(net, obs, actions, old_logp, adv, cfg, {})
+        value_loss, critic_grads = _critic_grads(net, obs, returns, cfg, {})
+        return actor_grads + critic_grads, _minibatch_stats(actor_stats, value_loss, cfg)["loss"]
+
+    grads, _ = grads_and_loss()
     h = 1e-5
     worst = 0.0
     n_params = 0
@@ -178,9 +184,9 @@ def test_backprop_matches_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = _minibatch_grads(net, *batch, cfg, {})[1]["loss"]
+            up = grads_and_loss()[1]
             flat[j] = orig - h
-            dn = _minibatch_grads(net, *batch, cfg, {})[1]["loss"]
+            dn = grads_and_loss()[1]
             flat[j] = orig
             fd = (up - dn) / (2 * h)
             scale = max(abs(fd), abs(gflat[j]), 1e-6)

@@ -3,8 +3,9 @@
 import csv
 import importlib
 import itertools
-import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -19,12 +20,15 @@ from apiary.learn.checkpoint import load_policy, save_policy
 from apiary.learn.nets import PolicyNet, mlp_init, policy_mean
 from apiary import mission
 from apiary.mission import LOG_HEADER, ControlMode, log_line, read_log
+from children import assert_no_child_left
 from flight import column, columns
 
 # the package's `train` name is the function; this is its module
 train_module = importlib.import_module("apiary.learn.train")
+ppo_module = importlib.import_module("apiary.learn.ppo")
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
+SRC = Path(__file__).resolve().parents[1] / "src"
 REFERENCE_CKPT = ASSETS / "reference_policy.ckpt"
 RECIPE = ASSETS / "reference_training_config.ini"
 # the reference policy was trained under RECIPE, not under the defaults
@@ -69,14 +73,6 @@ def workspace(tmp_path_factory):
     rc = main(["train", "--config", str(cfg), "--out", str(out), "--seed", "4"])
     assert rc == 0
     return {"root": root, "config": cfg, "ckpt": out / "final.ckpt", "train_out": out}
-
-
-def assert_no_child_left():
-    """No process a command started outlives it: none that multiprocessing
-    knows of, and no child of this process at all, running or unreaped."""
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -138,6 +134,53 @@ def test_train_divergence_exits_2(tmp_path, capsys):
     net, _ = load_policy(out / "final.ckpt")
     for w in net.actor.weights:
         assert np.all(np.isfinite(w))
+    assert_no_child_left()
+
+
+def test_interrupted_train_leaves_no_child(tmp_path, monkeypatch):
+    # an interrupt in the parent's half of the second PPO update (2
+    # minibatches per update) stops and reaps that update's worker
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(TINY_CONFIG)
+    actor_grads, calls = ppo_module._actor_grads, []
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return actor_grads(*args)
+
+    monkeypatch.setattr(ppo_module, "_actor_grads", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert len(calls) == 3
+    assert_no_child_left()
+
+
+def test_train_bytes_independent_of_starting_blas_threads(tmp_path):
+    # minibatches of 512 rows through 64-wide layers: big enough that
+    # OpenBLAS splits a product over threads when it has two
+    cfg = tmp_path / "blas.ini"
+    text = TINY_CONFIG
+    for old, new in [
+        ("n_envs = 2", "n_envs = 16"), ("horizon = 16", "horizon = 64"),
+        ("total_env_steps = 64", "total_env_steps = 2048"),
+        ("minibatch_size = 32", "minibatch_size = 512"), ("hidden = 8", "hidden = 64,64"),
+    ]:
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "apiary.cli", "train", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / f).read_bytes() for f in ("final.ckpt", "best.ckpt", "curve.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_writes_outputs(workspace, capsys):
@@ -261,15 +304,14 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
     # each log writer's pid, kept in a file since pool workers start them
     pids = tmp_path / "writer_pids"
-    fork_writer = mission._fork_writer
 
-    def recorded(files):
-        pid, *pipes = fork_writer(files)
-        with open(pids, "a") as f:
-            f.write(f"{pid}\n")
-        return (pid, *pipes)
+    class Recorded(mission.Child):
+        def __init__(self, run):
+            super().__init__(run)
+            with open(pids, "a") as f:
+                f.write(f"{self.pid}\n")
 
-    monkeypatch.setattr(mission, "_fork_writer", recorded)
+    monkeypatch.setattr(mission, "Child", Recorded)
     logs = tmp_path / "logs"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -8,6 +8,8 @@ loop runs, as four lists of Python floats.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apiary import math3d as m3
 from apiary.dynamics import (
@@ -77,6 +79,49 @@ def test_zero_wrench_conserves_momentum():
     # force-free linear velocity never changes at all
     np.testing.assert_array_equal(p1, p0)
     np.testing.assert_allclose(l1, l0, rtol=1e-9, atol=1e-12)
+
+
+def _valid_inertia(a, b, c):
+    # principal moments of a body whose mass spreads a, b, c along x, y, z:
+    # every sum of two is at least the third by construction
+    return m3.vec3(b + c, a + c, a + b)
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    spread=st.tuples(*[st.floats(0.005, 0.5, **FINITE)] * 3),
+    com=st.tuples(*[st.floats(-0.2, 0.2, **FINITE)] * 3),
+    att=st.tuples(*[st.floats(-1.0, 1.0, **FINITE)] * 4).filter(
+        lambda q: sum(c * c for c in q) > 0.01
+    ),
+    av=st.tuples(*[st.floats(-3.0, 3.0, **FINITE)] * 3),
+    lv=st.tuples(*[st.floats(-0.5, 0.5, **FINITE)] * 3),
+)
+def test_zero_wrench_conserves_momentum_for_any_body(spread, com, att, lv, av):
+    # random valid inertias and COM offsets: under zero wrench the COM
+    # offset turns no force into torque, and world-frame angular momentum
+    # holds to round-off through step_f and step_arrays alike, which agree
+    # bit for bit
+    params = BodyParams(mass=9.5, inertia_diag=_valid_inertia(*spread), com_offset=np.array(com))
+    s = state(att=np.array(att) / np.linalg.norm(att), lv=lv, av=av)
+    body = body_args(params)
+    p0, l0 = momentum(s, params)
+    arrays = [np.array(v) for v in s]
+    tm, rm = FULL_6DOF.translation_floats(), FULL_6DOF.rotation_floats()
+    for _ in range(200):
+        s = step_f(*s, ZERO, ZERO, *body, 0.016)
+        arrays = step_arrays(
+            *arrays, np.zeros(3), np.zeros(3), np.float64(params.mass), params.inertia_diag,
+            params.com_offset, tm, rm, 0.016,
+        )
+    for got, want in zip(arrays, s):
+        assert got.tolist() == want
+    p1, l1 = momentum(s, params)
+    np.testing.assert_array_equal(p1, p0)
+    assert np.linalg.norm(l1 - l0) <= 1e-10 * np.linalg.norm(l0)
 
 
 def test_principal_axis_spin_is_steady():

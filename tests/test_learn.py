@@ -39,10 +39,9 @@ from apiary.learn.nets import (
     adam_init,
     adam_step,
     clamped_log_std,
-    clip_grads,
+    clip_scale,
     gaussian_entropy,
     gaussian_log_prob,
-    global_grad_norm,
     mlp_forward,
     mlp_init,
     param_list,
@@ -52,17 +51,21 @@ from apiary.learn.nets import (
 )
 from apiary.learn.ppo import (
     UpdateDivergedError,
-    _minibatch_grads,
+    _actor_grads,
+    _critic_grads,
+    _minibatch_stats,
     gae,
     normalize_advantages,
     ppo_update,
 )
 from apiary.learn.train import EVAL_CHUNK
 from apiary.mission import read_log
+from children import assert_no_child_left
 from flight import column, labels
 
 # the package's `train` name is the function; this is its module
 train_module = importlib.import_module("apiary.learn.train")
+ppo_module = importlib.import_module("apiary.learn.ppo")
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
 
@@ -170,15 +173,13 @@ def test_adam_matches_reference():
 
 
 def test_clip_grads():
-    grads = [np.array([3.0, 0.0]), np.array([[4.0]])]
-    assert global_grad_norm(grads) == pytest.approx(5.0)
-    clipped, norm = clip_grads(grads, 0.5)
+    # the sums of squares of [3, 0] and [[4]]: global norm 5
+    sums = [9.0, 16.0]
+    norm, scale = clip_scale(sums, 0.5)
     assert norm == pytest.approx(5.0)
-    assert global_grad_norm(clipped) == pytest.approx(0.5, rel=1e-12)
-    same, norm = clip_grads(grads, 10.0)
-    assert same is grads and norm == pytest.approx(5.0)
-    same, _ = clip_grads(grads, 0.0)  # disabled
-    assert same is grads
+    assert scale * norm == pytest.approx(0.5, rel=1e-12)
+    assert clip_scale(sums, 10.0) == (5.0, 1.0)
+    assert clip_scale(sums, 0.0) == (5.0, 1.0)  # disabled
 
 
 def test_policy_sample_deterministic_per_seed():
@@ -288,9 +289,18 @@ def fd_batch(net, rng, b=16):
     return obs, actions, old_logp, adv, returns
 
 
+def minibatch_grads(net, batch, cfg):
+    """One minibatch's gradient, in param_list order, and its stats, as
+    `ppo_update` combines them from its actor and critic halves."""
+    obs, actions, old_logp, adv, returns = batch
+    actor_grads, actor_stats = _actor_grads(net, obs, actions, old_logp, adv, cfg, {})
+    value_loss, critic_grads = _critic_grads(net, obs, returns, cfg, {})
+    return actor_grads + critic_grads, _minibatch_stats(actor_stats, value_loss, cfg)
+
+
 def minibatch_loss(net, batch, cfg):
-    """The loss `_minibatch_grads` reports alongside its gradients."""
-    return _minibatch_grads(net, *batch, cfg, {})[1]["loss"]
+    """The loss reported alongside the two halves' gradients."""
+    return minibatch_grads(net, batch, cfg)[1]["loss"]
 
 
 def test_gradients_match_finite_differences():
@@ -298,7 +308,7 @@ def test_gradients_match_finite_differences():
     net = policy_init(rng, PpoConfig())
     cfg = PpoConfig(entropy_coef=0.01)
     batch = fd_batch(net, rng)
-    grads, _ = _minibatch_grads(net, *batch, cfg, {})
+    grads, _ = minibatch_grads(net, batch, cfg)
     params = param_list(net)
     h = 1e-5
     worst = 0.0
@@ -324,7 +334,7 @@ def test_clamped_log_std_has_zero_gradient():
     net.log_std[:] = [-6.0, 2.0, -0.5, -0.5, -0.5, -0.5]  # two channels clamped
     cfg = PpoConfig()
     batch = fd_batch(net, rng)
-    grads, _ = _minibatch_grads(net, *batch, cfg, {})
+    grads, _ = minibatch_grads(net, batch, cfg)
     log_std_grad = grads[len(net.actor.weights) * 2]
     assert log_std_grad[0] == 0.0 and log_std_grad[1] == 0.0
     # and the loss really is flat there
@@ -340,7 +350,7 @@ def test_huge_clip_equals_vanilla_pg():
     net = policy_init(rng, PpoConfig())
     cfg = PpoConfig(clip_eps=1e9, value_coef=0.5)
     obs, actions, old_logp, adv, returns = fd_batch(net, rng)
-    _, stats = _minibatch_grads(net, obs, actions, old_logp, adv, returns, cfg, {})
+    _, stats = minibatch_grads(net, (obs, actions, old_logp, adv, returns), cfg)
     mean = policy_mean(net, obs)
     ratio = np.exp(gaussian_log_prob(mean, clamped_log_std(net), actions) - old_logp)
     assert stats["policy_loss"] == pytest.approx(float(-np.mean(ratio * adv)), rel=1e-12)
@@ -451,6 +461,16 @@ def _oracle_grads(net, obs, actions, old_log_probs, adv, returns, cfg):
     return grads, stats
 
 
+def clip_grads(grads, max_norm):
+    norm = 0.0
+    for g in grads:
+        norm += float(np.sum(g * g))
+    norm = float(np.sqrt(norm))
+    if max_norm <= 0.0 or norm <= max_norm:
+        return grads, norm
+    return [g * (max_norm / norm) for g in grads], norm
+
+
 def _oracle_adam(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     state.t += 1
     t = state.t
@@ -516,6 +536,171 @@ def test_ppo_update_diverged_raises():
     buf.rewards[0, 3] = np.inf
     with pytest.raises(UpdateDivergedError, match="epoch 0, minibatch 0"):
         ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(0))
+
+
+def _assert_same_update(got, want):
+    (net, adam, stats), (ref_net, ref_adam, ref_stats) = got, want
+    assert adam.t == ref_adam.t
+    for a, b in zip(
+        param_list(net) + adam.m + adam.v, param_list(ref_net) + ref_adam.m + ref_adam.v
+    ):
+        assert a.tobytes() == b.tobytes()
+    assert list(stats) == list(ref_stats)
+    for k in stats:
+        assert struct.pack("<d", stats[k]) == struct.pack("<d", ref_stats[k]), k
+
+
+def test_consecutive_ppo_updates_match_oracle_bitwise():
+    # the update worker carries the critic and its Adam moments across its
+    # lockstep with the parent and back, three updates running: 128 samples
+    # in minibatches of 48 (the last one 32), a norm bound that clips every
+    # step, and a log_std channel held below its clamp
+    cfg = PpoConfig(
+        n_envs=4, horizon=32, minibatch_size=48, epochs=2, entropy_coef=0.01, max_grad_norm=0.05
+    )
+    start = policy_init(np.random.default_rng(24), PpoConfig())
+    start.log_std[2] = LOG_STD_MIN - 0.5
+    buffers = [make_buffer(start, seed=30 + k) for k in range(3)]
+    runs = []
+    for update in (ppo_update, _oracle_ppo_update):
+        net = policy_init(np.random.default_rng(24), PpoConfig())
+        net.log_std[2] = LOG_STD_MIN - 0.5
+        adam = adam_init(param_list(net))
+        rng = np.random.default_rng(9)
+        runs.append([])
+        for buf in buffers:
+            stats = update(net, buf, cfg, adam, rng)
+            runs[-1].append((net, adam, stats))
+        assert_no_child_left()
+    for got, want in zip(*runs):
+        _assert_same_update(got, want)
+        assert got[2]["grad_norm"] > cfg.max_grad_norm
+    assert runs[0][-1][1].t == 18
+    assert runs[0][-1][0].log_std[2] == LOG_STD_MIN - 0.5
+
+
+def _oracle_divergence(net, buffer, cfg, adam, rng, poisoned_gae):
+    """The message of the first non-finite loss or gradient, checked in
+    the order the one-process update checked them."""
+    adv2d, ret2d = poisoned_gae(buffer.rewards, buffer.values, buffer.dones,
+                                buffer.bootstrap_values, cfg.gamma, cfg.lam)
+    obs, actions, old_logp, adv, returns = (
+        buffer.flat(a) for a in (buffer.obs, buffer.actions, buffer.log_probs, adv2d, ret2d)
+    )
+    n = obs.shape[0]
+    mb = min(cfg.minibatch_size, n)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, mb):
+            idx = order[start : start + mb]
+            grads, stats = _oracle_grads(
+                net, obs[idx], actions[idx], old_logp[idx], normalize_advantages(adv[idx]),
+                returns[idx], cfg,
+            )
+            if not np.isfinite(stats["loss"]):
+                return f"non-finite loss at epoch {epoch}, minibatch {start // mb}"
+            if not all(np.isfinite(g).all() for g in grads):
+                return f"non-finite gradient at epoch {epoch}, minibatch {start // mb}"
+            grads, _ = clip_grads(grads, cfg.max_grad_norm)
+            _oracle_adam(param_list(net), grads, adam, cfg.lr)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_critic_side_divergence_raises_the_oracle_message(monkeypatch):
+    # one return goes non-finite: only the worker's critic half sees it,
+    # in whichever minibatch the permutation puts that sample
+    cfg = PpoConfig(n_envs=4, horizon=32, minibatch_size=16, epochs=2)
+
+    def poisoned_gae(*args):
+        adv, ret = gae(*args)
+        ret = ret.copy()
+        ret[2, 19] = np.inf
+        return adv, ret
+
+    net = policy_init(np.random.default_rng(25), PpoConfig())
+    buf = make_buffer(net)
+    ref = policy_init(np.random.default_rng(25), PpoConfig())
+    want = _oracle_divergence(
+        ref, buf, cfg, adam_init(param_list(ref)), np.random.default_rng(3), poisoned_gae
+    )
+    assert want is not None and want != "non-finite loss at epoch 0, minibatch 0"
+    monkeypatch.setattr(ppo_module, "gae", poisoned_gae)
+    with pytest.raises(UpdateDivergedError) as raised:
+        ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(3))
+    assert str(raised.value) == want
+    assert_no_child_left()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("end", ["returned", "diverged", "interrupted"])
+def test_ppo_update_leaves_no_child(monkeypatch, end):
+    cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=8)
+    net = policy_init(np.random.default_rng(26), PpoConfig())
+    buf = make_buffer(net, n_envs=2, horizon=16)
+    if end == "diverged":
+        buf.rewards[1, 7] = np.nan
+    elif end == "interrupted":
+        # the parent, not the worker, is interrupted in its third minibatch
+        actor_grads, calls = ppo_module._actor_grads, []
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return actor_grads(*args)
+
+        monkeypatch.setattr(ppo_module, "_actor_grads", interrupted)
+    raised = {"returned": None, "diverged": UpdateDivergedError,
+              "interrupted": KeyboardInterrupt}[end]
+    if raised is None:
+        ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(0))
+    else:
+        with pytest.raises(raised):
+            ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(0))
+    assert_no_child_left()
+
+
+def test_ppo_update_pins_blas_to_one_thread_and_restores(monkeypatch):
+    counts = ppo_module._openblas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    get, put = counts[0]
+    before = get()
+    seen = []
+    actor_grads = ppo_module._actor_grads
+
+    def recording(*args):
+        seen.append(get())
+        return actor_grads(*args)
+
+    monkeypatch.setattr(ppo_module, "_actor_grads", recording)
+    cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=16)
+    net = policy_init(np.random.default_rng(27), PpoConfig())
+    put(2)
+    try:
+        ppo_update(net, make_buffer(net, n_envs=2, horizon=16), cfg,
+                   adam_init(param_list(net)), np.random.default_rng(0))
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+
+
+def test_train_sets_blas_threads_once_each_way(tmp_path, monkeypatch):
+    # setting the count between updates would restart the OpenBLAS threads
+    # that each worker's fork stopped, and a new thread busy-waits beside
+    # the next rollout; train pins once for the run and restores once
+    threads, calls = [2], []
+
+    def put(n):
+        calls.append(n)
+        threads[0] = n
+
+    monkeypatch.setattr(ppo_module, "_openblas_thread_counts", lambda: ((lambda: threads[0], put),))
+    res = train(quick_env(), RewardWeights(), smoke_ppo(), seed=5, out_dir=tmp_path, log_fn=None)
+    assert res.iterations == 2
+    assert calls == [1, 2]
 
 
 def test_ppo_config_validation():
@@ -790,13 +975,18 @@ def test_evaluate_policy_worker_count_invariance():
 
 
 def test_evaluate_policy_episode_count_invariance():
-    # episode k is seeded independently, so a longer run extends the list
+    # episode k is seeded (seed, k), and a whole EVAL_CHUNK chunk runs the
+    # policy on the same rows whatever the episode count, so the first 32
+    # (EVAL_CHUNK) episodes of a 40-episode run are a 32-episode run.
+    # Episodes in a partial last chunk are not claimed: the policy's rows
+    # may round differently in a batch of another size (learn.train)
     net = policy_init(np.random.default_rng(41), PpoConfig())
     cfg = quick_env()
     w = RewardWeights()
-    r_small = evaluate_policy(net, cfg, w, 10, seed=556)
-    r_big = evaluate_policy(net, cfg, w, 25, seed=556)
-    assert r_big.episodes[:10] == r_small.episodes
+    r_small = evaluate_policy(net, cfg, w, EVAL_CHUNK, seed=556)
+    r_big = evaluate_policy(net, cfg, w, EVAL_CHUNK + 8, seed=556)
+    assert len(r_big.episodes) == EVAL_CHUNK + 8
+    assert r_big.episodes[:EVAL_CHUNK] == r_small.episodes
 
 
 def test_evaluate_policy_validation_and_logs(tmp_path):

@@ -3,6 +3,7 @@
 import csv
 import os
 import signal
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -730,7 +731,7 @@ def test_log_writer_deletes_open_files_when_not_finished(tmp_path, monkeypatch, 
     rows = make_log_rows(3)
     closed, still_open = tmp_path / "closed.csv", tmp_path / "open.csv"
     log = LogWriter({0: str(still_open), 1: str(closed)})
-    os.kill(log._pid, signal.SIGINT)
+    os.kill(log._child.pid, signal.SIGINT)
     for key in (0, 1):
         for row in rows.tolist():
             log.row(key, row, "baseline", 5)
@@ -750,6 +751,38 @@ def test_log_writer_deletes_open_files_when_not_finished(tmp_path, monkeypatch, 
     want = write_log(tmp_path / "want.csv", rows, [("baseline", 5)] * 3).read_bytes()
     assert closed.read_bytes() == want
     assert not still_open.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_system_exit(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@pytest.mark.parametrize("signum, raised", [
+    (signal.SIGTERM, SystemExit),  # how leaving an `eval` pool stops its workers
+    (signal.SIGINT, KeyboardInterrupt),
+])
+def test_signal_during_writer_fork_stops_writer(tmp_path, monkeypatch, signum, raised):
+    # a signal that arrives while the writer is being forked must raise in
+    # the sender, once the writer is on record: the writer is reaped, its
+    # files are gone, and the exception is the signal's own
+    fork = os.fork
+
+    def signalled_fork():
+        pid = fork()
+        if pid:
+            signal.pthread_kill(threading.main_thread().ident, signum)
+        return pid
+
+    monkeypatch.setattr(os, "fork", signalled_fork)
+    previous = signal.signal(signal.SIGTERM, _raise_system_exit)
+    try:
+        with pytest.raises(raised):
+            LogWriter({0: str(tmp_path / "a.csv"), 1: str(tmp_path / "b.csv")})
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
