@@ -24,6 +24,8 @@ consecutive steps, out-of-bounds, or episode_len reached.
 `BatchEnv` advances n independent environments with broadcastable array
 math, so row i of a batch is bit-identical to a batch of one stepped alone
 with row i's RNG stream, which is derived from (master seed, env index).
+Without auto-reset (evaluation), a finished row parks under zero wrench
+while the rest of the batch runs on; its later state is not read.
 The flight loop in `mission` computes the errors of `observe_arrays` and
 the norms of `obs_norms` per tick in Python floats, bit for bit.
 """
@@ -176,21 +178,17 @@ def reward_arrays(
     return r, success_flags(norms, config), oob
 
 
-def _where_live(mask: np.ndarray | None, new: np.ndarray, old) -> np.ndarray:
-    """Rows of `new` where mask is set, else `old`; `new` itself when no
-    row is frozen (mask None), since np.where(all-True, new, old) is new."""
-    return new if mask is None else np.where(mask, new, old)
-
-
 class BatchEnv:
     """n independent environments advanced in lockstep with array math.
 
     Per-env RNG streams are seeded from (master seed, env index), so the
     trajectory of env i does not depend on n_envs or on how a caller
     shards work. With auto_reset a finished environment immediately starts
-    a new episode; without it the environment freezes at its terminal
-    state (used for evaluation). `norms` holds `obs_norms(obs)`, which the
-    next tick's reward reads as its previous norms.
+    a new episode; without it (used for evaluation) the environment is
+    marked `frozen` and parks: later ticks step it under zero wrench, it
+    never finishes again, and its later state is not read. `norms` holds
+    `obs_norms(obs)`, which the next tick's reward reads as its previous
+    norms.
     """
 
     def __init__(
@@ -271,10 +269,11 @@ class BatchEnv:
         self.norms[i] = obs_norms(self.obs[i])
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-        """Advance every live env one tick.
+        """Advance every env one tick, a parked (frozen) one under zero wrench.
 
         Returns (obs, rewards, dones, finished) where finished lists one
-        record per episode that terminated on this tick.
+        record per episode that terminated on this tick. A parked row's
+        reward is 0 and its done False; its obs is not read.
         """
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (self.n, ACT_DIM):
@@ -284,6 +283,7 @@ class BatchEnv:
             raise ValueError(f"non-finite action for env {bad}")
         cfg = self.config
         a = actions.clip(-1.0, 1.0)
+        a[self.frozen] = 0.0
         force = a[:, :3] * cfg.limits.f_max
         torque = a[:, 3:] * cfg.limits.tau_max
 
@@ -301,54 +301,31 @@ class BatchEnv:
             self._rmask,
             cfg.dt,
         )
-        # frozen rows keep their state; training never freezes a row, and
-        # then every merge below is skipped
-        live = ~self.frozen if self.frozen.any() else None
-        rows = None if live is None else live[:, None]
-        self.pos = _where_live(rows, pos2, self.pos)
-        self.att = _where_live(rows, att2, self.att)
-        self.linvel = _where_live(rows, lv2, self.linvel)
-        self.angvel = _where_live(rows, av2, self.angvel)
-        if not (
-            np.isfinite(self.pos).all()
-            and np.isfinite(self.att).all()
-            and np.isfinite(self.linvel).all()
-            and np.isfinite(self.angvel).all()
-        ):
-            finite = (
-                np.isfinite(self.pos).all(axis=1)
-                & np.isfinite(self.att).all(axis=1)
-                & np.isfinite(self.linvel).all(axis=1)
-                & np.isfinite(self.angvel).all(axis=1)
-            )
-            bad = int(np.argwhere(~finite)[0, 0])
+        finite = np.isfinite(np.concatenate([pos2, att2, lv2, av2], axis=1))
+        if not finite.all():
+            bad = int(np.argmin(finite.all(axis=1)))
             raise SimulationDivergedError(f"env {bad}: state went non-finite")
+        self.pos, self.att, self.linvel, self.angvel = pos2, att2, lv2, av2
 
-        obs = observe_arrays(
-            self.pos, self.att, self.linvel, self.angvel, self.goal_pos, self.goal_att,
-            cfg.body_frame_obs,
-        )
+        obs = observe_arrays(pos2, att2, lv2, av2, self.goal_pos, self.goal_att, cfg.body_frame_obs)
         norms = obs_norms(obs)
         r, succ, oob = reward_arrays(self.norms, norms, self.weights, cfg)
-        r = _where_live(live, r, 0.0)
-        self.obs = _where_live(rows, obs, self.obs)
-        self.norms = _where_live(rows, norms, self.norms)
+        self.obs, self.norms = obs, norms
 
-        self.hold = np.where(_where_live(live, succ, False), self.hold + 1, 0)
-        self.steps = _where_live(live, self.steps + 1, self.steps)
-        done_success = _where_live(live, self.hold >= cfg.hold_steps, False)
-        r = r + self.weights.bonus_success * done_success
-        done_oob = _where_live(live, oob, False)
-        done_timeout = _where_live(live, self.steps >= cfg.episode_len, False)
-        done = done_success | done_oob | done_timeout
-        self.episode_return = _where_live(live, self.episode_return + r, self.episode_return)
+        self.hold = np.where(succ, self.hold + 1, 0)
+        self.steps = self.steps + 1
+        done_success = self.hold >= cfg.hold_steps
+        live = ~self.frozen
+        done = (done_success | oob | (self.steps >= cfg.episode_len)) & live
+        r = np.where(live, r + self.weights.bonus_success * done_success, 0.0)
+        self.episode_return = self.episode_return + r
 
         finished = []
         for i in np.flatnonzero(done):
             i = int(i)
             if done_success[i]:
                 reason = "success"
-            elif done_oob[i]:
+            elif oob[i]:
                 reason = "oob"
             else:
                 reason = "timeout"

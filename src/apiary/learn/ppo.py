@@ -21,18 +21,18 @@ minibatch:
   critic array, whether it is finite and its sum of squares;
 - the parent runs the actor's and log_std's (`_actor_grads`), makes the
   divergence checks in their one-process order (the loss, then each
-  gradient in `param_list` order) and raises, or sends its own sums back;
-- both add the sums in `param_list` order, so both get the same global
-  norm and clip factor, and each applies Adam to its own arrays.
+  gradient in `param_list` order) and raises, or adds all the sums in
+  `param_list` order into the global norm and sends the worker the clip
+  factor;
+- each applies that factor and Adam to its own arrays.
 
 At the end the worker sends the critic's weights and biases and their
 Adam moments back as raw float64 bytes, and the parent copies them into
 place. Each number is computed by the same operations as in one process,
-so an update gives the same bytes. While the worker lives, OpenBLAS runs
-one thread (`one_blas_thread`; `train` holds it for the whole run): two
-processes at two BLAS threads each would fight over two cores. Where the
-system allows it, the worker keeps off its parent's core
-(`_off_parent_cpu`). If the parent raises or is interrupted, it closes
+so an update gives the same bytes. `train` holds OpenBLAS at one thread
+for the whole run (`one_blas_thread`): two processes at two BLAS threads
+each would fight over two cores. Where the system allows it, the worker
+keeps off its parent's core (`_off_parent_cpu`). If the parent raises or is interrupted, it closes
 the worker's input pipe, which the worker takes as "stop", and reaps it.
 
 Each process owns one workspace (see `nets`) for the whole update, which
@@ -250,9 +250,9 @@ def _messages(net: PolicyNet) -> tuple[struct.Struct, struct.Struct]:
     """The two messages of one lockstep minibatch step. The worker's: the
     value loss, then for each critic array whether it is finite, then its
     sum of squares (0.0 where it is not finite). The parent's reply: the
-    sums of squares of the actor's arrays and log_std."""
+    clip factor."""
     k = 2 * len(net.critic.weights)
-    return struct.Struct(f"=d{k}?{k}d"), struct.Struct(f"={2 * len(net.actor.weights) + 1}d")
+    return struct.Struct(f"=d{k}?{k}d"), struct.Struct("=d")
 
 
 def _off_parent_cpu(parent: int) -> None:
@@ -260,8 +260,8 @@ def _off_parent_cpu(parent: int) -> None:
     system tells both (Linux). A pipe write asks the scheduler to run the
     woken reader on the writer's core, as for a writer about to sleep, but
     the parent computes on after its reply, so the two would share one
-    core: each 56-byte reply measured about 1.5 ms, the worker's whole
-    step. The parent stays free to move."""
+    core: each reply measured about 1.5 ms, the worker's whole step. The
+    parent stays free to move."""
     try:
         with open(f"/proc/{parent}/stat") as f:
             cpu = int(f.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
@@ -302,7 +302,7 @@ def _critic_worker(
                 reply = down.read(reply_message.size)
                 if len(reply) < reply_message.size:
                     return 0  # the parent stopped the update
-                _, scale = nets.clip_scale([*reply_message.unpack(reply), *sums], cfg.max_grad_norm)
+                (scale,) = reply_message.unpack(reply)
                 _clipped_adam_step(arrays, grads, scale, state, cfg.lr)
             up.write(b"".join(a.tobytes() for a in arrays + state.m + state.v))
     except BrokenPipeError:
@@ -347,43 +347,42 @@ def ppo_update(
 
     agg: dict[str, float] = {}
     count = 0
-    with one_blas_thread():
-        worker = Child(functools.partial(
-            _critic_worker, net=net, obs=obs, returns=returns, cfg=cfg, arrays=params[head:],
-            state=nets.AdamState(adam_state.m[head:], adam_state.v[head:], adam_state.t),
-            rng=rng,
-        ))
-        try:
-            with open(worker.out, "rb") as up:
-                for epoch, minibatch, idx in _minibatches(n, mb, cfg.epochs, rng):
-                    grads, actor_stats = _actor_grads(
-                        net, obs[idx], actions[idx], old_logp[idx],
-                        normalize_advantages(adv[idx]), cfg, ws,
+    worker = Child(functools.partial(
+        _critic_worker, net=net, obs=obs, returns=returns, cfg=cfg, arrays=params[head:],
+        state=nets.AdamState(adam_state.m[head:], adam_state.v[head:], adam_state.t),
+        rng=rng,
+    ))
+    try:
+        with open(worker.out, "rb") as up:
+            for epoch, minibatch, idx in _minibatches(n, mb, cfg.epochs, rng):
+                grads, actor_stats = _actor_grads(
+                    net, obs[idx], actions[idx], old_logp[idx],
+                    normalize_advantages(adv[idx]), cfg, ws,
+                )
+                value_loss, *checks = message.unpack(_receive(up, message.size, worker))
+                critic_finite, critic_sums = checks[:critics], checks[critics:]
+                stats = _minibatch_stats(actor_stats, value_loss, cfg)
+                if not np.isfinite(stats["loss"]):
+                    raise UpdateDivergedError(
+                        f"non-finite loss at epoch {epoch}, minibatch {minibatch}"
                     )
-                    value_loss, *checks = message.unpack(_receive(up, message.size, worker))
-                    critic_finite, critic_sums = checks[:critics], checks[critics:]
-                    stats = _minibatch_stats(actor_stats, value_loss, cfg)
-                    if not np.isfinite(stats["loss"]):
-                        raise UpdateDivergedError(
-                            f"non-finite loss at epoch {epoch}, minibatch {minibatch}"
-                        )
-                    if not all([np.isfinite(g).all() for g in grads] + critic_finite):
-                        raise UpdateDivergedError(
-                            f"non-finite gradient at epoch {epoch}, minibatch {minibatch}"
-                        )
-                    sums = [_sum_of_squares(g) for g in grads]
-                    # a worker that stopped shows at the next read
-                    with contextlib.suppress(BrokenPipeError):
-                        os.write(worker.pipe, reply_message.pack(*sums))
-                    grad_norm, scale = nets.clip_scale(sums + critic_sums, cfg.max_grad_norm)
-                    _clipped_adam_step(params[:head], grads, scale, actor_adam, cfg.lr)
-                    stats["grad_norm"] = grad_norm
-                    for key, val in stats.items():
-                        agg[key] = agg.get(key, 0.0) + val
-                    count += 1
-                final = _receive(up, sum(a.nbytes for a in critic_state), worker)
-        finally:
-            worker.reap()
+                if not all([np.isfinite(g).all() for g in grads] + critic_finite):
+                    raise UpdateDivergedError(
+                        f"non-finite gradient at epoch {epoch}, minibatch {minibatch}"
+                    )
+                sums = [_sum_of_squares(g) for g in grads]
+                grad_norm, scale = nets.clip_scale(sums + critic_sums, cfg.max_grad_norm)
+                # a worker that stopped shows at the next read
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(worker.pipe, reply_message.pack(scale))
+                _clipped_adam_step(params[:head], grads, scale, actor_adam, cfg.lr)
+                stats["grad_norm"] = grad_norm
+                for key, val in stats.items():
+                    agg[key] = agg.get(key, 0.0) + val
+                count += 1
+            final = _receive(up, sum(a.nbytes for a in critic_state), worker)
+    finally:
+        worker.reap()
     offset = 0
     for a in critic_state:
         a[...] = np.frombuffer(final, count=a.size, offset=offset).reshape(a.shape)
@@ -442,8 +441,7 @@ def one_blas_thread():
     OpenBLAS's threads once a fork (an update worker, a log writer) has
     stopped them, and a new thread busy-waits for work for a while: on a
     two-core host the next 128-step rollout then took about 110 ms instead
-    of 55. So `train` holds one block around the whole run, and the block
-    of each update inside it calls nothing.
+    of 55. So `train` holds one block around the whole run.
     """
     counts = [(put, get()) for get, put in _openblas_thread_counts()]
     changed = [(put, threads) for put, threads in counts if threads != 1]

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import math3d as m3
 from ..env import (
     ORI_ERR,
     POS_ERR,
@@ -120,10 +121,16 @@ def _eval_chunk(
             actions = nets.policy_mean(net, obs)
             if log is not None:
                 live = ~benv.frozen
+                # the log's errors are world-frame, as in flight; without
+                # body_frame_obs they are the observation's own slices
+                if config.body_frame_obs:
+                    errors = [benv.goal_pos - benv.pos, m3.quat_error(benv.goal_att, benv.att)]
+                else:
+                    errors = [obs[:, POS_ERR], obs[:, ORI_ERR]]
                 table = np.concatenate(
                     [np.full((n, 1), t * config.dt), benv.pos, benv.att, benv.linvel,
                      benv.angvel, actions * scale, np.clip(actions, -1.0, 1.0) * scale,
-                     obs[:, POS_ERR], obs[:, ORI_ERR]],
+                     *errors],
                     axis=1,
                 )
                 log.rows(table[live], episode[live], ControlMode.RL_POLICY.value, episode[live])
@@ -132,7 +139,8 @@ def _eval_chunk(
                 i = rec["env"]
                 if log is not None:
                     log.close(seeds[i][1])
-                # a finished row is frozen, so its norms are those of its final obs
+                # read on the tick the row finishes: a parked row's later
+                # norms are not its episode's
                 pe, oe, lv, av = benv.norms[i].tolist()
                 success = rec["success"]
                 settle = (
@@ -159,15 +167,21 @@ def _eval_chunk(
 
 
 def _eval_chunk_star(payload):
-    return _eval_chunk(*payload)
-
-
-def _exit_on_sigterm() -> None:
-    """Pool worker initializer. Leaving the pool terminates its workers with
-    SIGTERM; a worker raises SystemExit on it instead of dying, so a chunk
-    it is running aborts its log writer and waits for it, and no writer
-    outlives the command."""
+    """A pool worker's task: one chunk. Leaving the pool terminates its
+    workers with SIGTERM. While a chunk runs, the worker raises SystemExit
+    on it instead of dying, so the chunk aborts its log writer and waits
+    for it, and no writer outlives the command. Between chunks the worker
+    dies on it outright: a Python handler misses a SIGTERM that lands just
+    before the worker blocks on the task queue's lock, and the worker then
+    waits there forever (seen in about 1 of 35 pool runs)."""
     signal.signal(signal.SIGTERM, _raise_system_exit)
+    try:
+        return _eval_chunk(*payload)
+    finally:
+        # a SIGTERM that lands here stays pending until the default is back
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 def _raise_system_exit(signum, frame):
@@ -207,7 +221,7 @@ def evaluate_policy(
         merged = 0
         try:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(workers, len(chunks)), initializer=_exit_on_sigterm) as pool:
+            with ctx.Pool(min(workers, len(chunks))) as pool:
                 for recs in pool.imap(_eval_chunk_star, payloads):
                     records.extend(recs)
                     merged += 1
@@ -311,8 +325,8 @@ def train(
             )
 
     try:
-        # every update pins OpenBLAS to one thread while its worker runs;
-        # pinning the whole run keeps it from restarting threads in between
+        # each update's two processes want OpenBLAS at one thread; pinning
+        # it once for the whole run keeps it from restarting threads
         with one_blas_thread():
             for it in range(iterations):
                 buf = batch_rollout(policy, benv, ppo_cfg.horizon)

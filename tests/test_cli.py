@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from apiary import math3d as m3
 from apiary.cli import main
 from apiary.config import load_config, set_value
 from apiary.env import ORI_ERR, POS_ERR, BatchEnv
@@ -274,6 +275,26 @@ def test_eval_logs_match_row_by_row_oracle(tmp_path):
     for i, rows in enumerate(oracle):
         want = LOG_HEADER + "".join(log_line(row, mode, i) for row in rows)
         assert (logs / f"episode_{i:04d}.csv").read_bytes() == want.encode(), i
+
+
+def test_eval_logs_world_frame_errors_under_body_frame_obs(tmp_path):
+    # the policy reads body-frame errors, but epx..erz are world-frame, as
+    # in a flight log: recomputed from the logged state and the goal
+    ini = tmp_path / "body.ini"
+    ini.write_text("[env]\nbody_frame_obs = true\n")
+    logs = tmp_path / "logs"
+    rc = main(["eval", "--config", str(ini), "--ckpt", str(REFERENCE_CKPT), "--scenario", "iss6dof",
+               "--episodes", "2", "--seed", "3", "--logs", str(logs)])
+    assert rc == 0
+    cfg = set_value(load_config(ini), "env", "scenario", "iss6dof")
+    goals = BatchEnv(2, cfg.env, cfg.reward, auto_reset=False, episode_seeds=[[3, 0], [3, 1]])
+    for i in range(2):
+        log = read_log(logs / f"episode_{i:04d}.csv")
+        pos, att = columns(log, ["px", "py", "pz"]), columns(log, ["qw", "qx", "qy", "qz"])
+        pos_err = columns(log, ["epx", "epy", "epz"])
+        assert pos_err.tobytes() == (goals.goal_pos[i] - pos).tobytes(), i
+        ori_err = columns(log, ["erx", "ery", "erz"])
+        assert ori_err.tobytes() == m3.quat_error(goals.goal_att[i], att).tobytes(), i
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

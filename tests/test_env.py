@@ -319,37 +319,55 @@ def test_batch_env_matches_scalar_env_bitwise():
     assert resets >= n  # episode_len 40 over 90 ticks: every row reset
 
 
+def assert_parked_row_coasts(benv, i, pos, linvel):
+    """Row i moved one tick from (pos, linvel) under zero wrench: its
+    velocity is unchanged and its position advanced by dt times it."""
+    assert benv.linvel[i].tobytes() == linvel.tobytes()
+    assert benv.pos[i].tobytes() == (pos + benv.config.dt * linvel).tobytes()
+    assert all(np.isfinite(a[i]).all() for a in (benv.pos, benv.att, benv.linvel, benv.angvel))
+
+
 def test_batch_env_freezes_without_auto_reset():
+    # each row finishes once, moving, and then parks: over episode_len more
+    # ticks of full action it earns nothing, never finishes again and coasts
     cfg = quick_config(episode_len=8)
     w = RewardWeights()
     benv = BatchEnv(3, cfg, w, seed=1, auto_reset=False)
     all_finished = []
-    for _ in range(12):
-        _, _, _, fin = benv.step(np.zeros((3, 6)))
+    for _ in range(8):
+        _, _, _, fin = benv.step(np.full((3, 6), 0.3))
         all_finished.extend(fin)
     assert benv.all_frozen()
     assert sorted(rec["env"] for rec in all_finished) == [0, 1, 2]
-    frozen_obs = benv.obs.copy()
-    benv.step(np.full((3, 6), 0.5))
-    np.testing.assert_array_equal(benv.obs, frozen_obs)
+    assert (np.abs(benv.linvel) > 0.0).all()
+    for _ in range(cfg.episode_len):
+        pos, linvel = benv.pos.copy(), benv.linvel.copy()
+        _, r, done, fin = benv.step(np.ones((3, 6)))
+        assert not r.any() and not done.any() and fin == []
+        for i in range(3):
+            assert_parked_row_coasts(benv, i, pos[i], linvel[i])
+    assert benv.all_frozen()
 
 
 def test_batch_env_frozen_row_leaves_live_rows_bitwise_unchanged():
-    # with no row frozen, step skips its np.where merges; with one frozen
-    # it takes them. The live rows must come out the same either way.
+    # parking a row (zero wrench, done masked) leaves the other rows'
+    # state, rewards and flags bit for bit as they are with no row parked
     cfg = quick_config(
         goal_pos_range=m3.vec3(0.5, 0.5, 0.5), goal_ang_range=np.full(3, 0.5), episode_len=200
     )
     w = RewardWeights()
     live = BatchEnv(4, cfg, w, seed=12, auto_reset=False)
-    merged = BatchEnv(4, cfg, w, seed=12, auto_reset=False)
-    merged.frozen[3] = True
-    frozen_state = [a[3].copy() for a in (merged.pos, merged.att, merged.linvel, merged.angvel)]
+    parked = BatchEnv(4, cfg, w, seed=12, auto_reset=False)
     rng = np.random.default_rng(78)
-    for _ in range(60):
+    for tick in range(80):
+        if tick == 20:
+            # row 3 parks while moving
+            assert parked.linvel[3].any()
+            parked.frozen[3] = True
+        pos, linvel = parked.pos[3].copy(), parked.linvel[3].copy()
         actions = rng.uniform(-0.5, 0.5, (4, 6))
         obs_a, r_a, done_a, _ = live.step(actions)
-        obs_b, r_b, done_b, _ = merged.step(actions)
+        obs_b, r_b, done_b, _ = parked.step(actions)
         assert not live.frozen.any()
         # obs follows the new state, and norms (next tick's previous
         # norms) follow obs
@@ -358,15 +376,15 @@ def test_batch_env_frozen_row_leaves_live_rows_bitwise_unchanged():
         assert obs_a.tobytes() == want.tobytes()
         assert live.norms.tobytes() == obs_norms(want).tobytes()
         assert obs_a[:3].tobytes() == obs_b[:3].tobytes()
-        assert r_a[:3].tobytes() == r_b[:3].tobytes() and r_b[3] == 0.0
+        assert r_a[:3].tobytes() == r_b[:3].tobytes()
+        assert r_b[3] == 0.0 or tick < 20
         assert not done_a.any() and not done_b.any()
         for name in ("pos", "att", "linvel", "angvel", "norms", "hold", "steps",
                      "episode_return"):
-            a, b = getattr(live, name), getattr(merged, name)
+            a, b = getattr(live, name), getattr(parked, name)
             assert a[:3].tobytes() == b[:3].tobytes(), name
-    for a, before in zip((merged.pos, merged.att, merged.linvel, merged.angvel), frozen_state):
-        assert a[3].tobytes() == before.tobytes()
-    assert merged.steps[3] == 0
+        if tick >= 20:
+            assert_parked_row_coasts(parked, 3, pos, linvel)
 
 
 def test_batch_env_episode_return_matches_reward_sum():

@@ -8,7 +8,11 @@ discounted-sum reference for the advantage estimator.
 import dataclasses
 import hashlib
 import importlib
+import os
+import signal
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -68,6 +72,7 @@ train_module = importlib.import_module("apiary.learn.train")
 ppo_module = importlib.import_module("apiary.learn.ppo")
 
 ASSETS = Path(__file__).resolve().parents[1] / "assets"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def quick_env():
@@ -661,32 +666,6 @@ def test_ppo_update_leaves_no_child(monkeypatch, end):
     assert_no_child_left()
 
 
-def test_ppo_update_pins_blas_to_one_thread_and_restores(monkeypatch):
-    counts = ppo_module._openblas_thread_counts()
-    if not counts:
-        pytest.skip("no OpenBLAS loaded")
-    get, put = counts[0]
-    before = get()
-    seen = []
-    actor_grads = ppo_module._actor_grads
-
-    def recording(*args):
-        seen.append(get())
-        return actor_grads(*args)
-
-    monkeypatch.setattr(ppo_module, "_actor_grads", recording)
-    cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=16)
-    net = policy_init(np.random.default_rng(27), PpoConfig())
-    put(2)
-    try:
-        ppo_update(net, make_buffer(net, n_envs=2, horizon=16), cfg,
-                   adam_init(param_list(net)), np.random.default_rng(0))
-        assert get() == 2
-    finally:
-        put(before)
-    assert seen and set(seen) == {1}
-
-
 def test_train_sets_blas_threads_once_each_way(tmp_path, monkeypatch):
     # setting the count between updates would restart the OpenBLAS threads
     # that each worker's fork stopped, and a new thread busy-waits beside
@@ -972,6 +951,32 @@ def test_evaluate_policy_worker_count_invariance():
     r4 = evaluate_policy(net, cfg, w, episodes, seed=555, workers=4)
     assert r1.summary == r4.summary
     assert r1.episodes == r4.episodes
+
+
+def test_evaluate_policy_pool_never_hangs_on_exit():
+    # leaving the pool SIGTERMs its idle workers. A worker that kept a
+    # Python handler between chunks missed a signal landing just before it
+    # blocked on the task queue's lock, and the pool waited for it forever:
+    # this loop of 150 pools hung in 2 of 3 tries on a 2-core VM
+    code = (
+        "import numpy as np\n"
+        "from apiary.env import EnvConfig, RewardWeights\n"
+        "from apiary.learn import PpoConfig, evaluate_policy\n"
+        "from apiary.learn.nets import policy_init\n"
+        "net = policy_init(np.random.default_rng(40), PpoConfig())\n"
+        "cfg = EnvConfig(goal_pos_range=np.full(3, 0.03), goal_ang_range=np.full(3, 0.02),\n"
+        "                episode_len=40, hold_steps=5)\n"
+        "for _ in range(150):\n"
+        f"    evaluate_policy(net, cfg, RewardWeights(), {EVAL_CHUNK * 2 + 5}, seed=555, workers=3)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, start_new_session=True)
+    try:
+        assert proc.wait(timeout=60) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        pytest.fail("an eval pool hung on exit")
 
 
 def test_evaluate_policy_episode_count_invariance():
