@@ -119,29 +119,12 @@ def cmd_train(args, argv: list[str]) -> int:
     return 0
 
 
-def _write_eval_outputs(out_dir, result) -> None:
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as f:
+def _write_csv(path, header, rows) -> None:
+    """Every table a command writes: the header row, then `rows`."""
+    with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(SUMMARY_FIELDS)
-        w.writerow([result.summary[k] for k in SUMMARY_FIELDS])
-    with open(os.path.join(out_dir, "episodes.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EPISODE_FIELDS)
-        for i, rec in enumerate(result.episodes):
-            w.writerow(
-                [
-                    i,
-                    int(rec["success"]),
-                    rec["reason"],
-                    rec["steps"],
-                    rec["episode_return"],
-                    rec["final_pos_err"],
-                    rec["final_ori_err"],
-                    rec["final_lin_vel"],
-                    rec["final_ang_vel"],
-                    rec["settle_time"],
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def cmd_eval(args, argv: list[str]) -> int:
@@ -158,12 +141,16 @@ def cmd_eval(args, argv: list[str]) -> int:
     result = evaluate_policy(
         net, cfg.env, cfg.reward, args.episodes, seed, args.workers, args.logs
     )
+    summary = [result.summary[k] for k in SUMMARY_FIELDS]
     print(",".join(SUMMARY_FIELDS))
-    print(",".join(str(result.summary[k]) for k in SUMMARY_FIELDS))
+    print(",".join(map(str, summary)))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         _snapshot(args.out, cfg, argv)
-        _write_eval_outputs(args.out, result)
+        _write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS, [summary])
+        # an episode's record holds every column but its index
+        rows = ([i, *(rec[k] for k in EPISODE_FIELDS[1:])] for i, rec in enumerate(result.episodes))
+        _write_csv(os.path.join(args.out, "episodes.csv"), EPISODE_FIELDS, rows)
     return 0
 
 
@@ -175,10 +162,8 @@ def _write_metrics_csv(path, rl: ManeuverMetrics, base: ManeuverMetrics) -> None
         (f"final_pos_err_{label}", rl.final_pos_err_axes[axis], base.final_pos_err_axes[axis])
         for axis, label in enumerate("xyz")
     ]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "rl", "baseline", "diff"])
-        w.writerows((name, v_rl, v_base, v_rl - v_base) for name, v_rl, v_base in rows)
+    diffs = ((name, v_rl, v_base, v_rl - v_base) for name, v_rl, v_base in rows)
+    _write_csv(path, ["metric", "rl", "baseline", "diff"], diffs)
 
 
 def _write_error_vs_time(path, log_rl, log_pd) -> None:
@@ -186,10 +171,8 @@ def _write_error_vs_time(path, log_rl, log_pd) -> None:
     (n, 32) numeric columns."""
     ep, er = LOG_COLUMNS.index("epx"), LOG_COLUMNS.index("erx")
     norms = [m3.vec_norm(log[:, k : k + 3]) for log in (log_rl, log_pd) for k in (ep, er)]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "rl_pos_err", "rl_ori_err", "baseline_pos_err", "baseline_ori_err"])
-        w.writerows(zip(*(a.tolist() for a in (log_rl[:, 0], *norms))))
+    header = ["t", "rl_pos_err", "rl_ori_err", "baseline_pos_err", "baseline_ori_err"]
+    _write_csv(path, header, zip(*(a.tolist() for a in (log_rl[:, 0], *norms))))
 
 
 def cmd_compare(args, argv: list[str]) -> int:
@@ -224,23 +207,9 @@ def cmd_replay(args, argv: list[str]) -> int:
         sequence, ControlMode.RL_POLICY, mc, net, faults, os.path.join(args.out, "trajectory.csv")
     )
     _snapshot(args.out, cfg, argv)
-    with open(os.path.join(args.out, "outcomes.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(OUTCOME_FIELDS)
-        for out in outcomes:
-            w.writerow(
-                [
-                    out.index + 1,
-                    out.kind,
-                    out.outcome,
-                    out.ticks,
-                    out.settle_time,
-                    out.final_pos_err,
-                    out.final_ori_err,
-                    out.end_mode,
-                    out.note,
-                ]
-            )
+    # an outcome holds every column but its item number, index + 1
+    rows = ([out.index + 1, *(getattr(out, k) for k in OUTCOME_FIELDS[1:])] for out in outcomes)
+    _write_csv(os.path.join(args.out, "outcomes.csv"), OUTCOME_FIELDS, rows)
     n_ok = sum(1 for o in outcomes if o.outcome == "success")
     for out in outcomes:
         suffix = f" ({out.note})" if out.note else ""

@@ -21,6 +21,7 @@ their keys but `scenario` takes its default from a default-built
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,7 +31,7 @@ from .baseline import PdGains
 from .dynamics import FULL_6DOF, GRANITE_3DOF, BodyParams
 from .env import EnvConfig, RewardWeights
 from .learn.ppo import PpoConfig
-from .mission import SafetyThresholds
+from .mission import SafetyThresholds, read_lines
 
 _SCENARIO_MASKS = {"iss6dof": FULL_6DOF, "granite3dof": GRANITE_3DOF}
 SCENARIOS = tuple(_SCENARIO_MASKS)
@@ -153,8 +154,7 @@ def load_config(path=None) -> RunConfig:
         cp = configparser.ConfigParser(
             interpolation=None, inline_comment_prefixes=("#", ";")
         )
-        with open(path) as f:
-            cp.read_file(f)
+        cp.read_file(read_lines(path), source=os.fspath(path))
         for section in cp.sections():
             if section not in _SCHEMA:
                 raise ValueError(f"{path}: unknown section [{section}]")

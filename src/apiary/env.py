@@ -25,7 +25,7 @@ consecutive steps, out-of-bounds, or episode_len reached.
 math, so row i of a batch is bit-identical to a batch of one stepped alone
 with row i's RNG stream, which is derived from (master seed, env index).
 Without auto-reset (evaluation), a finished row parks under zero wrench
-while the rest of the batch runs on; its later state is not read.
+while the rest of the batch runs on.
 The flight loop in `mission` computes the errors of `observe_arrays` and
 the norms of `obs_norms` per tick in Python floats, bit for bit.
 """
@@ -185,10 +185,9 @@ class BatchEnv:
     trajectory of env i does not depend on n_envs or on how a caller
     shards work. With auto_reset a finished environment immediately starts
     a new episode; without it (used for evaluation) the environment is
-    marked `frozen` and parks: later ticks step it under zero wrench, it
-    never finishes again, and its later state is not read. `norms` holds
-    `obs_norms(obs)`, which the next tick's reward reads as its previous
-    norms.
+    marked `frozen` and parks: later ticks step it under zero wrench and it
+    never finishes again. `norms` holds `obs_norms(obs)`, which the next
+    tick's reward reads as its previous norms.
     """
 
     def __init__(
@@ -272,8 +271,13 @@ class BatchEnv:
         """Advance every env one tick, a parked (frozen) one under zero wrench.
 
         Returns (obs, rewards, dones, finished) where finished lists one
-        record per episode that terminated on this tick. A parked row's
-        reward is 0 and its done False; its obs is not read.
+        record per episode that terminated on this tick, a dict with keys
+        `env` (the row), `reason` (success, oob or timeout), `success` (1
+        or 0), `steps`, `episode_return` and the episode's final channel
+        norms `final_pos_err`, `final_ori_err`, `final_lin_vel` and
+        `final_ang_vel` (`obs_norms` of the row's last observation, taken
+        before an auto-reset replaces it). A parked row's reward is 0 and
+        its done False; its obs is not read.
         """
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (self.n, ACT_DIM):
@@ -329,13 +333,18 @@ class BatchEnv:
                 reason = "oob"
             else:
                 reason = "timeout"
+            pe, oe, lv, av = norms[i].tolist()
             finished.append(
                 {
                     "env": i,
                     "reason": reason,
-                    "success": bool(done_success[i]),
+                    "success": int(done_success[i]),
                     "steps": int(self.steps[i]),
                     "episode_return": float(self.episode_return[i]),
+                    "final_pos_err": pe,
+                    "final_ori_err": oe,
+                    "final_lin_vel": lv,
+                    "final_ang_vel": av,
                 }
             )
             if self.auto_reset:

@@ -100,7 +100,9 @@ def _eval_chunk(
     hands over the live rows' raw float64 values, and it closes an
     episode's file when the episode finishes. If the chunk raises, it
     aborts the writer, which deletes the unfinished files, so every log
-    file left behind holds a whole episode.
+    file left behind holds a whole episode. Returns each episode's
+    finished record from `BatchEnv.step`, less `env` and plus
+    `settle_time`, in the chunk's order.
     """
     n = len(seeds)
     benv = BatchEnv(n, config, weights, auto_reset=False, episode_seeds=seeds)
@@ -136,27 +138,14 @@ def _eval_chunk(
                 log.rows(table[live], episode[live], ControlMode.RL_POLICY.value, episode[live])
             _, _, _, finished = benv.step(actions)
             for rec in finished:
-                i = rec["env"]
+                i = rec.pop("env")
                 if log is not None:
                     log.close(seeds[i][1])
-                # read on the tick the row finishes: a parked row's later
-                # norms are not its episode's
-                pe, oe, lv, av = benv.norms[i].tolist()
-                success = rec["success"]
-                settle = (
-                    (rec["steps"] - config.hold_steps + 1) * config.dt if success else float("nan")
+                rec["settle_time"] = (
+                    (rec["steps"] - config.hold_steps + 1) * config.dt
+                    if rec["success"] else float("nan")
                 )
-                records[i] = {
-                    "success": success,
-                    "reason": rec["reason"],
-                    "steps": rec["steps"],
-                    "episode_return": rec["episode_return"],
-                    "final_pos_err": pe,
-                    "final_ori_err": oe,
-                    "final_lin_vel": lv,
-                    "final_ang_vel": av,
-                    "settle_time": settle,
-                }
+                records[i] = rec
         if log is not None:
             log.finish()
     except BaseException:
@@ -304,13 +293,9 @@ def train(
         mean_ret = (
             float(np.mean(returns_since_eval)) if returns_since_eval else float("nan")
         )
-        avg = {
-            k: float(np.mean([s[k] for s in stats_since_eval]))
-            for k in ("policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction")
-        } if stats_since_eval else dict.fromkeys(
-            ("policy_loss", "value_loss", "entropy", "approx_kl", "clip_fraction"),
-            float("nan"),
-        )
+        # the update stats' columns, after the first three; every eval
+        # point follows an update, so there are stats to average
+        avg = {k: float(np.mean([s[k] for s in stats_since_eval])) for k in CURVE_FIELDS[3:]}
         row = {"env_steps": env_steps, "mean_return": mean_ret, "success_rate": sr, **avg}
         result.curve.append(row)
         returns_since_eval.clear()

@@ -80,6 +80,7 @@ import array
 import contextlib
 import enum
 import functools
+import io
 import math
 import os
 import struct
@@ -373,15 +374,20 @@ class MissionConfig:
 
 @dataclass
 class ManeuverOutcome:
+    """One maneuver's result: `outcome` is success, fallback_triggered,
+    timeout or skipped, and `settle_time` runs from the maneuver's start
+    to the start of its final in-tolerance streak. A skipped maneuver
+    keeps the defaults."""
+
     index: int
     kind: str
-    outcome: str  # success | fallback_triggered | timeout | skipped
-    ticks: int
-    settle_time: float  # s from maneuver start to start of the final in-tolerance streak
-    final_pos_err: float
-    final_ori_err: float
-    end_mode: str
-    note: str = ""
+    outcome: str
+    note: str
+    ticks: int = 0
+    settle_time: float = float("nan")
+    final_pos_err: float = float("nan")
+    final_ori_err: float = float("nan")
+    end_mode: str = ""
 
 
 def safety_check(
@@ -625,26 +631,18 @@ def _faults_by_maneuver(
 def _check_reachable(maneuver: Maneuver, index: int, mask: DofMask) -> None:
     """Raise ValueError, naming the maneuver's index and the axis, for a
     goal with a component on a DOF the mask pins. A flight starts at the
-    origin at identity attitude and never moves a pinned DOF, so a relative
-    goal is reachable when its own step is, and an absolute one when its
-    position and normalized attitude are."""
-    kind = maneuver.kind
-    if kind == "goto_pose":
-        pos = maneuver.pose[:3]
-        rot = m3.quat_normalize_f([float(v) for v in maneuver.pose[3:]])[1:]
-    elif kind in ("translate", "rotate"):
-        step = [maneuver.magnitude if i == maneuver.axis else 0.0 for i in range(3)]
-        pos, rot = (step, [0.0] * 3) if kind == "translate" else ([0.0] * 3, step)
-    else:
-        return
+    origin at identity attitude and never moves a pinned DOF, so a goal is
+    reachable when, resolved from that start, its position and its
+    attitude's vector part are zero on every pinned DOF."""
+    pos, att = goal_for_maneuver(maneuver, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
     for what, move, free in (
         ("translation along", pos, mask.free_translation),
-        ("rotation about", rot, mask.free_rotation),
+        ("rotation about", att[1:], mask.free_rotation),
     ):
         for axis in range(3):
             if move[axis] != 0.0 and not free[axis]:
                 raise ValueError(
-                    f"maneuver index {index} (item {index + 1}): {kind} asks for "
+                    f"maneuver index {index} (item {index + 1}): {maneuver.kind} asks for "
                     f"{what} {'xyz'[axis]}, which the DOF mask pins"
                 )
 
@@ -690,13 +688,7 @@ def run_sequence(
         for i, man in enumerate(sequence):
             if aborted or (paused and not man.resume):
                 aborted = True
-                outcomes.append(
-                    ManeuverOutcome(
-                        index=i, kind=man.kind, outcome="skipped", ticks=0,
-                        settle_time=float("nan"), final_pos_err=float("nan"),
-                        final_ori_err=float("nan"), end_mode="", note=man.note,
-                    )
-                )
+                outcomes.append(ManeuverOutcome(i, man.kind, "skipped", man.note))
                 continue
             paused = False
             state, out = run_maneuver(
@@ -836,6 +828,19 @@ def _parse_error(path, line_no: int, msg: str) -> ValueError:
     return ValueError(f"{path}:{line_no}: {msg}")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file at `path`, newlines read as `open`
+    reads them. A byte that is not UTF-8 raises ValueError naming
+    `path:line`; the position in its message is the file offset."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _parse_error(path, data.count(b"\n", 0, e.start) + 1, str(e)) from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 _MANEUVER_ARGS = {
     "translate": ("axis", "magnitude"),
     "rotate": ("axis", "magnitude"),
@@ -895,11 +900,9 @@ def parse_maneuver_tokens(tokens: list[str], path, line_no: int) -> Maneuver:
 def parse_sequence_file(path) -> list[Maneuver]:
     """Read a maneuver sequence: one maneuver per line, # comments allowed."""
     maneuvers = []
-    with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
             maneuvers.append(parse_maneuver_tokens(line.split(), path, line_no))
     if not maneuvers:
         raise ValueError(f"{path}: no maneuvers found")
@@ -915,24 +918,23 @@ def parse_maneuver_spec(spec: str) -> Maneuver:
 def parse_faults_file(path) -> list[FaultSpec]:
     """Read fault lines: pos_offset MANEUVER_INDEX START_TICK DX DY DZ."""
     faults = []
-    with open(path) as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if tokens[0] != "pos_offset" or len(tokens) != 6:
-                raise _parse_error(
-                    path, line_no, "expected: pos_offset MANEUVER_INDEX START_TICK DX DY DZ"
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] != "pos_offset" or len(tokens) != 6:
+            raise _parse_error(
+                path, line_no, "expected: pos_offset MANEUVER_INDEX START_TICK DX DY DZ"
+            )
+        try:
+            faults.append(
+                FaultSpec(
+                    int(tokens[1]),
+                    int(tokens[2]),
+                    np.array([float(v) for v in tokens[3:6]]),
                 )
-            try:
-                faults.append(
-                    FaultSpec(
-                        int(tokens[1]),
-                        int(tokens[2]),
-                        np.array([float(v) for v in tokens[3:6]]),
-                    )
-                )
-            except ValueError as e:
-                raise _parse_error(path, line_no, f"bad fault values: {e}")
+            )
+        except ValueError as e:
+            raise _parse_error(path, line_no, f"bad fault values: {e}")
     return faults

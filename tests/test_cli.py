@@ -334,8 +334,9 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(mission, "Child", Recorded)
     logs = tmp_path / "logs"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    # a warning raises, in a pool worker too: the fork inherits the filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(args + ["--logs", str(logs)])
     assert rc == 2
     assert_no_child_left()
@@ -347,7 +348,6 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
     for pid in writers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-    assert [str(w.message) for w in caught] == []
     # the row set non-finite is the first of the second chunk still running
     bad = next(i for i in range(3) if steps[3 + i] > fail_tick)
     assert capsys.readouterr().err == f"numerical failure: env {bad}: state went non-finite\n"
@@ -374,13 +374,12 @@ def test_eval_non_finite_angular_rate_exits_2(tmp_path, capsys, monkeypatch, rat
             return super().step(actions)
 
     monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["eval", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT),
                    "--scenario", "iss6dof", "--episodes", "3", "--seed", "2",
                    "--logs", str(tmp_path / "logs")])
     assert rc == 2
-    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err == "numerical failure: angular rate went non-finite during step\n"
     assert list((tmp_path / "logs").iterdir()) == []
@@ -795,6 +794,36 @@ def test_zero_quaternion_exits_1_naming_its_line(tmp_path, capsys, spec):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {where}: goto_pose quaternion qw qx qy qz has zero norm\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["sequence", "faults", "config"])
+def test_non_utf8_input_exits_1_naming_its_line(tmp_path, capsys, kind):
+    # a byte that is not UTF-8 on line 2 is named by path and line, and
+    # the position in the message is its offset in the file
+    data = {
+        "sequence": b"translate x 0.1 1\n# caf\xff\n",
+        "faults": b"# one fault\npos_offset 0 5 \xff 0 0\n",
+        "config": b"[env]\n# \xff\n",
+    }[kind]
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    replay = ["replay", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT), "--out", str(out)]
+    args = {
+        "sequence": replay + ["--sequence", str(bad)],
+        "faults": replay + ["--sequence", str(ASSETS / "stock_sequence.txt"), "--faults", str(bad)],
+        "config": ["eval", "--config", str(bad), "--ckpt", str(REFERENCE_CKPT),
+                   "--scenario", "iss6dof", "--episodes", "1", "--out", str(out)],
+    }[kind]
+    assert main(args) == 1
+    offset = data.index(b"\xff")
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {bad}:2: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+        "invalid start byte\n"
+    )
     assert captured.out == ""
     assert not out.exists()
 

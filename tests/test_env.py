@@ -402,6 +402,52 @@ def test_batch_env_episode_return_matches_reward_sum():
         assert rec["episode_return"] == pytest.approx(totals[rec["env"]], abs=1e-12)
 
 
+FINAL_NORMS = ("final_pos_err", "final_ori_err", "final_lin_vel", "final_ang_vel")
+
+
+def race_config():
+    """Row 1 under full +x thrust leaves a 5 cm volume around tick 61;
+    row 0 at rest times out at tick 80. Success never latches first."""
+    return quick_config(oob_radius=0.05, episode_len=80, hold_steps=300)
+
+
+RACE_ACTIONS = np.array([[0.0] * 6, [1.0, 0, 0, 0, 0, 0]])
+
+
+def test_finished_record_holds_final_norms_across_auto_reset():
+    # an auto-reset row's record carries the norms of its finished
+    # episode's last obs (as a parked twin returns it), not the reset row's
+    cfg, w = race_config(), RewardWeights()
+    auto = BatchEnv(2, cfg, w, seed=8)
+    twin = BatchEnv(2, cfg, w, seed=8, auto_reset=False)
+    seen = []
+    for _ in range(cfg.episode_len):
+        obs_a, _, _, fin_a = auto.step(RACE_ACTIONS)
+        obs_t, _, _, fin_t = twin.step(RACE_ACTIONS)
+        assert [rec for rec in fin_a if rec["env"] not in seen] == fin_t
+        for rec in fin_t:
+            i = rec["env"]
+            seen.append(i)
+            norms = [rec[k] for k in FINAL_NORMS]
+            assert norms == obs_norms(obs_t)[i].tolist()
+            assert norms != obs_norms(obs_a)[i].tolist()
+    assert seen == [1, 0]
+
+
+def test_finished_record_holds_final_norms_beside_a_parked_row():
+    # row 0 finishes while row 1 has been parked since its own finish
+    cfg, w = race_config(), RewardWeights()
+    benv = BatchEnv(2, cfg, w, seed=8, auto_reset=False)
+    recs = []
+    for _ in range(cfg.episode_len):
+        obs, _, _, fin = benv.step(RACE_ACTIONS)
+        for rec in fin:
+            assert [rec[k] for k in FINAL_NORMS] == obs_norms(obs)[rec["env"]].tolist()
+        recs += fin
+    assert [(rec["env"], rec["reason"]) for rec in recs] == [(1, "oob"), (0, "timeout")]
+    assert recs[0]["steps"] < recs[1]["steps"] == cfg.episode_len
+
+
 def test_batch_env_validates_actions():
     cfg = quick_config()
     benv = BatchEnv(2, cfg, RewardWeights(), seed=0)
