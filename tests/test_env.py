@@ -7,7 +7,7 @@ import pytest
 
 from apiary import math3d as m3
 from apiary.config import SCENARIOS, load_config, set_value
-from apiary.dynamics import GRANITE_3DOF, BodyParams
+from apiary.dynamics import GRANITE_3DOF, BodyParams, SimulationDivergedError, step_f
 from apiary.env import (
     ORI_ERR,
     POS_ERR,
@@ -453,10 +453,32 @@ def test_batch_env_validates_actions():
     benv = BatchEnv(2, cfg, RewardWeights(), seed=0)
     with pytest.raises(ValueError):
         benv.step(np.zeros((3, 6)))
-    bad = np.zeros((2, 6))
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError, match="env 1"):
-        benv.step(bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros((2, 6))
+        bad[1, 2] = value
+        with pytest.raises(ValueError, match=r"^non-finite action for env 1$"):
+            benv.step(bad)
+
+
+@pytest.mark.parametrize("auto_reset", [True, False])
+def test_batch_env_non_finite_angular_rate_is_divergence(auto_reset):
+    # one row at 1e308 rad/s: the rate is finite but its rotation vector's
+    # norm overflows; the tick raises without a numpy warning (tier-1 turns
+    # RuntimeWarning into an error)
+    benv = BatchEnv(3, quick_config(), RewardWeights(), seed=2, auto_reset=auto_reset)
+    benv.step(np.full((3, 6), 0.2))
+    benv.angvel[1] = [1e308, 0.0, 0.0]
+    with pytest.raises(SimulationDivergedError, match=r"^angular rate went non-finite during step$"):
+        benv.step(np.full((3, 6), 0.2))
+
+
+@pytest.mark.parametrize("auto_reset", [True, False])
+def test_batch_env_non_finite_state_names_the_row(auto_reset):
+    benv = BatchEnv(4, quick_config(), RewardWeights(), seed=2, auto_reset=auto_reset)
+    benv.step(np.full((4, 6), 0.2))
+    benv.linvel[2] = [np.inf, 0.0, 0.0]
+    with pytest.raises(SimulationDivergedError, match=r"^env 2: state went non-finite$"):
+        benv.step(np.full((4, 6), 0.2))
 
 
 def test_batch_rollout_buffer_layout():
@@ -486,3 +508,148 @@ def test_batch_rollout_buffer_layout():
     for name in ("obs", "rewards", "dones"):
         joined = np.concatenate([getattr(h, name) for h in halves], axis=1)
         np.testing.assert_array_equal(joined, getattr(buf, name))
+
+
+def float_obs(pos, att, lv, av, goal_pos, goal_att, body_frame):
+    """One row's observation through the float twins, as a list."""
+    pos_err = [goal_pos[k] - pos[k] for k in range(3)]
+    ori_err = m3.quat_error_f(goal_att, att)
+    vel = lv
+    if body_frame:
+        pos_err = m3.quat_rotate_inv_f(att, pos_err)
+        ori_err = m3.quat_rotate_inv_f(att, ori_err)
+        vel = m3.quat_rotate_inv_f(att, vel)
+    return pos_err + ori_err + vel + av
+
+
+class FloatRow:
+    """One env row ticked through the float twins (`step_f`, `quat_error_f`,
+    `quat_rotate_inv_f`, `vec_norm_f`) and the reward formula in Python
+    floats, drawing each episode with `reset_oracle` from its own stream."""
+
+    def __init__(self, config, weights, rng):
+        self.config, self.weights, self.rng = config, weights, rng
+        self.tm = config.mask.translation_floats().tolist()
+        self.rm = config.mask.rotation_floats().tolist()
+        self.reset()
+
+    def reset(self):
+        goal_pos, goal_att, params = reset_oracle(self.config, self.rng)
+        self.goal_pos, self.goal_att = goal_pos.tolist(), goal_att.tolist()
+        self.mass = float(params.mass)
+        self.inertia = params.inertia_diag.tolist()
+        self.com = params.com_offset.tolist()
+        self.pos, self.att = [0.0] * 3, [1.0, 0.0, 0.0, 0.0]
+        self.lv, self.av = [0.0] * 3, [0.0] * 3
+        self.hold = self.steps = 0
+        self.frozen = False
+        self.episode_return = 0.0
+        self.observe()
+
+    def observe(self):
+        self.obs = float_obs(self.pos, self.att, self.lv, self.av, self.goal_pos,
+                             self.goal_att, self.config.body_frame_obs)
+        self.norms = [m3.vec_norm_f(self.obs[k : k + 3]) for k in range(0, 12, 3)]
+
+    def step(self, action):
+        """(reward, done, finished record or None) of one tick."""
+        cfg, w = self.config, self.weights
+        a = [0.0] * 6 if self.frozen else [min(max(c, -1.0), 1.0) for c in action]
+        force = [c * cfg.limits.f_max for c in a[:3]]
+        torque = [c * cfg.limits.tau_max for c in a[3:]]
+        self.pos, self.att, self.lv, self.av = step_f(
+            self.pos, self.att, self.lv, self.av, force, torque, self.mass,
+            self.inertia, self.com, self.tm, self.rm, cfg.dt,
+        )
+        prev = self.norms
+        self.observe()
+        pe, oe, lv, av = self.norms
+        oob = pe > cfg.oob_radius
+        r = (w.w_pos * (prev[0] - pe) + w.w_ori * (prev[1] - oe) - w.w_linvel * lv
+             - w.w_angvel * av - w.penalty_oob * float(oob))
+        succ = (pe <= cfg.success_pos_tol and oe <= cfg.success_ori_tol
+                and lv <= cfg.success_vel_tol and av <= cfg.success_angvel_tol)
+        self.hold = self.hold + 1 if succ else 0
+        self.steps += 1
+        done_success = self.hold >= cfg.hold_steps
+        done = (done_success or oob or self.steps >= cfg.episode_len) and not self.frozen
+        r = 0.0 if self.frozen else r + w.bonus_success * float(done_success)
+        self.episode_return += r
+        if not done:
+            return r, False, None
+        reason = "success" if done_success else "oob" if oob else "timeout"
+        record = {
+            "reason": reason, "success": int(done_success), "steps": self.steps,
+            "episode_return": self.episode_return, "final_pos_err": pe,
+            "final_ori_err": oe, "final_lin_vel": lv, "final_ang_vel": av,
+        }
+        return r, True, record
+
+
+def oracle_config(kind):
+    """Short episodes, loose tolerances and a small volume, so 700 ticks of
+    random actions see successes, oob exits and timeouts."""
+    loose = dict(
+        goal_pos_range=m3.vec3(0.35, 0.35, 0.35), goal_ang_range=np.full(3, 0.6),
+        episode_len=90, hold_steps=4, oob_radius=0.42, success_pos_tol=0.25,
+        success_ori_tol=0.7, success_vel_tol=0.25, success_angvel_tol=0.6,
+    )
+    if kind == "iss6dof":
+        return EnvConfig(**loose)
+    if kind == "granite3dof":
+        return EnvConfig(mask=GRANITE_3DOF, **loose)
+    if kind == "body_frame_obs":
+        return EnvConfig(body_frame_obs=True, **loose)
+    body = BodyParams(8.0, m3.vec3(0.12, 0.15, 0.2), m3.vec3(0.01, -0.02, 0.005))
+    return EnvConfig(body=body, **loose)
+
+
+def state_rows(benv):
+    return {name: getattr(benv, name) for name in (
+        "pos", "att", "linvel", "angvel", "goal_pos", "goal_att", "mass", "inertia", "com",
+        "hold", "steps", "frozen", "obs", "norms", "episode_return")}
+
+
+def oracle_rows(rows, i):
+    r = rows[i]
+    return {
+        "pos": r.pos, "att": r.att, "linvel": r.lv, "angvel": r.av, "goal_pos": r.goal_pos,
+        "goal_att": r.goal_att, "mass": r.mass, "inertia": r.inertia, "com": r.com,
+        "hold": r.hold, "steps": r.steps, "frozen": r.frozen, "obs": r.obs, "norms": r.norms,
+        "episode_return": r.episode_return,
+    }
+
+
+@pytest.mark.parametrize("auto_reset", [True, False])
+@pytest.mark.parametrize("kind", ["iss6dof", "granite3dof", "body_frame_obs", "com_offset"])
+def test_batch_env_step_matches_float_twins(kind, auto_reset):
+    # every row of every tick equals one tick of the float twins, bit for
+    # bit: obs, reward, done, the finished record (before any reset) and
+    # the whole state, across successes, oob exits, timeouts and resets
+    cfg, w, n, seed = oracle_config(kind), RewardWeights(), 7, 17
+    benv = BatchEnv(n, cfg, w, seed=seed, auto_reset=auto_reset)
+    rows = [FloatRow(cfg, w, np.random.default_rng([seed, i])) for i in range(n)]
+    rng = np.random.default_rng(71)
+    reasons = set()
+    for tick in range(700):
+        actions = rng.uniform(-1.3, 1.3, (n, 6))
+        obs, r, done, finished = benv.step(actions)
+        records = {rec.pop("env"): rec for rec in finished}
+        for i, row in enumerate(rows):
+            r_i, done_i, record = row.step(actions[i].tolist())
+            assert r[i].tobytes() == np.float64(r_i).tobytes(), (tick, i)
+            assert bool(done[i]) is done_i, (tick, i)
+            assert records.get(i) == record, (tick, i)
+            if record is not None:
+                reasons.add(record["reason"])
+                if auto_reset:
+                    row.reset()
+                else:
+                    row.frozen = True
+            assert obs[i].tobytes() == np.array(row.obs).tobytes(), (tick, i)
+        want = [oracle_rows(rows, i) for i in range(n)]
+        for name, arr in state_rows(benv).items():
+            got = np.asarray(arr)
+            expect = np.array([wi[name] for wi in want], dtype=got.dtype)
+            assert got.tobytes() == expect.tobytes(), (tick, name)
+    assert reasons == {"success", "oob", "timeout"} or not auto_reset
