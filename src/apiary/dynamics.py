@@ -50,6 +50,20 @@ class BodyParams:
             raise ValueError("inertia violates triangle inequality")
 
 
+# the mask floats of three free axes; `step_arrays` skips its multiplies
+# by this array, as x * 1.0 == x
+ALL_FREE = np.ones(3)
+ALL_FREE.flags.writeable = False
+
+
+def _axis_floats(free: tuple[bool, bool, bool]) -> np.ndarray:
+    if all(free):
+        return ALL_FREE
+    out = np.array([1.0 if f else 0.0 for f in free])
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class DofMask:
     free_translation: tuple[bool, bool, bool] = (True, True, True)
@@ -57,12 +71,8 @@ class DofMask:
 
     def __post_init__(self) -> None:
         # cached once; these sit on the per-tick hot path
-        tf = np.array([1.0 if f else 0.0 for f in self.free_translation])
-        rf = np.array([1.0 if f else 0.0 for f in self.free_rotation])
-        tf.flags.writeable = False
-        rf.flags.writeable = False
-        object.__setattr__(self, "_tfloats", tf)
-        object.__setattr__(self, "_rfloats", rf)
+        object.__setattr__(self, "_tfloats", _axis_floats(self.free_translation))
+        object.__setattr__(self, "_rfloats", _axis_floats(self.free_rotation))
 
     def translation_floats(self) -> np.ndarray:
         return self._tfloats
@@ -93,33 +103,42 @@ def step_arrays(
 
     The state is position/lin_vel in the world frame, ang_vel in the body
     frame; force/torque are body-frame. mass broadcasts as (...,) against
-    (...,3) vectors. Used directly by the vectorized environment; `step_f`
-    is its single-state twin. Pure function of its inputs. Raises
-    SimulationDivergedError when the step's rotation goes non-finite under
-    a finite wrench (the angular rate diverged, or its rotation vector's
-    norm overflows); a non-finite wrench or attitude raises ValueError.
+    (...,3) vectors; dt may be a float or a 0-d array (the cheaper
+    multiplier). A mask that is `ALL_FREE` is not multiplied by. Used
+    directly by the vectorized environment; `step_f` is its single-state
+    twin. Pure function of its inputs. Raises SimulationDivergedError when
+    the step's rotation goes non-finite under a finite wrench (the angular
+    rate diverged, or its rotation vector's norm overflows); a non-finite
+    wrench or attitude raises ValueError.
     """
     f_world = m3.quat_rotate(attitude, force)
-    acc = f_world / np.asarray(mass, dtype=np.float64)[..., None]
-    new_linvel = (lin_vel + dt * acc) * tmask
-    new_position = position + dt * new_linvel
+    acc = f_world / np.asarray(mass)[..., None]
+    new_linvel = lin_vel + acc * dt
+    if tmask is not ALL_FREE:
+        new_linvel *= tmask
+    new_position = position + new_linvel * dt
 
     # wrench is applied at the body origin; a center-of-mass offset turns
     # force into torque about the COM
     tau = torque - m3.vec_cross(com_offset, force)
-    try:
-        # a rotation that goes non-finite raises below, so numpy's overflow
-        # and invalid-value warnings on the way there would only precede it
-        with np.errstate(over="ignore", invalid="ignore"):
-            ang_mom = (inertia_diag * ang_vel + dt * tau) * rmask
+    # a rotation that goes non-finite raises below, so numpy's overflow and
+    # invalid-value warnings on the way there would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ang_mom = inertia_diag * ang_vel + tau * dt
+            if rmask is not ALL_FREE:
+                ang_mom *= rmask
             omega_mid = ang_mom / inertia_diag
             dq = m3.quat_from_rotvec(omega_mid * dt)
-    except ValueError:
-        if np.isfinite(force).all() and np.isfinite(torque).all():
-            raise SimulationDivergedError("angular rate went non-finite during step") from None
-        raise
-    new_attitude = m3.quat_mul(attitude, dq)
-    ang_mom = m3.quat_rotate_inv(dq, ang_mom) * rmask
+        except ValueError:
+            if np.isfinite(force).all() and np.isfinite(torque).all():
+                raise SimulationDivergedError("angular rate went non-finite during step") from None
+            raise
+        # a non-finite attitude fails the product's normalize check
+        new_attitude = m3.quat_mul_unchecked(attitude, dq)
+    ang_mom = m3.quat_rotate_inv(dq, ang_mom)
+    if rmask is not ALL_FREE:
+        ang_mom *= rmask
     new_angvel = ang_mom / inertia_diag
     return new_position, new_attitude, new_linvel, new_angvel
 

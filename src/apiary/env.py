@@ -48,8 +48,19 @@ from .dynamics import (
 
 OBS_DIM = 12
 ACT_DIM = 6
+# the action clip's bounds
+_ONE = np.array(1.0)
+_MINUS_ONE = np.array(-1.0)
 POS_ERR = slice(0, 3)
 ORI_ERR = slice(3, 6)
+
+
+def _constant(value) -> np.ndarray:
+    """A read-only array of value; for a scalar, 0-d (array * 0-d array is
+    numpy's cheapest operation with a scalar)."""
+    arr = np.array(value)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,14 @@ class RewardWeights:
     def __post_init__(self) -> None:
         if min(self.w_pos, self.w_ori, self.w_linvel, self.w_angvel) < 0.0:
             raise ValueError("reward weights must be >= 0")
+        # cached once: the weights of obs_norms' four columns, and the two
+        # event terms
+        for name, value in (
+            ("_channel_weights", [self.w_pos, self.w_ori, self.w_linvel, self.w_angvel]),
+            ("_penalty", self.penalty_oob),
+            ("_bonus", self.bonus_success),
+        ):
+            object.__setattr__(self, name, _constant(value))
 
 
 @dataclass(frozen=True)
@@ -109,6 +128,20 @@ class EnvConfig:
             raise ValueError("hold_steps and oob_radius must be positive")
         if not 0.0 < self.dt <= 0.5:
             raise ValueError(f"dt must be in (0, 0.5], got {self.dt}")
+        # cached once: the success tolerances against obs_norms' columns,
+        # and the scalars a tick compares with as 0-d arrays
+        for name, value in (
+            ("_success_tols", [
+                self.success_pos_tol,
+                self.success_ori_tol,
+                self.success_vel_tol,
+                self.success_angvel_tol,
+            ]),
+            ("_oob_radius", self.oob_radius),
+            ("_hold_steps", self.hold_steps),
+            ("_episode_len", self.episode_len),
+        ):
+            object.__setattr__(self, name, _constant(value))
 
 
 def observe_arrays(
@@ -119,16 +152,26 @@ def observe_arrays(
     goal_pos: np.ndarray,
     goal_att: np.ndarray,
     body_frame: bool,
+    goal_terms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(..., 12) observation; all-zero exactly when the state sits at the goal."""
+    """(..., 12) observation; all-zero exactly when the state sits at the goal.
+
+    A caller that keeps `m3.quat_error_terms(goal_att)` passes them as
+    `goal_terms`, and the orientation error is formed from them without
+    `quat_mul`'s input checks (a non-finite attitude still raises
+    ValueError, at the product's normalize check).
+    """
     pos_err = goal_pos - position
-    ori_err = m3.quat_error(goal_att, attitude)
-    vel = lin_vel
+    if goal_terms is None:
+        ori_err = m3.quat_error(goal_att, attitude)
+    else:
+        ori_err = m3.quat_error_from_terms(goal_terms, attitude)
     if body_frame:
-        pos_err = m3.quat_rotate_inv(attitude, pos_err)
-        ori_err = m3.quat_rotate_inv(attitude, ori_err)
-        vel = m3.quat_rotate_inv(attitude, vel)
-    return np.concatenate([pos_err, ori_err, vel, ang_vel], axis=-1)
+        # the three world-frame vectors rotate as one (..., 3, 3) batch
+        world = np.stack([pos_err, ori_err, lin_vel], axis=-2)
+        body = m3.quat_rotate_inv(attitude[..., None, :], world)
+        return np.concatenate([body.reshape(body.shape[:-2] + (9,)), ang_vel], axis=-1)
+    return np.concatenate([pos_err, ori_err, lin_vel, ang_vel], axis=-1)
 
 
 def obs_norms(obs: np.ndarray) -> np.ndarray:
@@ -143,13 +186,7 @@ def obs_norms(obs: np.ndarray) -> np.ndarray:
 def success_flags(norms: np.ndarray, config: EnvConfig) -> np.ndarray:
     """Instantaneous success condition (pose and twist inside tolerances)
     from `obs_norms` output."""
-    tols = np.array([
-        config.success_pos_tol,
-        config.success_ori_tol,
-        config.success_vel_tol,
-        config.success_angvel_tol,
-    ])
-    return (norms <= tols).all(axis=-1)
+    return np.logical_and.reduce(norms <= config._success_tols, axis=-1)
 
 
 def reward_arrays(
@@ -166,16 +203,21 @@ def reward_arrays(
     which is episode bookkeeping the caller owns. Out-of-bounds is a
     single-tick event because it terminates the episode.
     """
-    pe = norms[..., 0]
-    oob = pe > config.oob_radius
-    r = (
-        weights.w_pos * (prev[..., 0] - pe)
-        + weights.w_ori * (prev[..., 1] - norms[..., 1])
-        - weights.w_linvel * norms[..., 2]
-        - weights.w_angvel * norms[..., 3]
-        - weights.penalty_oob * oob
-    )
+    oob = norms[..., 0] > config._oob_radius
+    # one multiply weighs all four channels: the shaping differences
+    # (prev - new) of |e_p| and |e_o|, then the speeds |v| and |w|
+    c = np.concatenate([(prev - norms)[..., :2], norms[..., 2:]], axis=-1)
+    c *= weights._channel_weights
+    # ((w_pos*dp + w_ori*do) - w_linvel*|v|) - w_angvel*|w| - penalty*oob
+    r = ((c[..., 0] + c[..., 1]) - c[..., 2]) - c[..., 3]
+    r -= oob * weights._penalty
     return r, success_flags(norms, config), oob
+
+
+def _rows(k: int, n: int) -> np.ndarray:
+    """Zeros for n rows of k components, stored component-major: the
+    (n, k) transpose of a C-ordered (k, n) array."""
+    return np.zeros((k, n)).T
 
 
 class BatchEnv:
@@ -188,6 +230,20 @@ class BatchEnv:
     marked `frozen` and parks: later ticks step it under zero wrench and it
     never finishes again. `norms` holds `obs_norms(obs)`, which the next
     tick's reward reads as its previous norms.
+
+    The state is one (n, 13) array, `state`, and `pos`, `att`, `linvel`
+    and `angvel` are views of its columns: a tick writes the new state
+    into it in one call and checks it for finiteness in one more. Every
+    (n, k) array is stored component-major (the transpose of a C-ordered
+    (k, n) array), the layout the `math3d` kernels compute in; the obs
+    `step` returns is a C-ordered copy. `step` pays a fixed cost per call
+    whatever n is, so it keeps its numpy calls few. It reads what a reset
+    or the config fixes instead of rebuilding it: the goal's half of the
+    orientation-error products (`m3.quat_error_terms`, refreshed when a
+    row resets), the tolerance vector and 0-d scalars `EnvConfig` and
+    `RewardWeights` cache, and dt as a 0-d array. Only on a tick with a
+    parked row does it pay for zeroing that row's wrench and masking its
+    reward and done flag.
     """
 
     def __init__(
@@ -212,23 +268,29 @@ class BatchEnv:
         else:
             self.rngs = [np.random.default_rng([seed, i]) for i in range(n_envs)]
 
-        self.pos = np.zeros((n_envs, 3))
-        self.att = np.tile(m3.quat_identity(), (n_envs, 1))
-        self.linvel = np.zeros((n_envs, 3))
-        self.angvel = np.zeros((n_envs, 3))
-        self.goal_pos = np.zeros((n_envs, 3))
-        self.goal_att = np.tile(m3.quat_identity(), (n_envs, 1))
+        self.state = _rows(13, n_envs)
+        self.pos = self.state[:, 0:3]
+        self.att = self.state[:, 3:7]
+        self.linvel = self.state[:, 7:10]
+        self.angvel = self.state[:, 10:13]
+        self.goal_pos = _rows(3, n_envs)
+        self.goal_att = _rows(4, n_envs)
+        self._goal_terms = _rows(16, n_envs)
         self.mass = np.full(n_envs, config.body.mass)
-        self.inertia = np.tile(config.body.inertia_diag, (n_envs, 1))
-        self.com = np.tile(config.body.com_offset, (n_envs, 1))
+        self.inertia = _rows(3, n_envs)
+        self.com = _rows(3, n_envs)
+        self.com[:] = config.body.com_offset
         self.hold = np.zeros(n_envs, dtype=np.int64)
         self.steps = np.zeros(n_envs, dtype=np.int64)
         self.frozen = np.zeros(n_envs, dtype=bool)
-        self.obs = np.zeros((n_envs, OBS_DIM))
-        self.norms = np.zeros((n_envs, 4))
+        self.obs = _rows(OBS_DIM, n_envs)
+        self.norms = _rows(4, n_envs)
         self.episode_return = np.zeros(n_envs)
         self._tmask = config.mask.translation_floats()
         self._rmask = config.mask.rotation_floats()
+        self._dt = np.array(config.dt)
+        lim = config.limits
+        self._wrench_scale = np.array([lim.f_max] * 3 + [lim.tau_max] * 3)[:, None]
         for i in range(n_envs):
             self.reset_env(i)
 
@@ -244,12 +306,11 @@ class BatchEnv:
         goal_pos = rng.uniform(-cfg.goal_pos_range, cfg.goal_pos_range) * self._tmask
         goal_rotvec = rng.uniform(-cfg.goal_ang_range, cfg.goal_ang_range) * self._rmask
         f = rng.uniform(cfg.mass_range[0], cfg.mass_range[1])
-        self.pos[i] = 0.0
+        self.state[i] = 0.0
         self.att[i] = m3.quat_identity()
-        self.linvel[i] = 0.0
-        self.angvel[i] = 0.0
         self.goal_pos[i] = goal_pos
         self.goal_att[i] = m3.quat_from_rotvec(goal_rotvec)
+        self._goal_terms[i] = m3.quat_error_terms(self.goal_att[i])
         self.mass[i] = cfg.body.mass * f
         self.inertia[i] = cfg.body.inertia_diag * f
         self.hold[i] = 0
@@ -277,56 +338,72 @@ class BatchEnv:
         norms `final_pos_err`, `final_ori_err`, `final_lin_vel` and
         `final_ang_vel` (`obs_norms` of the row's last observation, taken
         before an auto-reset replaces it). A parked row's reward is 0 and
-        its done False; its obs is not read.
+        its done False; its obs is not read. If the new state is not
+        finite, SimulationDivergedError names the first such row, and
+        `state` is left holding it.
         """
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (self.n, ACT_DIM):
             raise ValueError(f"actions must have shape ({self.n}, {ACT_DIM})")
-        if not np.isfinite(actions).all():
-            bad = int(np.argwhere(~np.isfinite(actions).all(axis=1))[0, 0])
+        finite = np.isfinite(actions)
+        if np.count_nonzero(finite) != finite.size:
+            bad = int(np.argmin(finite.all(axis=1)))
             raise ValueError(f"non-finite action for env {bad}")
         cfg = self.config
-        a = actions.clip(-1.0, 1.0)
-        a[self.frozen] = 0.0
-        force = a[:, :3] * cfg.limits.f_max
-        torque = a[:, 3:] * cfg.limits.tau_max
+        # the wrench, component-major: np.clip to [-1, 1] (for finite
+        # actions), parked rows zeroed, then the limits
+        wt = np.ascontiguousarray(actions.T)
+        np.maximum(wt, _MINUS_ONE, out=wt)
+        np.minimum(wt, _ONE, out=wt)
+        parked = np.count_nonzero(self.frozen)
+        if parked:
+            wt[:, self.frozen] = 0.0
+        wt *= self._wrench_scale
 
         pos2, att2, lv2, av2 = step_arrays(
             self.pos,
             self.att,
             self.linvel,
             self.angvel,
-            force,
-            torque,
+            wt[:3].T,
+            wt[3:].T,
             self.mass,
             self.inertia,
             self.com,
             self._tmask,
             self._rmask,
-            cfg.dt,
+            self._dt,
         )
-        finite = np.isfinite(np.concatenate([pos2, att2, lv2, av2], axis=1))
-        if not finite.all():
+        np.concatenate((pos2, att2, lv2, av2), axis=1, out=self.state)
+        finite = np.isfinite(self.state)
+        if np.count_nonzero(finite) != finite.size:
             bad = int(np.argmin(finite.all(axis=1)))
             raise SimulationDivergedError(f"env {bad}: state went non-finite")
-        self.pos, self.att, self.linvel, self.angvel = pos2, att2, lv2, av2
 
-        obs = observe_arrays(pos2, att2, lv2, av2, self.goal_pos, self.goal_att, cfg.body_frame_obs)
+        obs = observe_arrays(
+            pos2, att2, lv2, av2, self.goal_pos, self.goal_att, cfg.body_frame_obs,
+            self._goal_terms,
+        )
         norms = obs_norms(obs)
         r, succ, oob = reward_arrays(self.norms, norms, self.weights, cfg)
         self.obs, self.norms = obs, norms
 
-        self.hold = np.where(succ, self.hold + 1, 0)
-        self.steps = self.steps + 1
-        done_success = self.hold >= cfg.hold_steps
-        live = ~self.frozen
-        done = (done_success | oob | (self.steps >= cfg.episode_len)) & live
-        r = np.where(live, r + self.weights.bonus_success * done_success, 0.0)
-        self.episode_return = self.episode_return + r
+        # where(succ, hold + 1, 0)
+        self.hold += 1
+        self.hold *= succ
+        self.steps += 1
+        done_success = self.hold >= cfg._hold_steps
+        done = done_success | oob
+        done |= self.steps >= cfg._episode_len
+        r += done_success * self.weights._bonus
+        if parked:
+            live = ~self.frozen
+            done &= live
+            r = np.where(live, r, 0.0)
+        self.episode_return += r
 
         finished = []
-        for i in np.flatnonzero(done):
-            i = int(i)
+        for i in done.nonzero()[0].tolist():
             if done_success[i]:
                 reason = "success"
             elif oob[i]:
@@ -354,7 +431,7 @@ class BatchEnv:
         return self.obs.copy(), r, done, finished
 
     def all_frozen(self) -> bool:
-        return bool(np.all(self.frozen))
+        return np.count_nonzero(self.frozen) == self.n
 
 
 @dataclass
@@ -404,7 +481,7 @@ def batch_rollout(policy, benv: BatchEnv, horizon: int) -> RolloutBuffer:
         val_buf[:, t] = values
         obs, r, done, finished = benv.step(actions)
         rew_buf[:, t] = r
-        done_buf[:, t] = done.astype(np.float64)
+        done_buf[:, t] = done
         ep_returns.extend(rec["episode_return"] for rec in finished)
     bootstrap = policy.value(obs)
     return RolloutBuffer(

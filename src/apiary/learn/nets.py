@@ -182,9 +182,14 @@ def value(net: PolicyNet, obs: np.ndarray) -> np.ndarray:
     return v[..., 0]
 
 
-def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Diagonal-Gaussian log density; sums over the trailing action axis."""
-    z = (actions - mean) / np.exp(log_std)
+def gaussian_log_prob(
+    mean: np.ndarray, log_std: np.ndarray, actions: np.ndarray, std: np.ndarray | None = None
+) -> np.ndarray:
+    """Diagonal-Gaussian log density; sums over the trailing action axis.
+    A caller that already holds np.exp(log_std) passes it as `std`."""
+    if std is None:
+        std = np.exp(log_std)
+    z = (actions - mean) / std
     return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_std) - 0.5 * mean.shape[-1] * np.log(2.0 * np.pi)
 
 
@@ -205,11 +210,12 @@ class RolloutPolicy:
     def sample(self, obs: np.ndarray, rngs: list) -> tuple[np.ndarray, np.ndarray]:
         mean = policy_mean(self.net, obs)
         log_std = clamped_log_std(self.net)
+        std = np.exp(log_std)
         noise = np.empty(mean.shape)
         for i in range(mean.shape[0]):
             rngs[i].standard_normal(out=noise[i])
-        actions = mean + np.exp(log_std) * noise
-        return actions, gaussian_log_prob(mean, log_std, actions)
+        actions = mean + std * noise
+        return actions, gaussian_log_prob(mean, log_std, actions, std)
 
     def value(self, obs: np.ndarray) -> np.ndarray:
         return value(self.net, obs)

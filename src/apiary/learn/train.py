@@ -116,10 +116,10 @@ def _eval_chunk(
         episode = np.array([k for _, k in seeds])
         log = LogWriter({k: _log_path(logs_dir, k) for _, k in seeds})
     try:
+        obs = benv.obs.copy()
         for t in range(config.episode_len):
             if benv.all_frozen():
                 break
-            obs = benv.obs.copy()
             actions = nets.policy_mean(net, obs)
             if log is not None:
                 live = ~benv.frozen
@@ -136,7 +136,7 @@ def _eval_chunk(
                     axis=1,
                 )
                 log.rows(table[live], episode[live], ControlMode.RL_POLICY.value, episode[live])
-            _, _, _, finished = benv.step(actions)
+            obs, _, _, finished = benv.step(actions)
             for rec in finished:
                 i = rec.pop("env")
                 if log is not None:
