@@ -291,6 +291,10 @@ class BatchEnv:
         self._dt = np.array(config.dt)
         lim = config.limits
         self._wrench_scale = np.array([lim.f_max] * 3 + [lim.tau_max] * 3)[:, None]
+        # the tick's wrench, component-major, and its force and torque views
+        self._wrench = np.zeros((ACT_DIM, n_envs))
+        self._force = self._wrench[:3].T
+        self._torque = self._wrench[3:].T
         for i in range(n_envs):
             self.reset_env(i)
 
@@ -350,10 +354,10 @@ class BatchEnv:
             bad = int(np.argmin(finite.all(axis=1)))
             raise ValueError(f"non-finite action for env {bad}")
         cfg = self.config
-        # the wrench, component-major: np.clip to [-1, 1] (for finite
-        # actions), parked rows zeroed, then the limits
-        wt = np.ascontiguousarray(actions.T)
-        np.maximum(wt, _MINUS_ONE, out=wt)
+        # the wrench: np.clip to [-1, 1] (for finite actions), parked rows
+        # zeroed, then the limits
+        wt = self._wrench
+        np.maximum(actions.T, _MINUS_ONE, out=wt)
         np.minimum(wt, _ONE, out=wt)
         parked = np.count_nonzero(self.frozen)
         if parked:
@@ -365,8 +369,8 @@ class BatchEnv:
             self.att,
             self.linvel,
             self.angvel,
-            wt[:3].T,
-            wt[3:].T,
+            self._force,
+            self._torque,
             self.mass,
             self.inertia,
             self.com,

@@ -130,9 +130,9 @@ def _eval_chunk(
                 else:
                     errors = [obs[:, POS_ERR], obs[:, ORI_ERR]]
                 table = np.concatenate(
-                    [np.full((n, 1), t * config.dt), benv.pos, benv.att, benv.linvel,
-                     benv.angvel, actions * scale, np.clip(actions, -1.0, 1.0) * scale,
-                     *errors],
+                    # the state's 13 columns are the log's pos, att, linvel, angvel
+                    [np.full((n, 1), t * config.dt), benv.state, actions * scale,
+                     np.clip(actions, -1.0, 1.0) * scale, *errors],
                     axis=1,
                 )
                 log.rows(table[live], episode[live], ControlMode.RL_POLICY.value, episode[live])

@@ -73,8 +73,8 @@ _MUL_A = np.array([1, 0, 0, 0, 2, 1, 2, 3, 3, 2, 3, 1, 0, 3, 1, 2])
 _MUL_B = np.array([1, 1, 2, 3, 2, 0, 0, 0, 3, 3, 1, 2, 0, 2, 3, 1])
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-# the signs conj(b) puts on the products of a ⊗ conj(b), one per row
-_CONJ_TERMS = _CONJ[_MUL_B][:, None]
+# the signs conj(b) puts on the 16 products of a ⊗ conj(b)
+_CONJ_TERMS = _CONJ[_MUL_B]
 # scalars as 0-d arrays: array * 0-d array is numpy's cheapest multiply by
 # a scalar
 _HALF = np.array(0.5)
