@@ -134,8 +134,7 @@ def step_arrays(
             if np.isfinite(force).all() and np.isfinite(torque).all():
                 raise SimulationDivergedError("angular rate went non-finite during step") from None
             raise
-        # a non-finite attitude fails the product's normalize check
-        new_attitude = m3.quat_mul_unchecked(attitude, dq)
+    new_attitude = m3.quat_mul(attitude, dq)
     ang_mom = m3.quat_rotate_inv(dq, ang_mom)
     if rmask is not ALL_FREE:
         ang_mom *= rmask

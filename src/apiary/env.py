@@ -150,22 +150,16 @@ def observe_arrays(
     lin_vel: np.ndarray,
     ang_vel: np.ndarray,
     goal_pos: np.ndarray,
-    goal_att: np.ndarray,
+    goal_terms: np.ndarray,
     body_frame: bool,
-    goal_terms: np.ndarray | None = None,
 ) -> np.ndarray:
     """(..., 12) observation; all-zero exactly when the state sits at the goal.
 
-    A caller that keeps `m3.quat_error_terms(goal_att)` passes them as
-    `goal_terms`, and the orientation error is formed from them without
-    `quat_mul`'s input checks (a non-finite attitude still raises
-    ValueError, at the product's normalize check).
+    The goal attitude enters as `m3.quat_error_terms(goal_att)`, which a
+    caller keeps per goal.
     """
     pos_err = goal_pos - position
-    if goal_terms is None:
-        ori_err = m3.quat_error(goal_att, attitude)
-    else:
-        ori_err = m3.quat_error_from_terms(goal_terms, attitude)
+    ori_err = m3.quat_error_from_terms(goal_terms, attitude)
     if body_frame:
         # the three world-frame vectors rotate as one (..., 3, 3) batch
         world = np.stack([pos_err, ori_err, lin_vel], axis=-2)
@@ -220,6 +214,13 @@ def _rows(k: int, n: int) -> np.ndarray:
     return np.zeros((k, n)).T
 
 
+def _state_views(n: int) -> tuple[np.ndarray, ...]:
+    """An (n, 13) state of zeros and its position, attitude, linear and
+    angular velocity column views."""
+    state = _rows(13, n)
+    return state, state[:, 0:3], state[:, 3:7], state[:, 7:10], state[:, 10:13]
+
+
 class BatchEnv:
     """n independent environments advanced in lockstep with array math.
 
@@ -232,8 +233,10 @@ class BatchEnv:
     tick's reward reads as its previous norms.
 
     The state is one (n, 13) array, `state`, and `pos`, `att`, `linvel`
-    and `angvel` are views of its columns: a tick writes the new state
-    into it in one call and checks it for finiteness in one more. Every
+    and `angvel` are views of its columns. A tick writes the new state
+    into a second such array in one call, checks it for finiteness in one
+    more and only then swaps the two, views and all, so a tick that raises
+    leaves every array of the env as it was. Every
     (n, k) array is stored component-major (the transpose of a C-ordered
     (k, n) array), the layout the `math3d` kernels compute in; the obs
     `step` returns is a C-ordered copy. `step` pays a fixed cost per call
@@ -268,11 +271,9 @@ class BatchEnv:
         else:
             self.rngs = [np.random.default_rng([seed, i]) for i in range(n_envs)]
 
-        self.state = _rows(13, n_envs)
-        self.pos = self.state[:, 0:3]
-        self.att = self.state[:, 3:7]
-        self.linvel = self.state[:, 7:10]
-        self.angvel = self.state[:, 10:13]
+        self.state, self.pos, self.att, self.linvel, self.angvel = _state_views(n_envs)
+        # the buffer the next tick writes its state into
+        self._spare = _state_views(n_envs)
         self.goal_pos = _rows(3, n_envs)
         self.goal_att = _rows(4, n_envs)
         self._goal_terms = _rows(16, n_envs)
@@ -327,7 +328,7 @@ class BatchEnv:
             self.linvel[i],
             self.angvel[i],
             self.goal_pos[i],
-            self.goal_att[i],
+            self._goal_terms[i],
             self.config.body_frame_obs,
         )
         self.norms[i] = obs_norms(self.obs[i])
@@ -343,8 +344,8 @@ class BatchEnv:
         `final_ang_vel` (`obs_norms` of the row's last observation, taken
         before an auto-reset replaces it). A parked row's reward is 0 and
         its done False; its obs is not read. If the new state is not
-        finite, SimulationDivergedError names the first such row, and
-        `state` is left holding it.
+        finite, SimulationDivergedError names the first such row, and the
+        env keeps the state of the tick before.
         """
         actions = np.asarray(actions, dtype=np.float64)
         if actions.shape != (self.n, ACT_DIM):
@@ -378,15 +379,17 @@ class BatchEnv:
             self._rmask,
             self._dt,
         )
-        np.concatenate((pos2, att2, lv2, av2), axis=1, out=self.state)
-        finite = np.isfinite(self.state)
+        new = self._spare
+        np.concatenate((pos2, att2, lv2, av2), axis=1, out=new[0])
+        finite = np.isfinite(new[0])
         if np.count_nonzero(finite) != finite.size:
             bad = int(np.argmin(finite.all(axis=1)))
             raise SimulationDivergedError(f"env {bad}: state went non-finite")
+        self._spare = (self.state, self.pos, self.att, self.linvel, self.angvel)
+        self.state, self.pos, self.att, self.linvel, self.angvel = new
 
         obs = observe_arrays(
-            pos2, att2, lv2, av2, self.goal_pos, self.goal_att, cfg.body_frame_obs,
-            self._goal_terms,
+            pos2, att2, lv2, av2, self.goal_pos, self._goal_terms, cfg.body_frame_obs
         )
         norms = obs_norms(obs)
         r, succ, oob = reward_arrays(self.norms, norms, self.weights, cfg)

@@ -32,13 +32,16 @@ Conventions:
         - A check that another implies, with the same message, is folded
           into it. The normalize checks the sum of squares, which a
           non-finite quaternion makes inf or nan and a zero one makes 0,
-          and looks at the quaternion itself only when that fails.
-          `quat_mul_unchecked` and `quat_error_from_terms` leave their
-          input checks to the normalize of the product, for callers whose
-          inputs are finite or whose numpy warnings are silenced.
-        - A caller that measures attitudes against a fixed goal keeps the
-          goal's half of the error products (`quat_error_terms`, the
-          conjugate's signs folded in) and gathers only the attitude.
+          and looks at the quaternion itself only when that fails. The
+          Hamilton product has no input checks: a non-finite input makes
+          every component of the product non-finite, so the normalize of
+          the product raises the same error, and the product runs with
+          numpy's overflow and invalid-value warnings silenced.
+        - The orientation error is built from the goal's half of its
+          products (`quat_error_terms`, the conjugate's signs folded in).
+          A caller that measures attitudes against a fixed goal keeps
+          those terms and gathers only the attitude
+          (`quat_error_from_terms`); `quat_error` builds them per call.
       Branches taken only for rare rows (the small-angle series, the
       canonicalizing flip) are skipped when no row needs them.
 """
@@ -72,9 +75,8 @@ _CROSS_QV = _CROSS_A + 1
 _MUL_A = np.array([1, 0, 0, 0, 2, 1, 2, 3, 3, 2, 3, 1, 0, 3, 1, 2])
 _MUL_B = np.array([1, 1, 2, 3, 2, 0, 0, 0, 3, 3, 1, 2, 0, 2, 3, 1])
 
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # the signs conj(b) puts on the 16 products of a ⊗ conj(b)
-_CONJ_TERMS = _CONJ[_MUL_B]
+_CONJ_TERMS = np.array([1.0, -1.0, -1.0, -1.0])[_MUL_B]
 # scalars as 0-d arrays: array * 0-d array is numpy's cheapest multiply by
 # a scalar
 _HALF = np.array(0.5)
@@ -137,11 +139,6 @@ def _cross(agt: np.ndarray, bgt: np.ndarray) -> np.ndarray:
     return np.subtract(p[:3], p[3:])
 
 
-def _require_finite(x: np.ndarray, what: str) -> None:
-    if np.count_nonzero(np.isfinite(x)) != x.size:
-        raise ValueError(f"non-finite {what}")
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """q / |q|. Raises ValueError for a non-finite or a zero quaternion."""
     return _normalize(_cm(q)).T
@@ -156,7 +153,8 @@ def _normalize(qt: np.ndarray) -> np.ndarray:
     # zero q, or one whose squares underflow, makes it 0. Only when the sum
     # is not finite and positive is q itself checked, in the twin's order.
     if np.count_nonzero(np.isfinite(s)) != s.size or np.count_nonzero(s) != s.size:
-        _require_finite(qt, "quaternion")
+        if np.count_nonzero(np.isfinite(qt)) != qt.size:
+            raise ValueError("non-finite quaternion")
         if np.count_nonzero(s == 0.0):
             raise ValueError("cannot normalize zero quaternion")
         # left: a finite q whose squares overflow; its norm is inf
@@ -176,27 +174,12 @@ def _canonical(qt: np.ndarray) -> np.ndarray:
     return qt
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.asarray(q, dtype=np.float64) * _CONJ
-
-
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a ⊗ b, renormalized.
 
-    A non-finite input raises ValueError here, before any product: its
-    products would be inf or nan and fail the normalize check with the
-    same message, but numpy would warn on the way (inf * 0, inf - inf).
+    A non-finite input raises ValueError("non-finite quaternion") at the
+    normalize check, without a numpy warning on the way (inf * 0, inf - inf).
     """
-    at, bt = _cm2(a, b)
-    _require_finite(at, "quaternion")
-    _require_finite(bt, "quaternion")
-    return _mul(at.take(_MUL_A, axis=0), bt.take(_MUL_B, axis=0)).T
-
-
-def quat_mul_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """quat_mul without its input checks, for a caller whose inputs are
-    finite or that silences numpy's warnings: a non-finite input still
-    raises ValueError("non-finite quaternion"), at the normalize check."""
     at, bt = _cm2(a, b)
     return _mul(at.take(_MUL_A, axis=0), bt.take(_MUL_B, axis=0)).T
 
@@ -204,16 +187,20 @@ def quat_mul_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _mul(agt: np.ndarray, bgt: np.ndarray) -> np.ndarray:
     """a ⊗ b, renormalized, component-major, from a gathered at _MUL_A and
     b at _MUL_B."""
-    p = agt * bgt
-    # terms are paired so that a ⊗ conj(a) cancels exactly in floats,
-    # making the relative rotation of identical attitudes a true zero:
-    # c1 = (w1x2 + x1w2) + (y1z2 - z1y2), c2 and c3 likewise, and
-    # c0 = w1w2 - ((x1x2 + y1y2) + z1z2) written over row 0, which the
-    # block sums fill with (x1x2 + y1y2) + (z1z2 - w1w2)
-    pair = p[0:4] + p[4:8]
-    out = pair + (p[8:12] - p[12:16])
-    np.subtract(p[12], pair[0] + p[8], out=out[0, ...])
-    return _normalize(out)
+    # a non-finite a or b puts a non-finite term in every component (each
+    # component multiplies every component of a, each by a different
+    # component of b; inf * 0 is nan), so the normalize check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = agt * bgt
+        # terms are paired so that a ⊗ conj(a) cancels exactly in floats,
+        # making the relative rotation of identical attitudes a true zero:
+        # c1 = (w1x2 + x1w2) + (y1z2 - z1y2), c2 and c3 likewise, and
+        # c0 = w1w2 - ((x1x2 + y1y2) + z1z2) written over row 0, which the
+        # block sums fill with (x1x2 + y1y2) + (z1z2 - w1w2)
+        pair = p[0:4] + p[4:8]
+        out = pair + (p[8:12] - p[12:16])
+        np.subtract(p[12], pair[0] + p[8], out=out[0, ...])
+        return _normalize(out)
 
 
 def quat_from_rotvec(rv: np.ndarray) -> np.ndarray:
@@ -266,7 +253,7 @@ def quat_error(goal: np.ndarray, current: np.ndarray) -> np.ndarray:
     World-frame orientation error: rotating `current` by the returned
     vector (applied on the left) reaches `goal`.
     """
-    return quat_to_rotvec(quat_mul(goal, quat_conj(current)))
+    return quat_error_from_terms(quat_error_terms(goal), current)
 
 
 def quat_error_terms(goal: np.ndarray) -> np.ndarray:
@@ -278,11 +265,11 @@ def quat_error_terms(goal: np.ndarray) -> np.ndarray:
 
 
 def quat_error_from_terms(goal_terms: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """quat_error(goal, current) from `quat_error_terms(goal)`, bit for
-    bit: a sign flip is exact, so (-g) * c == g * (-c). Without quat_mul's
-    input checks: a non-finite `current` fails the normalize check."""
+    """quat_error(goal, current) from `quat_error_terms(goal)`. The terms
+    equal the products of goal ⊗ conj(current) bit for bit, since a sign
+    flip is exact: (-g) * c == g * (-c)."""
     tt, ct = _cm2(goal_terms, current)
-    return _rotvec(_canonical(_mul(tt, ct.take(_MUL_B, axis=0)))).T
+    return quat_to_rotvec(_mul(tt, ct.take(_MUL_B, axis=0)).T)
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:

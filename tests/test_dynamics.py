@@ -233,9 +233,12 @@ def test_step_matches_step_arrays_bitwise():
 
 
 def test_step_rejects_non_finite_attitude():
-    s = state(att=[np.nan, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="non-finite quaternion"):
-        step_f(*s, ZERO, ZERO, *body_args(BodyParams()), 0.016)
+    s, body = state(att=[np.nan, 0.0, 0.0, 0.0]), body_args(BodyParams())
+    with pytest.raises(ValueError, match="^non-finite quaternion$"):
+        step_f(*s, ZERO, ZERO, *body, 0.016)
+    # the array kernel raises at the attitude product's normalize check
+    with pytest.raises(ValueError, match="^non-finite quaternion$"):
+        step_arrays(*map(np.array, (*s, ZERO, ZERO, *body)), 0.016)
 
 
 @pytest.mark.parametrize("rate", [np.inf, np.nan, 1e308])

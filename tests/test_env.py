@@ -73,7 +73,8 @@ def test_env_config_validation():
 
 def test_observation_zero_at_goal():
     goal_pos, goal_att = m3.vec3(0.2, -0.1, 0.3), m3.quat_from_rotvec(m3.vec3(0.1, 0.2, -0.1))
-    obs = observe_arrays(goal_pos, goal_att, np.zeros(3), np.zeros(3), goal_pos, goal_att, False)
+    obs = observe_arrays(goal_pos, goal_att, np.zeros(3), np.zeros(3), goal_pos,
+                         m3.quat_error_terms(goal_att), False)
     np.testing.assert_array_equal(obs, np.zeros(12))
 
 
@@ -83,7 +84,7 @@ def test_observation_components():
         pos, att = rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3))
         lv, av = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
         goal_pos, goal_att = rng.uniform(-1, 1, 3), m3.quat_from_rotvec(rng.uniform(-1, 1, 3))
-        obs = observe_arrays(pos, att, lv, av, goal_pos, goal_att, False)
+        obs = observe_arrays(pos, att, lv, av, goal_pos, m3.quat_error_terms(goal_att), False)
         np.testing.assert_array_equal(obs[POS_ERR], goal_pos - pos)
         np.testing.assert_array_equal(obs[ORI_ERR], m3.quat_error(goal_att, att))
         np.testing.assert_array_equal(obs[LIN_VEL], lv)
@@ -94,7 +95,7 @@ def test_observation_body_frame_option():
     yaw90 = m3.quat_from_rotvec(m3.vec3(0, 0, np.pi / 2))
     obs = observe_arrays(
         np.zeros(3), yaw90, m3.vec3(0.1, 0.0, 0.0), np.zeros(3),
-        m3.vec3(1.0, 0.0, 0.0), yaw90, body_frame=True,
+        m3.vec3(1.0, 0.0, 0.0), m3.quat_error_terms(yaw90), body_frame=True,
     )
     # world +x maps to body -y after a +90 deg yaw
     np.testing.assert_allclose(obs[POS_ERR], [0.0, -1.0, 0.0], atol=1e-12)
@@ -243,7 +244,8 @@ def assert_row_is_draw(benv, i, draw):
     goal_pos, goal_att, params = draw
     # every episode starts at rest at the origin with identity attitude
     rest = [np.zeros(3), m3.quat_identity(), np.zeros(3), np.zeros(3)]
-    obs = observe_arrays(*rest, goal_pos, goal_att, benv.config.body_frame_obs)
+    obs = observe_arrays(*rest, goal_pos, m3.quat_error_terms(goal_att),
+                         benv.config.body_frame_obs)
     got = [benv.pos[i], benv.att[i], benv.linvel[i], benv.angvel[i], benv.goal_pos[i],
            benv.goal_att[i], benv.mass[i], benv.inertia[i], benv.obs[i]]
     want = [*rest, goal_pos, goal_att, np.float64(params.mass), params.inertia_diag, obs]
@@ -372,7 +374,7 @@ def test_batch_env_frozen_row_leaves_live_rows_bitwise_unchanged():
         # obs follows the new state, and norms (next tick's previous
         # norms) follow obs
         want = observe_arrays(live.pos, live.att, live.linvel, live.angvel, live.goal_pos,
-                              live.goal_att, cfg.body_frame_obs)
+                              m3.quat_error_terms(live.goal_att), cfg.body_frame_obs)
         assert obs_a.tobytes() == want.tobytes()
         assert live.norms.tobytes() == obs_norms(want).tobytes()
         assert obs_a[:3].tobytes() == obs_b[:3].tobytes()
@@ -477,8 +479,13 @@ def test_batch_env_non_finite_state_names_the_row(auto_reset):
     benv = BatchEnv(4, quick_config(), RewardWeights(), seed=2, auto_reset=auto_reset)
     benv.step(np.full((4, 6), 0.2))
     benv.linvel[2] = [np.inf, 0.0, 0.0]
+    names = ("state", "pos", "att", "linvel", "angvel", "obs", "norms", "hold", "steps",
+             "frozen", "episode_return")
+    before = [getattr(benv, k).tobytes() for k in names]
     with pytest.raises(SimulationDivergedError, match=r"^env 2: state went non-finite$"):
         benv.step(np.full((4, 6), 0.2))
+    # the tick that raises changes none of the env's arrays
+    assert [getattr(benv, k).tobytes() for k in names] == before
 
 
 def test_batch_rollout_buffer_layout():

@@ -118,14 +118,14 @@ def test_quat_error_f_branch_edges():
     goal = m3.quat_normalize(np.array([0.3, -0.2, 0.9, 0.1])).tolist()
     # canonicalize flip: the raw product has w < 0
     current = m3.quat_mul(np.array(goal), m3.quat_from_rotvec(np.array([0.0, 0.0, 4.0])))
-    assert m3.quat_mul(np.array(goal), m3.quat_conj(current))[0] < 0.0
+    assert m3.quat_mul(np.array(goal), current * [1.0, -1.0, -1.0, -1.0])[0] < 0.0
     got = same(m3.quat_error_f, m3.quat_error, goal, current.tolist())
     assert m3.vec_norm_f(got) < math.pi
     # identical attitudes: a true zero error
     assert same(m3.quat_error_f, m3.quat_error, goal, goal) == [0.0, 0.0, 0.0]
     # vn < 1e-12 but not zero: the 2/w limit branch
     tiny = m3.quat_mul(np.array(goal), m3.quat_from_rotvec(np.array([4e-13, 0.0, 0.0])))
-    product = m3.quat_mul(np.array(goal), m3.quat_conj(tiny))
+    product = m3.quat_mul(np.array(goal), tiny * [1.0, -1.0, -1.0, -1.0])
     assert 0.0 < m3.vec_norm(product[1:]) < 1e-12
     got = same(m3.quat_error_f, m3.quat_error, goal, tiny.tolist())
     assert got != [0.0, 0.0, 0.0]
@@ -210,6 +210,13 @@ def test_batched_quat_error(gc):
     goal, current = gc
     same_rows(m3.quat_error_f, m3.quat_error, goal, current)
     same_rows(m3.quat_error_f, m3.quat_error, goal[0], current, broadcast=(0,))
+    # terms made one goal at a time into a component-major table, as
+    # BatchEnv keeps them
+    terms = np.zeros((16, len(goal))).T
+    for r, g in enumerate(goal):
+        terms[r] = m3.quat_error_terms(np.array(g))
+    got = m3.quat_error_from_terms(terms, np.array(current))
+    assert got.tobytes() == m3.quat_error(np.array(goal), np.array(current)).tobytes()
 
 
 # ----------------------------------------------------------- clamp

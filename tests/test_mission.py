@@ -61,7 +61,8 @@ def tiny_net():
 
 def obs_of(s, goal_pos, goal_att, body_frame=False):
     """The 12-vector observation of the state (pos, att, lv, av) against one goal."""
-    return observe_arrays(*map(np.array, (*s, goal_pos, goal_att)), body_frame)
+    goal_terms = m3.quat_error_terms(np.array(goal_att))
+    return observe_arrays(*map(np.array, (*s, goal_pos)), goal_terms, body_frame)
 
 
 # ------------------------------------------------------------- safety
@@ -881,7 +882,7 @@ def _array_flight(s, maneuver, mode, mc, net=None, fault=None):
     cur, trip, armed, hold, prev = mode, 0, False, None, None
     for k in range(int(round(maneuver.timeout / env.dt))):
         meas = measured(pos, k)
-        obs = observe_arrays(meas, att, lv, av, goal_pos, goal_att, False)
+        obs = observe_arrays(meas, att, lv, av, goal_pos, m3.quat_error_terms(goal_att), False)
         if cur is ControlMode.RL_POLICY:
             decision, counter = safety_check(obs_norms(obs).tolist(), mc.safety, trip)
             armed = armed or counter == 0
