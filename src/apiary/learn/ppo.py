@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..child import Child
+from ..child import Child, held
 from ..env import RolloutBuffer
 from . import nets
 from .nets import PolicyNet
@@ -347,12 +347,14 @@ def ppo_update(
 
     agg: dict[str, float] = {}
     count = 0
-    worker = Child(functools.partial(
-        _critic_worker, net=net, obs=obs, returns=returns, cfg=cfg, arrays=params[head:],
-        state=nets.AdamState(adam_state.m[head:], adam_state.v[head:], adam_state.t),
-        rng=rng,
-    ))
+    worker = None
     try:
+        with held():
+            worker = Child(functools.partial(
+                _critic_worker, net=net, obs=obs, returns=returns, cfg=cfg, arrays=params[head:],
+                state=nets.AdamState(adam_state.m[head:], adam_state.v[head:], adam_state.t),
+                rng=rng,
+            ))
         with open(worker.out, "rb") as up:
             for epoch, minibatch, idx in _minibatches(n, mb, cfg.epochs, rng):
                 grads, actor_stats = _actor_grads(
@@ -382,7 +384,8 @@ def ppo_update(
                 count += 1
             final = _receive(up, sum(a.nbytes for a in critic_state), worker)
     finally:
-        worker.reap()
+        if worker is not None:
+            worker.reap()
     offset = 0
     for a in critic_state:
         a[...] = np.frombuffer(final, count=a.size, offset=offset).reshape(a.shape)

@@ -29,15 +29,17 @@ from __future__ import annotations
 import contextlib
 import copy
 import csv
-import itertools
-import multiprocessing
+import functools
 import os
+import pickle
 import signal
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import math3d as m3
+from ..child import Child, held
 from ..env import (
     ORI_ERR,
     POS_ERR,
@@ -111,11 +113,12 @@ def _eval_chunk(
         [np.full(3, config.limits.f_max), np.full(3, config.limits.tau_max)]
     )
     log = None
-    if logs_dir is not None:
-        # row i is episode k's, logged to file k as maneuver k
-        episode = np.array([k for _, k in seeds])
-        log = LogWriter({k: _log_path(logs_dir, k) for _, k in seeds})
     try:
+        if logs_dir is not None:
+            # row i is episode k's, logged to file k as maneuver k
+            episode = np.array([k for _, k in seeds])
+            with held():
+                log = LogWriter({k: _log_path(logs_dir, k) for _, k in seeds})
         obs = benv.obs.copy()
         for t in range(config.episode_len):
             if benv.all_frozen():
@@ -155,26 +158,18 @@ def _eval_chunk(
     return [r for r in records if r is not None]
 
 
-def _eval_chunk_star(payload):
-    """A pool worker's task: one chunk. Leaving the pool terminates its
-    workers with SIGTERM. While a chunk runs, the worker raises SystemExit
-    on it instead of dying, so the chunk aborts its log writer and waits
-    for it, and no writer outlives the command. Between chunks the worker
-    dies on it outright: a Python handler misses a SIGTERM that lands just
-    before the worker blocks on the task queue's lock, and the worker then
-    waits there forever (seen in about 1 of 35 pool runs)."""
-    signal.signal(signal.SIGTERM, _raise_system_exit)
-    try:
-        return _eval_chunk(*payload)
-    finally:
-        # a SIGTERM that lands here stays pending until the default is back
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-
-
-def _raise_system_exit(signum, frame):
-    raise SystemExit(128 + signum)
+def _eval_worker(in_fd: int, out_fd: int, payloads: list) -> int:
+    """Pickle each chunk's records to `out_fd`, or the first failed chunk's
+    exception and stop. SIGTERM raises SystemExit all along, so a running
+    chunk aborts its log writer; only that stop cuts a pipe write short."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    for payload in payloads:
+        try:
+            os.write(out_fd, pickle.dumps((_eval_chunk(*payload), None)))
+        except Exception as e:  # the parent re-raises it
+            os.write(out_fd, pickle.dumps((None, e)))
+            break
+    return 0
 
 
 def evaluate_policy(
@@ -207,23 +202,36 @@ def evaluate_policy(
     payloads = [(net, config, weights, chunk, logs_dir) for chunk in chunks]
     records: list[dict] = []
     if workers > 1 and len(chunks) > 1:
-        merged = 0
+        # worker c % n sends chunk c after its earlier ones: reading in order can't deadlock
+        n = min(workers, len(chunks))
+        procs: list[Child] = []
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(workers, len(chunks))) as pool:
-                for recs in pool.imap(_eval_chunk_star, payloads):
-                    records.extend(recs)
-                    merged += 1
-        except BaseException:
-            # the failed chunk deleted its own unfinished files, and leaving
-            # the pool stopped the workers, each after aborting the writer
-            # of a chunk it was running; a single process never starts
-            # the chunks after the failed one, so delete what workers wrote
+            for w in range(n):
+                with held():
+                    procs.append(Child(functools.partial(_eval_worker, payloads=payloads[w::n])))
+            outs = [open(p.out, "rb", closefd=False) for p in procs]
+            for c in range(len(chunks)):
+                try:
+                    recs, error = pickle.load(outs[c % n])
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"eval worker stopped ({procs[c % n].reap()})") from None
+                if error is not None:
+                    raise error
+                records.extend(recs)
+        finally:
+            # on a failure or an interrupt, stop the workers still running
+            for p in procs:
+                if len(records) < episodes and p.pid is not None:
+                    os.kill(p.pid, signal.SIGTERM)
+            for p in procs:
+                p.reap()
+                os.close(p.out)
+            # the failed chunk deleted its own unfinished files; one process
+            # never starts the chunks after it, so delete what workers wrote
             if logs_dir is not None:
-                for _, k in itertools.chain.from_iterable(chunks[merged + 1 :]):
+                for k in range(len(records) + EVAL_CHUNK, episodes):
                     with contextlib.suppress(FileNotFoundError):
                         os.remove(_log_path(logs_dir, k))
-            raise
     else:
         for payload in payloads:
             records.extend(_eval_chunk(*payload))

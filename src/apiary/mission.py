@@ -92,7 +92,7 @@ import numpy as np
 from . import math3d as m3
 from .actuation import clamp_axes
 from .baseline import PdGains, pd_wrench_f
-from .child import Child
+from .child import Child, held
 from .dynamics import DofMask, step_f
 from .env import EnvConfig
 from .learn.nets import PolicyNet, policy_mean
@@ -178,6 +178,8 @@ class LogWriter:
     exits. A writer that fails also deletes the files still open. The
     writer ignores SIGINT, so an interrupted sender aborts it, and it ends
     with `os._exit`, running none of the sender's exit handlers or buffers.
+    A sender creates it under `child.held()`, inside the `try` that aborts
+    it, so an interrupt cannot leave a started writer or an opened file.
     """
 
     def __init__(self, paths: dict[int, str]) -> None:
@@ -683,8 +685,10 @@ def run_sequence(
     tick = 0
     paused = False
     aborted = False
-    log = LogWriter({0: log_path})
+    log = None
     try:
+        with held():
+            log = LogWriter({0: log_path})
         for i, man in enumerate(sequence):
             if aborted or (paused and not man.resume):
                 aborted = True
@@ -701,10 +705,11 @@ def run_sequence(
                 paused = True
         log.finish()
     except BaseException:
-        log.abort()
-        # an interrupt while finishing leaves a whole log, but no outcomes
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(log_path)
+        if log is not None:
+            log.abort()
+            # an interrupt while finishing leaves a whole log, but no outcomes
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(log_path)
         raise
     return outcomes
 

@@ -1,9 +1,11 @@
 """End-to-end command-line tests, including exit-code contracts."""
 
+import contextlib
 import csv
 import importlib
 import itertools
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -206,7 +208,7 @@ def test_eval_writes_outputs(workspace, capsys):
 
 
 def test_eval_worker_count_equivalence(workspace):
-    # more episodes than one chunk so the pool actually splits work
+    # more episodes than one chunk so the workers actually split the work
     args = ["eval", "--config", str(workspace["config"]), "--ckpt", str(workspace["ckpt"]),
             "--scenario", "iss6dof", "--episodes", "40", "--seed", "3"]
     out1 = workspace["root"] / "ev_w1"
@@ -229,6 +231,47 @@ def test_eval_logs_independent_of_workers(workspace):
     assert sorted(p.name for p in dirs[1].iterdir()) == names
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_group_interrupt_of_eval_workers_leaves_no_process(tmp_path):
+    # Ctrl-C in a terminal signals the whole process group: the command,
+    # its eval workers and their log writers. Workers and writers ignore
+    # it; the command stops each worker with SIGTERM, and the worker first
+    # aborts and reaps its chunk's writer. So no process of the group is
+    # left once the command exits, only the command prints a traceback,
+    # and every log left holds a whole episode
+    args = ["eval", "--config", str(RECIPE), "--ckpt", str(REFERENCE_CKPT),
+            "--scenario", "iss6dof", "--episodes", "100", "--seed", "1"]
+    clean = tmp_path / "clean"
+    assert main(args + ["--logs", str(clean)]) == 0
+    logs = tmp_path / "logs"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "apiary.cli", *args, "--workers", "2", "--logs", str(logs)],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        # each worker is in its first chunk once that chunk's first log is open
+        firsts = [logs / f"episode_{k:04d}.csv" for k in (0, train_module.EVAL_CHUNK)]
+        deadline = time.monotonic() + 30
+        while not all(f.exists() for f in firsts):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # whatever a failed check left running
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert err.count("Traceback") == 1 and err.endswith("KeyboardInterrupt\n"), err
+    for path in logs.iterdir():
+        assert path.read_bytes() == (clean / path.name).read_bytes(), path.name
 
 
 def _row_by_row_eval_logs(episodes: int, seed: int) -> list[list[list[float]]]:
@@ -323,7 +366,7 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
             return super().step(actions)
 
     monkeypatch.setattr(train_module, "BatchEnv", DivergingEnv)
-    # each log writer's pid, kept in a file since pool workers start them
+    # each log writer's pid, kept in a file since eval workers start them
     pids = tmp_path / "writer_pids"
 
     class Recorded(mission.Child):
@@ -334,14 +377,14 @@ def test_eval_divergence_leaves_only_whole_episodes(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(mission, "Child", Recorded)
     logs = tmp_path / "logs"
-    # a warning raises, in a pool worker too: the fork inherits the filter
+    # a warning raises, in an eval worker too: the fork inherits the filter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(args + ["--logs", str(logs)])
     assert rc == 2
     assert_no_child_left()
-    # nor does a writer that a pool worker started: leaving the pool stops
-    # a worker still running a chunk, and the worker first aborts and reaps
+    # nor does a writer that an eval worker started: the command stops a
+    # worker still running a chunk, and the worker first aborts and reaps
     # that chunk's writer
     writers = [int(pid) for pid in pids.read_text().split()]
     assert len(writers) >= 2

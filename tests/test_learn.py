@@ -13,6 +13,7 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -638,7 +639,7 @@ def test_critic_side_divergence_raises_the_oracle_message(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("end", ["returned", "diverged", "interrupted"])
+@pytest.mark.parametrize("end", ["returned", "diverged", "interrupted", "interrupted_at_fork"])
 def test_ppo_update_leaves_no_child(monkeypatch, end):
     cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=8)
     net = policy_init(np.random.default_rng(26), PpoConfig())
@@ -656,8 +657,16 @@ def test_ppo_update_leaves_no_child(monkeypatch, end):
             return actor_grads(*args)
 
         monkeypatch.setattr(ppo_module, "_actor_grads", interrupted)
+    elif end == "interrupted_at_fork":
+        # Ctrl-C, aimed at the main thread, lands just after the worker forks
+        class Signalled(ppo_module.Child):
+            def __init__(self, run):
+                super().__init__(run)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr(ppo_module, "Child", Signalled)
     raised = {"returned": None, "diverged": UpdateDivergedError,
-              "interrupted": KeyboardInterrupt}[end]
+              "interrupted": KeyboardInterrupt, "interrupted_at_fork": KeyboardInterrupt}[end]
     if raised is None:
         ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(0))
     else:
@@ -979,6 +988,52 @@ def test_evaluate_policy_pool_never_hangs_on_exit():
         pytest.fail("an eval pool hung on exit")
 
 
+def test_evaluate_policy_dead_worker_raises_at_once(tmp_path):
+    # the second chunk's worker dies mid-chunk, as one the OOM killer
+    # picks would: the parent reads the end of its output, says how it
+    # ended, and stops the other worker, which prints nothing as it stops
+    code = (
+        "import importlib, os, signal\n"
+        "import numpy as np\n"
+        "from apiary.env import EnvConfig, RewardWeights\n"
+        "from apiary.learn import PpoConfig, evaluate_policy\n"
+        "from apiary.learn.nets import policy_init\n"
+        "train = importlib.import_module('apiary.learn.train')\n"
+        "rows = train.LogWriter.rows\n"
+        "def rows_then_die(log, table, keys, *args):\n"
+        "    rows(log, table, keys, *args)\n"
+        f"    if keys[0] == {EVAL_CHUNK}:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "train.LogWriter.rows = rows_then_die\n"
+        "net = policy_init(np.random.default_rng(40), PpoConfig())\n"
+        "cfg = EnvConfig(goal_pos_range=np.full(3, 0.03), goal_ang_range=np.full(3, 0.02),\n"
+        "                episode_len=40, hold_steps=5)\n"
+        "try:\n"
+        f"    evaluate_policy(net, cfg, RewardWeights(), {EVAL_CHUNK * 2 + 5}, seed=555, workers=2,\n"
+        f"                    logs_dir={str(tmp_path)!r})\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("an eval waited for a dead worker")
+    assert out == "eval worker stopped (killed by signal 9)\nno child left\n"
+    assert err == ""
+    assert proc.returncode == 0
+
+
 def test_evaluate_policy_episode_count_invariance():
     # episode k is seeded (seed, k), and a whole EVAL_CHUNK chunk runs the
     # policy on the same rows whatever the episode count, so the first 32
@@ -1039,22 +1094,24 @@ def test_evaluate_policy_log_memory_independent_of_episode_len(tmp_path):
 
 
 def test_evaluate_policy_logs_span_chunks_and_workers(tmp_path, monkeypatch):
-    # 6 chunks of 2 on 2 workers, so a worker runs several chunks in turn
+    # 6 chunks of 2 on 2 or 3 workers, so a worker runs several chunks in turn
     monkeypatch.setattr(train_module, "EVAL_CHUNK", 2)
     net = policy_init(np.random.default_rng(43), PpoConfig())
-    dirs = {w: tmp_path / f"w{w}" for w in (1, 2)}
+    dirs = {w: tmp_path / f"w{w}" for w in (1, 2, 3)}
     results = {}
     for w, d in dirs.items():
         d.mkdir()
         results[w] = evaluate_policy(
             net, quick_env(), RewardWeights(), 11, seed=5, workers=w, logs_dir=d
         )
-    assert results[1].episodes == results[2].episodes
+    assert results[1].episodes == results[2].episodes == results[3].episodes
     names = [f"episode_{k:04d}.csv" for k in range(11)]
     for d in dirs.values():
         assert sorted(p.name for p in d.iterdir()) == names
     for name in names:
-        assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
+        want = (dirs[1] / name).read_bytes()
+        assert (dirs[2] / name).read_bytes() == want, name
+        assert (dirs[3] / name).read_bytes() == want, name
 
 
 # ------------------------------------------------- training loop

@@ -13,10 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apiary import math3d as m3
+from apiary import mission
 from apiary.actuation import ActuationLimits
 from apiary.baseline import PdGains
 from apiary.dynamics import GRANITE_3DOF, BodyParams, SimulationDivergedError, step_arrays
-from apiary.env import ORI_ERR, POS_ERR, EnvConfig, obs_norms, observe_arrays
+from apiary.env import ORI_ERR, POS_ERR, EnvConfig, RewardWeights, obs_norms, observe_arrays
+from apiary.learn import evaluate_policy
 from apiary.learn.checkpoint import load_policy
 from apiary.learn.nets import policy_init, policy_mean
 from apiary.learn.ppo import PpoConfig
@@ -761,7 +763,7 @@ def _raise_system_exit(signum, frame):
 
 
 @pytest.mark.parametrize("signum, raised", [
-    (signal.SIGTERM, SystemExit),  # how leaving an `eval` pool stops its workers
+    (signal.SIGTERM, SystemExit),  # how `eval --workers N` stops its workers
     (signal.SIGINT, KeyboardInterrupt),
 ])
 def test_signal_during_writer_fork_stops_writer(tmp_path, monkeypatch, signum, raised):
@@ -781,6 +783,54 @@ def test_signal_during_writer_fork_stops_writer(tmp_path, monkeypatch, signum, r
     try:
         with pytest.raises(raised):
             LogWriter({0: str(tmp_path / "a.csv"), 1: str(tmp_path / "b.csv")})
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("when", ["opening", "forked"])
+@pytest.mark.parametrize("sender", ["flight", "eval"])
+def test_signal_while_writer_starts_leaves_no_file_and_no_child(tmp_path, monkeypatch, sender, when):
+    # Ctrl-C as a flight starts its writer, or the SIGTERM that stops an
+    # eval worker as a chunk starts its writer: while a log file opens, or
+    # just after the writer is forked. The signal lands only once the
+    # writer is on record in the sender's `try`, which aborts it. It is
+    # aimed at the main thread, which holds it: a signal sent to the whole
+    # process may reach another thread that does not, as an OpenBLAS one
+    signum, raised = {
+        "flight": (signal.SIGINT, KeyboardInterrupt), "eval": (signal.SIGTERM, SystemExit),
+    }[sender]
+    last = tmp_path / ("traj.csv" if sender == "flight" else "episode_0002.csv")
+
+    def signal_self():
+        signal.pthread_kill(threading.main_thread().ident, signum)
+
+    if when == "opening":
+        def signalled_open(path, *args, **kwargs):
+            f = open(path, *args, **kwargs)
+            if str(path) == str(last):
+                signal_self()
+            return f
+
+        monkeypatch.setattr(mission, "open", signalled_open, raising=False)
+    else:
+        class Signalled(mission.Child):
+            def __init__(self, run):
+                super().__init__(run)
+                signal_self()
+
+        monkeypatch.setattr(mission, "Child", Signalled)
+    previous = signal.signal(signal.SIGTERM, _raise_system_exit)
+    try:
+        with pytest.raises(raised):
+            if sender == "flight":
+                run_sequence([Maneuver("translate", 0, 0.1, timeout=2.0)], ControlMode.BASELINE,
+                             MissionConfig(), None, [], last)
+            else:
+                evaluate_policy(tiny_net(), EnvConfig(), RewardWeights(), 3, seed=1,
+                                logs_dir=tmp_path)
     finally:
         signal.signal(signal.SIGTERM, previous)
     assert list(tmp_path.iterdir()) == []
