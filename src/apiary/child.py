@@ -7,12 +7,19 @@ chunks in another. The first two take the end of their input pipe as
 "stop": a parent that fails or is interrupted stops its child by closing
 that pipe, and waits for it. An eval worker is stopped by SIGTERM, which
 it turns into SystemExit.
+
+Every message, either way, is one pickle: `send` writes it whole and
+`receive` reads the next one, or None at the end of the pipe or on a
+message cut short. Only these pipes, between the program and its own
+fork, are ever unpickled. A parent reads its child through
+`Child.receive`, which reports a child that stopped.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import signal
 import sys
 from collections.abc import Callable
@@ -20,6 +27,22 @@ from collections.abc import Callable
 
 # an interrupt, and the signal that stops an `eval` worker (SystemExit)
 _HELD = {signal.SIGINT, signal.SIGTERM}
+
+
+def send(fd: int, message) -> None:
+    """Pickle `message` and write all of it to `fd`."""
+    data = memoryview(pickle.dumps(message))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def receive(f):
+    """The next message in the binary file `f`, or None at its end or if
+    the message was cut short."""
+    try:
+        return pickle.load(f)
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 @contextlib.contextmanager
@@ -91,6 +114,15 @@ class Child:
                 self.reap()
                 os.close(self.out)
             raise
+
+    def receive(self, f, what: str):
+        """The child's next message in `f`, a file over `out`; if the
+        child stopped instead, reap it and raise RuntimeError saying how
+        `what` ended."""
+        message = receive(f)
+        if message is None:
+            raise RuntimeError(f"{what} stopped ({self.reap() or 'exit status 0'})")
+        return message
 
     def reap(self) -> str:
         """Close `pipe` (the child's "stop"), wait for the child, and return

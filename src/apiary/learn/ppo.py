@@ -27,9 +27,10 @@ minibatch:
 - each applies that factor and Adam to its own arrays.
 
 At the end the worker sends the critic's weights and biases and their
-Adam moments back as raw float64 bytes, and the parent copies them into
-place. Each number is computed by the same operations as in one process,
-so an update gives the same bytes. `train` holds OpenBLAS at one thread
+Adam moments back as float64 arrays, and the parent copies them into
+place. Each message either way is one pickle, through `child.send` and
+`receive`. Each number is computed by the same operations as in one
+process, so an update gives the same bytes. `train` holds OpenBLAS at one thread
 for the whole run (`one_blas_thread`): two processes at two BLAS threads
 each would fight over two cores. Where the system allows it, the worker
 keeps off its parent's core (`_off_parent_cpu`). If the parent raises or is interrupted, it closes
@@ -47,12 +48,11 @@ import contextlib
 import functools
 import itertools
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..child import Child, held
+from ..child import Child, held, receive, send
 from ..env import RolloutBuffer
 from . import nets
 from .nets import PolicyNet
@@ -246,15 +246,6 @@ def _clipped_adam_step(
     nets.adam_step(arrays, grads, state, lr)
 
 
-def _messages(net: PolicyNet) -> tuple[struct.Struct, struct.Struct]:
-    """The two messages of one lockstep minibatch step. The worker's: the
-    value loss, then for each critic array whether it is finite, then its
-    sum of squares (0.0 where it is not finite). The parent's reply: the
-    clip factor."""
-    k = 2 * len(net.critic.weights)
-    return struct.Struct(f"=d{k}?{k}d"), struct.Struct("=d")
-
-
 def _off_parent_cpu(parent: int) -> None:
     """Keep the calling worker off the core its parent runs on, where the
     system tells both (Linux). A pipe write asks the scheduler to run the
@@ -285,26 +276,25 @@ def _critic_worker(
 ) -> int:
     """The update worker: the critic's half of every minibatch step, in
     lockstep with the parent, then the critic's `arrays` and Adam moments
-    to the parent. The end of `down_fd` (the parent raised or was
-    interrupted) stops it early; either way it exits 0."""
+    to the parent. Each step it sends the value loss and, for each critic
+    array, whether it is finite and its sum of squares (0.0 where it is
+    not), and reads back the clip factor. The end of `down_fd` (the parent
+    raised or was interrupted) stops it early; either way it exits 0."""
     _off_parent_cpu(os.getppid())
     n = obs.shape[0]
-    message, reply_message = _messages(net)
     ws: dict = {}
     try:
-        with open(down_fd, "rb") as down, open(up_fd, "wb") as up:
+        with open(down_fd, "rb") as down:
             for _, _, idx in _minibatches(n, min(cfg.minibatch_size, n), cfg.epochs, rng):
                 value_loss, grads = _critic_grads(net, obs[idx], returns[idx], cfg, ws)
                 finite = [bool(np.isfinite(g).all()) for g in grads]
                 sums = [_sum_of_squares(g) if ok else 0.0 for g, ok in zip(grads, finite)]
-                up.write(message.pack(value_loss, *finite, *sums))
-                up.flush()
-                reply = down.read(reply_message.size)
-                if len(reply) < reply_message.size:
+                send(up_fd, (value_loss, finite, sums))
+                scale = receive(down)
+                if scale is None:
                     return 0  # the parent stopped the update
-                (scale,) = reply_message.unpack(reply)
                 _clipped_adam_step(arrays, grads, scale, state, cfg.lr)
-            up.write(b"".join(a.tobytes() for a in arrays + state.m + state.v))
+            send(up_fd, arrays + state.m + state.v)
     except BrokenPipeError:
         pass  # the parent stopped reading: it stopped the update
     return 0
@@ -339,10 +329,8 @@ def ppo_update(
     params = nets.param_list(net)
     # the actor's arrays and log_std lead param_list; the critic's follow
     head = 2 * len(net.actor.weights) + 1
-    critics = len(params) - head
     actor_adam = nets.AdamState(adam_state.m[:head], adam_state.v[:head], adam_state.t)
     critic_state = params[head:] + adam_state.m[head:] + adam_state.v[head:]
-    message, reply_message = _messages(net)
     ws: dict = {}
 
     agg: dict[str, float] = {}
@@ -361,8 +349,7 @@ def ppo_update(
                     net, obs[idx], actions[idx], old_logp[idx],
                     normalize_advantages(adv[idx]), cfg, ws,
                 )
-                value_loss, *checks = message.unpack(_receive(up, message.size, worker))
-                critic_finite, critic_sums = checks[:critics], checks[critics:]
+                value_loss, critic_finite, critic_sums = worker.receive(up, "PPO update worker")
                 stats = _minibatch_stats(actor_stats, value_loss, cfg)
                 if not np.isfinite(stats["loss"]):
                     raise UpdateDivergedError(
@@ -376,30 +363,20 @@ def ppo_update(
                 grad_norm, scale = nets.clip_scale(sums + critic_sums, cfg.max_grad_norm)
                 # a worker that stopped shows at the next read
                 with contextlib.suppress(BrokenPipeError):
-                    os.write(worker.pipe, reply_message.pack(scale))
+                    send(worker.pipe, scale)
                 _clipped_adam_step(params[:head], grads, scale, actor_adam, cfg.lr)
                 stats["grad_norm"] = grad_norm
                 for key, val in stats.items():
                     agg[key] = agg.get(key, 0.0) + val
                 count += 1
-            final = _receive(up, sum(a.nbytes for a in critic_state), worker)
+            final = worker.receive(up, "PPO update worker")
     finally:
         if worker is not None:
             worker.reap()
-    offset = 0
-    for a in critic_state:
-        a[...] = np.frombuffer(final, count=a.size, offset=offset).reshape(a.shape)
-        offset += a.nbytes
+    for a, b in zip(critic_state, final):
+        a[...] = b
     adam_state.t = actor_adam.t
     return {k: v / count for k, v in agg.items()}
-
-
-def _receive(up, size: int, worker: Child) -> bytes:
-    """The worker's next `size` bytes; raises RuntimeError if it stopped."""
-    data = up.read(size)
-    if len(data) < size:
-        raise RuntimeError(f"PPO update worker stopped ({worker.reap() or 'exit status 0'})")
-    return data
 
 
 @functools.cache

@@ -31,7 +31,6 @@ import copy
 import csv
 import functools
 import os
-import pickle
 import signal
 import sys
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import math3d as m3
-from ..child import Child, held
+from ..child import Child, held, send
 from ..env import (
     ORI_ERR,
     POS_ERR,
@@ -99,12 +98,13 @@ def _eval_chunk(
 
     With a `logs_dir`, the chunk opens episode k's `episode_kkkk.csv` there
     and starts a `mission.LogWriter` for the chunk's files. Each tick it
-    hands over the live rows' raw float64 values, and it closes an
-    episode's file when the episode finishes. If the chunk raises, it
-    aborts the writer, which deletes the unfinished files, so every log
-    file left behind holds a whole episode. Returns each episode's
-    finished record from `BatchEnv.step`, less `env` and plus
-    `settle_time`, in the chunk's order.
+    hands over the live rows' float64 values, which reach the writer
+    unrounded in its pickled batches, and it closes an episode's file when
+    the episode finishes. If the chunk raises, it aborts the writer, which
+    deletes the unfinished files, so every log file left behind holds a
+    whole episode. Returns each episode's finished record from
+    `BatchEnv.step`, less `env` and plus `settle_time`, in the chunk's
+    order; an eval worker sends them to the parent as one message.
     """
     n = len(seeds)
     benv = BatchEnv(n, config, weights, auto_reset=False, episode_seeds=seeds)
@@ -159,15 +159,16 @@ def _eval_chunk(
 
 
 def _eval_worker(in_fd: int, out_fd: int, payloads: list) -> int:
-    """Pickle each chunk's records to `out_fd`, or the first failed chunk's
-    exception and stop. SIGTERM raises SystemExit all along, so a running
-    chunk aborts its log writer; only that stop cuts a pipe write short."""
+    """Send each chunk's `(records, None)` to `out_fd`, or the first failed
+    chunk's `(None, exception)` and stop. SIGTERM raises SystemExit all
+    along, so a running chunk aborts its log writer; only that stop cuts a
+    message short."""
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     for payload in payloads:
         try:
-            os.write(out_fd, pickle.dumps((_eval_chunk(*payload), None)))
+            send(out_fd, (_eval_chunk(*payload), None))
         except Exception as e:  # the parent re-raises it
-            os.write(out_fd, pickle.dumps((None, e)))
+            send(out_fd, (None, e))
             break
     return 0
 
@@ -211,10 +212,7 @@ def evaluate_policy(
                     procs.append(Child(functools.partial(_eval_worker, payloads=payloads[w::n])))
             outs = [open(p.out, "rb", closefd=False) for p in procs]
             for c in range(len(chunks)):
-                try:
-                    recs, error = pickle.load(outs[c % n])
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"eval worker stopped ({procs[c % n].reap()})") from None
+                recs, error = procs[c % n].receive(outs[c % n], "eval worker")
                 if error is not None:
                     raise error
                 records.extend(recs)

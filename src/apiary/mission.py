@@ -27,7 +27,9 @@ A trajectory log exists only as its CSV file: `LOG_HEADER`, then one
 `log_line` per control tick (eval's episode logs are the same format).
 The flight does not format it: each tick hands its row's float64 values
 to a `LogWriter`, a process that formats the rows through `log_line` and
-writes them, so formatting runs beside the flight on another core.
+writes them, so formatting runs beside the flight on another core. The
+values and each row's (file key, mode, maneuver) int32 triple cross the
+pipe in batches, packed `array`s inside one pickled `child.send` message.
 `run_sequence` checks the whole sequence (each maneuver's tick count,
 and no goal on a DOF the mask pins) and its faults before it touches the
 file system; if the flight or the writer fails, the partial log is
@@ -83,7 +85,6 @@ import functools
 import io
 import math
 import os
-import struct
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -92,7 +93,7 @@ import numpy as np
 from . import math3d as m3
 from .actuation import clamp_axes
 from .baseline import PdGains, pd_wrench_f
-from .child import Child, held
+from .child import Child, held, receive, send
 from .dynamics import DofMask, step_f
 from .env import EnvConfig
 from .learn.nets import PolicyNet, policy_mean
@@ -153,10 +154,8 @@ _LOG_MODES = tuple(m.value for m in ControlMode)
 # rows a LogWriter hands over per message: one pipe write per batch, not
 # per tick, and at most one batch held by the sender
 LOG_BATCH = 256
-# a message: (op, file key, row count), then that many rows' 32 float64
-# values, then their (file key, mode, maneuver) int32 triples
-_MESSAGE = struct.Struct("=iii")
-_ROW_BYTES = 32 * 8 + 3 * 4
+# a message: (op, file key, rows' float64 values, their (file key, mode,
+# maneuver) int32 triples)
 _ROWS, _CLOSE, _FINISH = range(3)
 
 
@@ -168,8 +167,9 @@ class LogWriter:
     the calling process, so an open error raises there, then forks the
     writer, which owns the files from then on and starts each with
     `LOG_HEADER`. Each row crosses the pipe as its 32 float64 values and a
-    (file key, mode, maneuver) int32 triple, so the writer formats the very
-    doubles the sender computed; rows go in batches of LOG_BATCH.
+    (file key, mode, maneuver) int32 triple, packed in the `array`s of one
+    pickled message, so the writer formats the very doubles the sender
+    computed; rows go in batches of LOG_BATCH.
     `close(key)` closes one file after the rows handed over before it, and
     `finish()` the rest; it waits for the writer and raises OSError with
     the writer's error if it failed. `abort()` closes the pipe without a
@@ -240,18 +240,13 @@ class LogWriter:
             self._reap()
 
     def _send(self, op: int, key: int = 0) -> None:
-        data = memoryview(
-            _MESSAGE.pack(op, key, len(self._keys) // 3)
-            + self._values.tobytes() + self._keys.tobytes()
-        )
-        del self._values[:], self._keys[:]
         try:
-            while data:
-                data = data[os.write(self._child.pipe, data):]
+            send(self._child.pipe, (op, key, self._values, self._keys))
         except BrokenPipeError:
             # the writer stopped on an error of its own: report that
             error = self._reap()
             raise OSError(f"trajectory log writer: {error or 'stopped'}") from None
+        del self._values[:], self._keys[:]
 
     def _reap(self) -> str:
         """Close the pipe, wait for the writer, and return its error
@@ -272,15 +267,11 @@ def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> int:
             for f in files.values():
                 f.write(LOG_HEADER)
             while True:
-                message = pipe.read(_MESSAGE.size)
-                if len(message) < _MESSAGE.size:
+                message = receive(pipe)
+                if message is None:
                     break  # aborted, or the sender died, without a finish
-                op, key, n = _MESSAGE.unpack(message)
-                data = memoryview(pipe.read(n * _ROW_BYTES))
-                if len(data) < n * _ROW_BYTES:
-                    break
-                values = iter(data[: n * 32 * 8].cast("d").tolist())
-                keys = iter(data[n * 32 * 8 :].cast("i").tolist())
+                op, key, values, keys = message
+                values, keys = iter(values.tolist()), iter(keys.tolist())
                 # each row as a 32-tuple, each key as a 3-tuple
                 for row, (file_key, mode, maneuver) in zip(zip(*[values] * 32), zip(*[keys] * 3)):
                     files[file_key].write(log_line(row, _LOG_MODES[mode], maneuver))

@@ -675,6 +675,29 @@ def test_ppo_update_leaves_no_child(monkeypatch, end):
     assert_no_child_left()
 
 
+def test_ppo_update_dead_worker_raises_at_once(monkeypatch):
+    # the critic's half runs only in the update worker, which dies in its
+    # second minibatch, as one the OOM killer picks would: the parent reads
+    # the end of its output, says how it ended, and leaves no child
+    critic_grads, calls = ppo_module._critic_grads, []
+
+    def killed(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return critic_grads(*args)
+
+    monkeypatch.setattr(ppo_module, "_critic_grads", killed)
+    cfg = PpoConfig(n_envs=2, horizon=16, minibatch_size=8)
+    net = policy_init(np.random.default_rng(26), PpoConfig())
+    buf = make_buffer(net, n_envs=2, horizon=16)
+    with pytest.raises(RuntimeError) as raised:
+        ppo_update(net, buf, cfg, adam_init(param_list(net)), np.random.default_rng(0))
+    assert str(raised.value) == "PPO update worker stopped (killed by signal 9)"
+    assert calls == []  # the parent never ran the critic's half
+    assert_no_child_left()
+
+
 def test_train_sets_blas_threads_once_each_way(tmp_path, monkeypatch):
     # setting the count between updates would restart the OpenBLAS threads
     # that each worker's fork stopped, and a new thread busy-waits beside

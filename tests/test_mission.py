@@ -724,13 +724,14 @@ def test_run_sequence_failure_leaves_no_log(tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize("how", ["abort", "cut_short"])
+@pytest.mark.parametrize("how", ["abort", "cut_short", "cut_in_half"])
 def test_log_writer_deletes_open_files_when_not_finished(tmp_path, monkeypatch, how):
     # an abort closes the pipe without a finish, as a sender that dies does.
     # The writer, which ignores SIGINT, writes every whole message sent,
     # keeps the file closed before, deletes the one still open, and exits.
-    # A message cut short by an interrupt inside its write, here 4 bytes of
-    # a finish, is not whole, and finishes nothing
+    # A message cut short by an interrupt inside its write, 4 bytes of a
+    # finish or half of one that carries rows of the open file, is not
+    # whole, and finishes nothing
     rows = make_log_rows(3)
     closed, still_open = tmp_path / "closed.csv", tmp_path / "open.csv"
     log = LogWriter({0: str(still_open), 1: str(closed)})
@@ -739,11 +740,14 @@ def test_log_writer_deletes_open_files_when_not_finished(tmp_path, monkeypatch, 
         for row in rows.tolist():
             log.row(key, row, "baseline", 5)
     log.close(1)
-    if how == "cut_short":
+    if how == "cut_in_half":
+        for row in rows.tolist():
+            log.row(0, row, "baseline", 6)
+    if how != "abort":
         write = os.write
 
         def cut_short(fd, data):
-            write(fd, bytes(data[:4]))
+            write(fd, bytes(data[: 4 if how == "cut_short" else len(data) // 2]))
             raise KeyboardInterrupt
 
         monkeypatch.setattr(os, "write", cut_short)
