@@ -24,12 +24,15 @@ Every flight starts at rest at the origin with identity attitude;
 `run_maneuver` flies one maneuver of a sequence.
 
 A trajectory log exists only as its CSV file: `LOG_HEADER`, then one
-`log_line` per control tick (eval's episode logs are the same format).
-The flight does not format it: each tick hands its row's float64 values
-to a `LogWriter`, a process that formats the rows through `log_line` and
-writes them, so formatting runs beside the flight on another core. The
-values and each row's (file key, mode, maneuver) int32 triple cross the
-pipe in batches, packed `array`s inside one pickled `child.send` message.
+line per control tick (eval's episode logs are the same format): the 32
+numeric columns as their `repr`, then mode and maneuver, comma-separated
+and ending in CRLF, the bytes `csv.writer` wrote. The flight does not
+format it: each tick hands its row's float64 values to a `LogWriter`, a
+process that formats and writes them, so formatting runs beside the
+flight on another core. The values and each row's (file key, mode,
+maneuver) int32 triple cross the pipe in batches, packed `array`s inside
+one pickled `child.send` message, and the writer formats a message's rows
+in one numpy pass (`reprs.Reprs`, which writes `repr`'s bytes).
 `run_sequence` checks the whole sequence (each maneuver's tick count,
 and no goal on a DOF the mask pins) and its faults before it touches the
 file system; if the flight or the writer fails, the partial log is
@@ -86,7 +89,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
@@ -97,6 +100,7 @@ from .child import Child, held, receive, send
 from .dynamics import DofMask, step_f
 from .env import EnvConfig
 from .learn.nets import PolicyNet, policy_mean
+from .reprs import Reprs, pack
 
 LOG_COLUMNS = [
     "t",
@@ -114,21 +118,6 @@ LOG_COLUMNS = [
 ]
 LOG_HEADER = ",".join(LOG_COLUMNS) + "\r\n"
 
-
-def log_line(row: list[float], mode: str, maneuver: int) -> str:
-    """One trajectory CSV row in the bytes csv.writer wrote: the 32 numeric
-    columns as repr, then mode and maneuver, CRLF, no quoting (no field
-    holds a comma, quote or newline). Every log file is `LOG_HEADER` and
-    then one such line per tick.
-
-    Most rows apply the wrench they command, so when `Fcx..Tcz` equal
-    `Fx..Tz` their six reprs are reused, but only when none is zero:
-    0.0 == -0.0, and the two reprs differ."""
-    commanded = row[14:20]
-    if row[20:26] == commanded and all(commanded):
-        head = list(map(repr, row[:20]))
-        return ",".join(head + head[14:] + list(map(repr, row[26:]))) + f",{mode},{maneuver}\r\n"
-    return ",".join(map(repr, row)) + f",{mode},{maneuver}\r\n"
 
 _AXIS_NAMES = {"x": 0, "y": 1, "z": 2}
 # dock and dock_approach succeed inside these tolerances; the approach
@@ -160,8 +149,8 @@ _ROWS, _CLOSE, _FINISH = range(3)
 
 
 class LogWriter:
-    """A writer process that formats trajectory rows through `log_line`
-    and writes them to their log files, off the process that simulates.
+    """A writer process that formats trajectory rows and writes them to
+    their log files, off the process that simulates.
 
     `LogWriter(paths)` opens each file of `paths` (file key -> path) in
     the calling process, so an open error raises there, then forks the
@@ -169,7 +158,10 @@ class LogWriter:
     `LOG_HEADER`. Each row crosses the pipe as its 32 float64 values and a
     (file key, mode, maneuver) int32 triple, packed in the `array`s of one
     pickled message, so the writer formats the very doubles the sender
-    computed; rows go in batches of LOG_BATCH.
+    computed; rows go in batches of LOG_BATCH. The writer formats each
+    message's rows in one pass, `_format_rows` through a `reprs.Reprs`
+    whose table the first LogWriter of a process builds before forking,
+    and writes each file's rows of the message with one write.
     `close(key)` closes one file after the rows handed over before it, and
     `finish()` the rest; it waits for the writer and raises OSError with
     the writer's error if it failed. `abort()` closes the pipe without a
@@ -183,11 +175,11 @@ class LogWriter:
     """
 
     def __init__(self, paths: dict[int, str]) -> None:
-        files: dict[int, TextIO] = {}
+        files: dict[int, BinaryIO] = {}
         try:
             for key, path in paths.items():
-                files[key] = open(path, "w", newline="")
-            self._child = Child(functools.partial(_write_logs, files=files))
+                files[key] = open(path, "wb")
+            self._child = Child(functools.partial(_write_logs, files=files, reprs=Reprs()))
         except BaseException:
             for f in files.values():
                 f.close()
@@ -201,8 +193,8 @@ class LogWriter:
         self._keys = array.array("i")
 
     def row(self, key: int, row: list[float], mode: str, maneuver: int) -> None:
-        """Hand over one row for file `key`, as `log_line(row, mode,
-        maneuver)` will format it."""
+        """Hand over one row for file `key`: its 32 values, then `mode`
+        and `maneuver`."""
         self._values.extend(row)
         self._keys.extend((key, _LOG_MODES.index(mode), maneuver))
         if len(self._keys) >= 3 * LOG_BATCH:
@@ -210,7 +202,7 @@ class LogWriter:
 
     def rows(self, table: np.ndarray, keys: np.ndarray, mode: str, maneuvers: np.ndarray) -> None:
         """Hand over the rows of the (n, 32) float64 `table`, row i for file
-        `keys[i]`, as `log_line(table[i], mode, maneuvers[i])` will format it."""
+        `keys[i]` with `mode` and `maneuvers[i]`."""
         triples = np.empty((len(keys), 3), dtype=np.int32)
         triples[:, 0] = keys
         triples[:, 1] = _LOG_MODES.index(mode)
@@ -257,7 +249,30 @@ class LogWriter:
         return error or ended
 
 
-def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> int:
+def _format_rows(
+    reprs: Reprs, values: array.array, keys: array.array
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The log lines of a message's rows, grouped by file and in order
+    within each: their bytes, and (file key, start, end) for each file's."""
+    keys = np.frombuffer(keys, dtype=np.int32).reshape(-1, 3)
+    order = np.argsort(keys[:, 0], kind="stable")
+    keys = keys[order]
+    words, lengths = reprs.fields(np.frombuffer(values).reshape(len(keys), -1), order)
+    # each row ends in its mode, maneuver and CRLF, after the comma that
+    # follows its last value
+    labels, which = np.unique(keys[:, 1].astype(np.int64) << 32 | keys[:, 2], return_inverse=True)
+    tails, tail_lengths = pack(
+        [f"{_LOG_MODES[m >> 32]},{m & 0xFFFFFFFF}\r\n".encode() for m in labels.tolist()]
+    )
+    words[:, -1] = tails.T[which]
+    lengths[:, -1] = tail_lengths[which]
+    offsets = np.concatenate(([0], np.cumsum(lengths.sum(axis=1)))).tolist()
+    firsts = [0, *(np.flatnonzero(np.diff(keys[:, 0])) + 1).tolist(), len(keys)]
+    runs = [(int(keys[a, 0]), offsets[a], offsets[b]) for a, b in zip(firsts, firsts[1:])]
+    return reprs.join(words), runs
+
+
+def _write_logs(rows_fd: int, status_fd: int, files: dict[int, BinaryIO], reprs: Reprs) -> int:
     """The writer process: format and write rows until a finish or the end
     of the pipe, and return its exit code. On anything but a finish the
     files still open are deleted; an error's text goes to `status_fd`."""
@@ -265,16 +280,16 @@ def _write_logs(rows_fd: int, status_fd: int, files: dict[int, TextIO]) -> int:
     try:
         with open(rows_fd, "rb") as pipe:
             for f in files.values():
-                f.write(LOG_HEADER)
+                f.write(LOG_HEADER.encode())
             while True:
                 message = receive(pipe)
                 if message is None:
                     break  # aborted, or the sender died, without a finish
                 op, key, values, keys = message
-                values, keys = iter(values.tolist()), iter(keys.tolist())
-                # each row as a 32-tuple, each key as a 3-tuple
-                for row, (file_key, mode, maneuver) in zip(zip(*[values] * 32), zip(*[keys] * 3)):
-                    files[file_key].write(log_line(row, _LOG_MODES[mode], maneuver))
+                if keys:
+                    text, runs = _format_rows(reprs, values, keys)
+                    for file_key, start, end in runs:
+                        files[file_key].write(text[start:end])
                 if op == _CLOSE:
                     files[key].close()
                     del files[key]

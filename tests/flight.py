@@ -9,11 +9,23 @@ identity attitude.
 
 A log is read back by `mission.read_log` as its (n, 32) numeric columns;
 `column`/`columns` pick them by name, and `labels` reads the mode and
-maneuver columns that `read_log` leaves out."""
+maneuver columns that `read_log` leaves out. `log_text` is the oracle for
+a log's bytes, one `repr` at a time."""
 
 import csv
 
-from apiary.mission import LOG_COLUMNS, LogWriter, run_maneuver
+from apiary.mission import LOG_COLUMNS, LOG_HEADER, LogWriter, run_maneuver
+
+
+def log_text(rows, labels) -> bytes:
+    """The bytes of a log of `rows` (lists of 32 floats), row i labelled
+    (mode, maneuver) `labels[i]`: `LOG_HEADER`, then per row its values'
+    `repr`s, mode and maneuver, comma-separated, and CRLF."""
+    lines = (
+        ",".join(map(repr, row)) + f",{mode},{maneuver}\r\n"
+        for row, (mode, maneuver) in zip(rows, labels)
+    )
+    return (LOG_HEADER + "".join(lines)).encode()
 
 
 class _NoLog:

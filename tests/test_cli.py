@@ -22,9 +22,9 @@ from apiary.env import ORI_ERR, POS_ERR, BatchEnv
 from apiary.learn.checkpoint import load_policy, save_policy
 from apiary.learn.nets import PolicyNet, mlp_init, policy_mean
 from apiary import mission
-from apiary.mission import LOG_HEADER, ControlMode, log_line, read_log
+from apiary.mission import ControlMode, read_log
 from children import assert_no_child_left
-from flight import column, columns
+from flight import column, columns, log_text
 
 # the package's `train` name is the function; this is its module
 train_module = importlib.import_module("apiary.learn.train")
@@ -316,8 +316,8 @@ def test_eval_logs_match_row_by_row_oracle(tmp_path):
     assert sorted(p.name for p in logs.iterdir()) == [f"episode_{i:04d}.csv" for i in range(3)]
     mode = ControlMode.RL_POLICY.value
     for i, rows in enumerate(oracle):
-        want = LOG_HEADER + "".join(log_line(row, mode, i) for row in rows)
-        assert (logs / f"episode_{i:04d}.csv").read_bytes() == want.encode(), i
+        want = log_text(rows, [(mode, i)] * len(rows))
+        assert (logs / f"episode_{i:04d}.csv").read_bytes() == want, i
 
 
 def test_eval_logs_world_frame_errors_under_body_frame_obs(tmp_path):
@@ -757,18 +757,20 @@ def _flight_or_eval_args(command, tmp_path, out):
 
 @pytest.mark.parametrize("command", ["replay", "compare", "eval-w1", "eval-w2"])
 def test_log_writer_error_exits_1_leaving_no_partial_log(tmp_path, capsys, monkeypatch, command):
-    # every log writer fails on the 100th row it formats; it forks after the
-    # patch, so it inherits it. Its error reaches the command as one line
+    # every log writer fails on the batch that reaches the 100th row it
+    # formats; it forks after the patch, so it inherits it. Its error
+    # reaches the command as one line
     monkeypatch.setattr(train_module, "EVAL_CHUNK", 3)
-    log_line = mission.log_line
-    count = itertools.count(1)
+    format_rows = mission._format_rows
+    formatted = []
 
-    def failing(row, mode, maneuver):
-        if next(count) == 100:
+    def failing(reprs, values, keys):
+        formatted.append(len(keys) // 3)
+        if sum(formatted) >= 100:
             raise OSError("no space left for the test")
-        return log_line(row, mode, maneuver)
+        return format_rows(reprs, values, keys)
 
-    monkeypatch.setattr(mission, "log_line", failing)
+    monkeypatch.setattr(mission, "_format_rows", failing)
     out = tmp_path / "out"
     rc = main(_flight_or_eval_args(command, tmp_path, out))
     assert rc == 1

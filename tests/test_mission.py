@@ -36,7 +36,6 @@ from apiary.mission import (
     MissionConfig,
     SafetyThresholds,
     goal_for_maneuver,
-    log_line,
     metrics_from_log,
     parse_faults_file,
     parse_maneuver_spec,
@@ -47,7 +46,7 @@ from apiary.mission import (
     run_sequence,
     safety_check,
 )
-from flight import column, columns, fly, labels
+from flight import column, columns, fly, labels, log_text
 from float_state import state
 
 DT = 0.016
@@ -316,13 +315,9 @@ def make_log_rows(n=3):
 
 
 def write_log(path, rows, row_labels=None):
-    """`LOG_HEADER`, then a `log_line` per row, as a flight writes them;
-    each row's (mode, maneuver) is ("baseline", 0) unless given."""
-    row_labels = row_labels or [("baseline", 0)] * len(rows)
-    path.write_text(
-        LOG_HEADER + "".join(log_line(r, *lab) for r, lab in zip(rows.tolist(), row_labels)),
-        newline="",
-    )
+    """The log of `rows` as a flight writes it (`log_text`); each row's
+    (mode, maneuver) is ("baseline", 0) unless given."""
+    path.write_bytes(log_text(rows.tolist(), row_labels or [("baseline", 0)] * len(rows)))
     return path
 
 
@@ -722,6 +717,49 @@ def test_run_sequence_failure_leaves_no_log(tmp_path):
     with pytest.raises(SimulationDivergedError):
         run_sequence(seq, ControlMode.BASELINE, mc, None, [], path)
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_log_writer_writes_each_files_rows_as_reprs(tmp_path):
+    # three files' rows interleaved, as eval hands them over, one at a time
+    # and as tables: nan, ±inf, -0.0, subnormals and 1e16 among them, rows
+    # that apply the wrench they command (with and without zeros), all-zero
+    # rows. File 1 closes mid-batch; over three batches go through. Each
+    # file is its rows' reprs, in the order handed over
+    rng = np.random.default_rng(11)
+    table = rng.normal(size=(3 * mission.LOG_BATCH + 40, 32))
+    table *= 10.0 ** rng.integers(-9, 9, size=table.shape)
+    odd = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1e16, 9999999999999998.0, 1e-5]
+    table[::5, 1:11] = odd
+    table[::3, 20:26] = table[::3, 14:20]
+    table[1::6, 14:17] = -0.0
+    table[1::6, 20:26] = table[1::6, 14:20]
+    table[::17] = 0.0
+    paths = {k: tmp_path / f"{k}.csv" for k in range(3)}
+    log = LogWriter({k: str(p) for k, p in paths.items()})
+    rows, labels = {k: [] for k in paths}, {k: [] for k in paths}
+    modes = [m.value for m in ControlMode]
+    open_keys, t = [0, 1, 2], 0
+    while t < len(table):
+        if t >= 150 and 1 in open_keys:
+            log.close(1)
+            open_keys.remove(1)
+        keys = np.array(open_keys[: 1 + t % len(open_keys)])
+        block = table[t : t + len(keys)]
+        keys = keys[: len(block)]
+        mode, maneuvers = modes[t % 3], 7 * keys + t % 4
+        if t % 2:
+            log.rows(block, keys, mode, maneuvers)
+        else:
+            for key, row, maneuver in zip(keys.tolist(), block.tolist(), maneuvers.tolist()):
+                log.row(key, row, mode, maneuver)
+        for key, row, maneuver in zip(keys.tolist(), block.tolist(), maneuvers.tolist()):
+            rows[key].append(row)
+            labels[key].append((mode, maneuver))
+        t += len(keys)
+    log.finish()
+    assert len(rows[1]) < mission.LOG_BATCH < len(rows[0])
+    for k, path in paths.items():
+        assert path.read_bytes() == log_text(rows[k], labels[k]), k
 
 
 @pytest.mark.parametrize("how", ["abort", "cut_short", "cut_in_half"])
